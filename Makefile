@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-check trace-demo reproduce examples validate clean help
+.PHONY: install test lint bench bench-check perfbench-smoke trace-demo reproduce examples validate clean help
 
 help:
 	@echo "install     editable install (falls back to setup.py develop offline)"
@@ -10,6 +10,7 @@ help:
 	@echo "lint        static checks (ruff, else pyflakes, else compileall)"
 	@echo "bench       run all benchmarks (regenerates benchmarks/artifacts/)"
 	@echo "bench-check fresh perf benchmarks gated against committed baselines"
+	@echo "perfbench-smoke  short run of the repo benchmark's four workloads + a traced pass"
 	@echo "trace-demo  6-process distributed trace: study + client/server sync"
 	@echo "reproduce   study -> analyze -> validate, via the uucs CLI"
 	@echo "examples    run every example script"
@@ -51,6 +52,12 @@ bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_check.py BENCH_server.json out/fresh-server.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_check.py BENCH_dashboard.json out/fresh-dashboard.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_check.py BENCH_scheduler.json out/fresh-scheduler.json
+
+# The repository benchmark (perfbench/run.py), briefly: each workload
+# untraced for 4 s, then one traced pass; fails unless every run reports
+# "correct": true and "failed": 0.
+perfbench-smoke:
+	$(PYTHON) benchmarks/perfbench_smoke.py
 
 trace-demo:
 	PYTHONPATH=src $(PYTHON) examples/trace_demo.py

@@ -38,7 +38,10 @@ report; ``mode`` for the dashboard report; ``policy x budget`` — plus
 * the study report's best batch-engine ``speedup_vs_analytic`` falling
   under ``--min-batch-speedup`` (default 10x) — an absolute contract on
   the current report, so the batch engine's win cannot silently rot
-  even when both engines slow down together.
+  even when both engines slow down together;
+* an engine cell's ``pickle_bytes_per_record`` (the shard-IPC size of
+  its records) growing at all, or going missing, against the baseline
+  cell — it is an exact count, not a timing, so no tolerance applies.
 
 Cells present only in the current report are noted, never failed: the
 gate guards against losing ground on what was measured before, not
@@ -229,6 +232,19 @@ def compare_reports(
         if curr is None:
             regressions.append(f"{key}: cell missing from current report")
             continue
+        if "pickle_bytes_per_record" in base:
+            size = curr.get("pickle_bytes_per_record")
+            if size is None:
+                regressions.append(
+                    f"{key}: pickle_bytes_per_record missing from current "
+                    "report"
+                )
+            elif size > base["pickle_bytes_per_record"]:
+                regressions.append(
+                    f"{key}: pickle_bytes_per_record grew "
+                    f"{base['pickle_bytes_per_record']:.1f} -> {size:.1f} "
+                    "(an exact count; no tolerance)"
+                )
         if "sha256" in base and "sha256" in curr and base["sha256"] != curr["sha256"]:
             regressions.append(
                 f"{key}: study output sha256 changed "

@@ -25,7 +25,10 @@ the analytic engine's per-run cost is pure Python and scale-independent
 canonical cell is a fair denominator for the fleet-scale cells too.
 Every 33-user engine cell must reproduce the analytic cell's digest
 byte-for-byte (``byte_identical_to_analytic``), which on the canonical
-config is also the golden pin.
+config is also the golden pin.  Those cells also report
+``pickle_bytes_per_record``: the size of the study's records pickled
+as one shard's result batch, the bytes a shard worker sends back to
+the coordinating process, divided by the record count.  It is an exact, deterministic count.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import os
 import platform
 import sys
 import time
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 if __package__ in (None, ""):  # standalone: make `repro` importable
@@ -155,6 +159,7 @@ def bench_engines(
         times = []
         digest = None
         runs = 0
+        pickled = None
         for rep in range(repeat):
             started = time.perf_counter()
             result = run_controlled_study(config)
@@ -166,9 +171,12 @@ def bench_engines(
                 # engine's speed, and serializing millions of records
                 # per rep would dwarf the thing being measured.
                 digest = _digest(result)
+                if n_users == users:
+                    # What a shard worker's pipe carries for this batch.
+                    pickled = len(ForkingPickler.dumps(list(result.runs)))
             del result
         best = min(times)
-        return {
+        cell = {
             "engine": engine,
             "users": n_users,
             "wall_seconds_best": round(best, 4),
@@ -177,6 +185,9 @@ def bench_engines(
             "runs_per_second": round(runs / best, 1),
             "sha256": digest,
         }
+        if pickled is not None:
+            cell["pickle_bytes_per_record"] = pickled / runs
+        return cell
 
     for engine in engines:
         cell = one_cell(engine, users)
@@ -250,6 +261,10 @@ def main(argv=None) -> int:
             )
         else:
             extras = []
+            if "pickle_bytes_per_record" in entry:
+                extras.append(
+                    f"{entry['pickle_bytes_per_record']:,.0f} pickled B/run"
+                )
             if "speedup_vs_analytic" in entry:
                 extras.append(f"{entry['speedup_vs_analytic']}x analytic")
             if "byte_identical_to_analytic" in entry:

@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import math
 import uuid
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _jstr_raw
-from typing import Mapping
 
 import numpy as np
 
@@ -24,42 +26,33 @@ from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.resources import Resource
 from repro.errors import SerializationError, ValidationError
 
-__all__ = ["RunContext", "TestcaseRun"]
-
-_dumps = json.dumps
+__all__ = ["RunContext", "TestcaseRun", "TraceTable", "TraceView"]
 
 # ---------------------------------------------------------------------------
-# to_json fast path.
+# Canonical JSON.
 #
-# ``json.dumps(run.to_dict(), sort_keys=True)`` re-serializes the load
-# trace — thousands of floats — for every record, which at fleet scale
-# (the million-user study) dominates everything downstream of the
-# engines: result-store writes, sync payloads, benchmark digests.  But
-# the cell-batched engine *shares* the trace/level/shape mappings
-# across every record of a cell via its record templates, so the JSON
-# fragment for each shared object can be rendered once and reused by
-# identity.  The cache holds a strong reference to each keyed object,
-# which is what makes ``id()`` a sound key: a cached object can never
-# be collected, so its id can never be recycled while the entry lives.
-# Records built one-at-a-time (the scalar engines, ``from_dict``) miss
-# the cache and pay one ``json.dumps`` per fragment, same as before.
-#
-# The fragments assume record field mappings are not mutated after
-# construction — the same immutability ``TestcaseRun``'s frozen
-# equality semantics already rely on.
+# A record's text is ``json.dumps(run.to_dict(), sort_keys=True)``: every
+# digest, golden pin and store line is defined against it.
+# ``TestcaseRun.to_json`` writes the same bytes without building that
+# dict.  Scalars and short strings are rendered directly, and the small
+# mappings go through one shared encoder configured as ``json.dumps``
+# configures its own.  The load trace -- ~19 KB of floats, nearly all of
+# a simulated record's text -- is the costly part.  Every run of a
+# simulated (machine, task, testcase) cell replays the same level series,
+# so its trace is a prefix of the cell's full-length traces: the engines
+# hand each run a ``TraceView`` of the cell's ``TraceTable``, the table
+# renders each column once, and each run's trace is cut from that text.
+# Nothing is cached per record, so a collected record leaves nothing
+# behind.
 # ---------------------------------------------------------------------------
 
-#: Entries across all fragment kinds before the cache resets.  Batch
-#: studies realize one fragment per shared template object — bounded by
-#: cells × step grid, well under this cap — while scalar engines churn
-#: fresh objects, so the cap bounds their memory instead.
-_FRAGMENT_CACHE_MAX = 65536
-_fragment_cache: dict[tuple[str, int], tuple[object, str]] = {}
+#: ``json.dumps(obj, sort_keys=True)`` builds an encoder exactly like
+#: this one for every call.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 #: Value-keyed cache for short repeated strings (user ids, tasks,
-#: outcome tags).  Unlike the id-keyed fragments this is keyed by the
-#: string itself, so it is always sound; the cap bounds churn from
-#: unique-per-record strings.
+#: outcome tags).  Keyed by the string itself, so it is always sound;
+#: the cap bounds churn from unique-per-record strings.
 _STR_CACHE_MAX = 8192
 _str_cache: dict[str, str] = {}
 
@@ -78,52 +71,120 @@ def _jnum(x) -> str:
     # values and any non-float number types take the generic encoder.
     if type(x) is float and math.isfinite(x):
         return float.__repr__(x)
-    return _dumps(x)
+    return _encode(x)
 
 
-def _fragment(kind: str, obj, build) -> str:
-    key = (kind, id(obj))
-    hit = _fragment_cache.get(key)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    text = build(obj)
-    if len(_fragment_cache) >= _FRAGMENT_CACHE_MAX:
-        _fragment_cache.clear()
-    _fragment_cache[key] = (obj, text)
-    return text
-
-
-def _build_shapes(shapes) -> str:
-    return _dumps({str(r): s for r, s in shapes.items()}, sort_keys=True)
-
-
-def _build_levels(levels) -> str:
-    return _dumps({str(r): v for r, v in levels.items()}, sort_keys=True)
-
-
-def _build_last_values(last_values) -> str:
-    return _dumps(
-        {str(r): list(v) for r, v in last_values.items()}, sort_keys=True
+def _column_json(column: tuple) -> tuple[str, array]:
+    """``column``'s JSON array text and, at index ``n``, where the text
+    of its first ``n`` elements ends (``text[:ends[n]] + "]"``)."""
+    text = _encode(column)
+    items = text[1:-1].split(", ") if column else []
+    if len(items) != len(column):
+        # Some element's own text holds the separator; render one by one.
+        items = [_encode(x) for x in column]
+        text = "[" + ", ".join(items) + "]"
+    # ends[n] = 1 + sum(len(items[:n])) + 2 * (n - 1): past the opening
+    # bracket, n elements and n - 1 separators.
+    ends = array(
+        "q", accumulate((len(item) + 2 for item in items), initial=-1)
     )
+    return text, ends
 
 
-def _build_load_trace(load_trace) -> str:
-    return _dumps({k: list(v) for k, v in load_trace.items()}, sort_keys=True)
+class TraceTable:
+    """Full-length load traces that the runs of one simulated cell share.
+
+    ``names`` and ``columns`` run in parallel: metric name -> float
+    samples.  A run that stopped after ``steps`` samples carries
+    ``TraceView(table, steps)``, every column cut at ``steps``.  The
+    first :meth:`render` renders each column's JSON once, with the end
+    offset of every element, so the JSON of any prefix is a slice of
+    that text.  A table pickles as ``(names, columns)``; its text is
+    rebuilt in whichever process renders it.
+    """
+
+    __slots__ = ("names", "columns", "_index", "_json")
+
+    def __init__(self, names, columns):
+        self.names = tuple(names)
+        self.columns = tuple(tuple(column) for column in columns)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        if len(self._index) != len(self.names) or len(self.columns) != len(
+            self.names
+        ):
+            raise ValidationError(
+                "a trace table needs one column per distinct name"
+            )
+        self._json: list[tuple[str, str, array]] | None = None
+
+    def __reduce__(self):
+        return (TraceTable, (self.names, self.columns))
+
+    def render(self, steps: int) -> str:
+        """``json.dumps({name: list(column[:steps])}, sort_keys=True)``."""
+        rendered = self._json
+        if rendered is None:
+            rendered = self._json = [
+                (("{" if i == 0 else ", ") + _encode(name) + ": ",
+                 *_column_json(self.columns[self._index[name]]))
+                for i, name in enumerate(sorted(self.names))
+            ]
+        if not rendered:
+            return "{}"
+        pieces = []
+        for head, text, ends in rendered:
+            pieces.append(head)
+            if steps >= len(ends) - 1:
+                pieces.append(text)
+            elif steps > 0:
+                pieces.append(text[: ends[steps]])
+                pieces.append("]")
+            else:
+                pieces.append("[]")
+        pieces.append("}")
+        return "".join(pieces)
 
 
-def _build_feedback(feedback) -> str:
-    return _dumps(
-        {
-            "offset": feedback.offset,
-            "levels": {str(r): v for r, v in feedback.levels.items()},
-            "source": feedback.source,
-        },
-        sort_keys=True,
-    )
+class TraceView(Mapping):
+    """A simulated run's ``load_trace``: its cell's table cut at ``steps``.
 
+    Read-only and shared: the engines hand one view to every run of a
+    cell that stopped at the same step, so callers must not try to
+    mutate it.  It compares equal to any mapping with the same metrics
+    and samples, a plain ``dict`` included, and pickles as ``(table,
+    steps)``, so records that share a table pickle it once.
+    """
 
-def _build_extra(extra) -> str:
-    return _dumps(dict(extra), sort_keys=True)
+    __slots__ = ("table", "steps")
+
+    def __init__(self, table: TraceTable, steps: int):
+        if steps < 0:
+            raise ValidationError(f"trace view steps {steps} < 0")
+        self.table = table
+        self.steps = steps
+
+    def __getitem__(self, name: str) -> tuple[float, ...]:
+        table = self.table
+        return table.columns[table._index[name]][: self.steps]
+
+    def __iter__(self):
+        return iter(self.table.names)
+
+    def __len__(self) -> int:
+        return len(self.table.names)
+
+    def __contains__(self, name) -> bool:
+        return name in self.table._index
+
+    def __reduce__(self):
+        return (TraceView, (self.table, self.steps))
+
+    def __repr__(self) -> str:
+        return f"TraceView({dict(self)!r})"
+
+    def to_json(self) -> str:
+        """Canonical JSON of the trace, cut from the table's text."""
+        return self.table.render(self.steps)
 
 
 @dataclass(frozen=True)
@@ -267,34 +328,40 @@ class TestcaseRun:
     def to_json(self) -> str:
         """Canonical JSON form: ``json.dumps(to_dict(), sort_keys=True)``.
 
-        Assembled fragment-wise so mappings shared across records (the
-        batch engine's cell templates) serialize once — byte-equality
-        with the ``json.dumps`` form is pinned by the serialization
-        equivalence tests.
+        Assembled field by field (see the notes above ``TraceTable``);
+        byte-equality with the ``json.dumps`` form is pinned by the
+        serialization tests.
         """
         ctx = self.context
         feedback = self.feedback
+        trace = self.load_trace
         return "".join((
             '{"context": {"client_id": ', _jstr(ctx.client_id),
-            ', "extra": ', _fragment("extra", ctx.extra, _build_extra),
+            ', "extra": ', _encode(dict(ctx.extra)),
             ', "machine_id": ', _jstr(ctx.machine_id),
             ', "started_at": ', _jnum(ctx.started_at),
             ', "task": ', _jstr(ctx.task),
             ', "user_id": ', _jstr(ctx.user_id),
             '}, "end_offset": ', _jnum(self.end_offset),
             ', "feedback": ',
-            "null" if feedback is None
-            else _fragment("feedback", feedback, _build_feedback),
-            ', "last_values": ',
-            _fragment("last_values", self.last_values, _build_last_values),
-            ', "levels_at_end": ',
-            _fragment("levels", self.levels_at_end, _build_levels),
+            "null" if feedback is None else _encode({
+                "offset": feedback.offset,
+                "levels": {str(r): v for r, v in feedback.levels.items()},
+                "source": feedback.source,
+            }),
+            ', "last_values": ', _encode(
+                {str(r): list(v) for r, v in self.last_values.items()}
+            ),
+            ', "levels_at_end": ', _encode(
+                {str(r): v for r, v in self.levels_at_end.items()}
+            ),
             ', "load_trace": ',
-            _fragment("load_trace", self.load_trace, _build_load_trace),
+            trace.to_json() if isinstance(trace, TraceView)
+            else _encode({k: list(v) for k, v in trace.items()}),
             ', "load_trace_rate": ', _jnum(self.load_trace_rate),
             ', "outcome": ', _jstr(str(self.outcome)),
             ', "run_id": ', _jstr_raw(self.run_id),
-            ', "shapes": ', _fragment("shapes", self.shapes, _build_shapes),
+            ', "shapes": ', _encode({str(r): s for r, s in self.shapes.items()}),
             ', "testcase_duration": ', _jnum(self.testcase_duration),
             ', "testcase_id": ', _jstr(self.testcase_id),
             "}",

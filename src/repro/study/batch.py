@@ -20,8 +20,8 @@ in three phases per block of users:
    scaling) consumes no RNG and is deferred to a vectorized
    finalization pass; ``scipy.special.ndtri`` is the bit-identical
    kernel behind the ``scipy.stats.norm.ppf`` wrapper the scalar path
-   calls, and one ``integers(size=(n, 16))`` call consumes the
-   BitGenerator stream exactly like ``n`` sequential run-id draws.
+   calls, and one bulk draw of 32-bit words replays a user's testcase
+   orders and run ids (``_session_draws``).
 2. **Decide** — vectorize ``_threshold_fire_step``'s last-false scan
    across the user axis.  Monotone level series (every ramp and step the
    study ships) get an O(users) ``searchsorted`` closed form; anything
@@ -33,8 +33,8 @@ in three phases per block of users:
 3. **Emit** — build ``TestcaseRun`` records in scalar emission order.
    Every discomfort offset lies on the step grid, so per-(cell, step)
    caches bound the expensive pieces (level dicts, last-values tuples,
-   trace slices) by the number of *steps*, not users; all exhausted runs
-   of a cell share one cached trace.  Shared mappings are safe: records
+   trace views of the cell's shared traces) by the number of *steps*,
+   not users; all exhausted runs of a cell share one trace view.  Shared mappings are safe: records
    are frozen, and equality/JSON never see object identity.  Records are
    assembled from per-cell template dicts via ``object.__new__`` —
    every field combination the templates produce is validated once per
@@ -60,12 +60,11 @@ import numpy as np
 from scipy import special as sp_special
 from scipy import stats as sps
 
-from repro.apps.registry import get_task
 from repro.core.feedback import DiscomfortEvent, RunOutcome
-from repro.core.run import RunContext, TestcaseRun
+from repro.core.run import RunContext, TestcaseRun, TraceView
 from repro.core.session import record_session_metrics
 from repro.core.testcase import Testcase
-from repro.study.engine import _level_array
+from repro.study.engine import CellTraces
 from repro.telemetry import get_telemetry
 from repro.users.behavior import _SKILL_STEP, BehaviorParams
 from repro.users.profile import RATING_CATEGORIES, SkillLevel, UserProfile
@@ -305,43 +304,113 @@ class _DerivedStream:
             "uinteger": 0,
         }
 
-    def rng(self, w0: int, w1: int) -> np.random.Generator:
-        """The Generator for spawn-key tail ``(w0, w1)`` (the user
-        index's FNV words)."""
-        pool = list(self.pool)
+    def seeds(self, w0, w1) -> list[tuple[int, int]]:
+        """PCG64 ``(state, inc)`` for each spawn-key tail ``(w0[k],
+        w1[k])`` (user indices' FNV words), hashed for all users at once
+        in uint32 arrays, whose arithmetic wraps exactly like the
+        ``& _M32`` of the scalar hash."""
+        n = len(w0)
+        u32 = np.uint32
+        pool = [np.full(n, word, dtype=u32) for word in self.pool]
         hc = self.hash_const
-        for word in (w0, w1):
+        for word in (np.asarray(w0, dtype=u32), np.asarray(w1, dtype=u32)):
             for i in range(4):
-                val = word ^ hc
+                val = word ^ u32(hc)
                 hc = (hc * _MULT_A) & _M32
-                val = (val * hc) & _M32
+                val = val * u32(hc)
                 val ^= val >> 16
-                r = ((pool[i] * _MIX_L) - (val * _MIX_R)) & _M32
+                r = pool[i] * u32(_MIX_L) - val * u32(_MIX_R)
                 pool[i] = r ^ (r >> 16)
         # generate_state(4, uint64): 8 uint32 words off the pool ...
         hc = _INIT_B
         out = []
         for i in range(8):
-            v = pool[i & 3] ^ hc
+            v = pool[i & 3] ^ u32(hc)
             hc = (hc * _MULT_B) & _M32
-            v = (v * hc) & _M32
-            out.append(v ^ (v >> 16))
+            v = v * u32(hc)
+            out.append((v ^ (v >> 16)).astype(np.uint64))
         # ... viewed little-endian as two 128-bit ints (seed, stream),
         # then PCG64's srandom seeding.
-        initstate = (
-            ((out[0] | (out[1] << 32)) << 64) | out[2] | (out[3] << 32)
-        )
-        initseq = (
-            ((out[4] | (out[5] << 32)) << 64) | out[6] | (out[7] << 32)
-        )
-        inc = ((initseq << 1) | 1) & _M128
-        state = self._state
-        state["state"]["state"] = (
-            (inc + initstate) * _PCG_MULT + inc
-        ) & _M128
-        state["state"]["inc"] = inc
-        self.bit_generator.state = state
+        halves = [(out[j] | (out[j + 1] << 32)).tolist() for j in (0, 2, 4, 6)]
+        seeds = []
+        for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _M128
+            initstate = (s_hi << 64) | s_lo
+            seeds.append((((inc + initstate) * _PCG_MULT + inc) & _M128, inc))
+        return seeds
+
+    def rng_at(self, state: int, inc: int) -> np.random.Generator:
+        """This family's Generator, set to one user's seeded state."""
+        st = self._state
+        st["state"]["state"] = state
+        st["state"]["inc"] = inc
+        self.bit_generator.state = st
         return self.generator
+
+    def rng(self, w0: int, w1: int) -> np.random.Generator:
+        """The Generator for spawn-key tail ``(w0, w1)`` (the user
+        index's FNV words)."""
+        ((state, inc),) = self.seeds([w0], [w1])
+        return self.rng_at(state, inc)
+
+
+#: 32-bit words drawn up front per user-session stream, per testcase
+#: of the study: four for its run id, and on average well under four
+#: for its swap in the task's shuffle.
+_WORDS_PER_RUN = 8
+
+
+def _shuffle_swaps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``n`` and ``(i, mask)`` for each swap ``Generator.shuffle`` makes
+    on ``n`` items: ``random_interval(i)`` takes 32-bit words ``w``
+    until ``w & mask <= i``, ``mask`` the smallest all-ones value >= i."""
+    return n, tuple(
+        (i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)
+    )
+
+
+def _session_draws(rng, swaps_by_task) -> list[tuple[list[int], str]]:
+    """A user's ``(testcase order, run-id hex)`` per task, drawn from
+    the ``user-session`` stream exactly as the scalar engine draws them.
+
+    Per task the scalar engine calls ``rng.permutation(n)`` and then
+    draws ``n`` 16-byte run ids.  Both consume the stream one 32-bit
+    word at a time: the permutation's swaps by rejection sampling, the
+    run ids four bytes to a word, low byte first.  So one
+    ``integers(0, 2**32, dtype=uint32)`` draw yields the same words,
+    and replaying the swaps and cutting the ids from the words gives
+    the same orders and ids (property-tested).  Nothing else reads this
+    stream, so drawing past its end is harmless; running short just
+    draws more and replays.
+    """
+    budget = _WORDS_PER_RUN * sum(n for n, _ in swaps_by_task)
+    words = rng.integers(0, 1 << 32, size=budget, dtype=np.uint32)
+    while True:
+        taken = words.tolist()
+        raw = words.astype("<u4", copy=False).tobytes()
+        out = []
+        pos = 0
+        try:
+            for n, swaps in swaps_by_task:
+                order = list(range(n))
+                for i, mask in swaps:
+                    j = taken[pos] & mask
+                    pos += 1
+                    while j > i:
+                        j = taken[pos] & mask
+                        pos += 1
+                    order[i], order[j] = order[j], order[i]
+                end = pos + 4 * n
+                if end > len(taken):
+                    raise IndexError
+                out.append((order, raw[4 * pos : 4 * end].hex()))
+                pos = end
+            return out
+        except IndexError:
+            words = np.concatenate([
+                words,
+                rng.integers(0, 1 << 32, size=budget, dtype=np.uint32),
+            ])
 
 
 class _ResourceDraw:
@@ -384,25 +453,22 @@ class _CellPlan:
         "task_name", "testcase", "duration", "sample_rate", "dt", "n_steps",
         "level_arrays", "monotone", "shapes", "p_noise", "draws",
         "delay_mu", "delay_sigma",
-        "trace_lists", "exhausted_template", "step_templates",
+        "trace_table", "exhausted_template", "step_templates",
         "fast_templates",
         "th_cols", "delay_z", "noise", "run_ids",
         "contexts", "emit",
     )
 
-    def __init__(self, task_name, testcase: Testcase, machine, task_model,
-                 model, table, behavior: BehaviorParams):
+    def __init__(self, task_name, testcase: Testcase, traces: CellTraces,
+                 table, behavior: BehaviorParams):
         self.task_name = task_name
         self.testcase = testcase
         self.duration = testcase.duration
         self.sample_rate = testcase.sample_rate
         self.dt = 1.0 / testcase.sample_rate
-        self.n_steps = int(round(testcase.duration * testcase.sample_rate))
+        self.n_steps = traces.n_steps
         n_steps = self.n_steps
-        self.level_arrays = {
-            resource: _level_array(testcase, resource, n_steps)
-            for resource in testcase.functions
-        }
+        self.level_arrays = traces.levels
         self.monotone = {
             resource: bool(np.all(np.diff(levels) >= 0.0))
             for resource, levels in self.level_arrays.items()
@@ -420,23 +486,8 @@ class _CellPlan:
             if not fn.is_blank()
         ]
 
-        # Full traces, computed once; per-run slices are list prefixes.
-        slowdowns, jitters = model.interactivity_batch(
-            self.level_arrays, n_steps
-        )
-        cpu, mem, disk = machine.sample_load_batch(
-            task_model, self.level_arrays, n_steps
-        )
-        self.trace_lists = [
-            ("slowdown", np.asarray(slowdowns).tolist()),
-            ("jitter", np.asarray(jitters).tolist()),
-            ("load_cpu", np.asarray(cpu).tolist()),
-            ("load_memory", np.asarray(mem).tolist()),
-            ("load_disk", np.asarray(disk).tolist()),
-        ] + [
-            (f"contention_{r.value}", np.asarray(fn.values).tolist())
-            for r, fn in testcase.functions.items()
-        ]
+        # Every record's trace is a prefix view of the cell's table.
+        self.trace_table = traces.table
 
         # Record templates: all fields but run_id/context, checked once
         # through the real (validating) constructor.  Exhausted runs are
@@ -452,10 +503,7 @@ class _CellPlan:
                 for r, v in testcase.last_values(testcase.duration).items()
             },
             feedback=None,
-            load_trace={
-                name: tuple(vals[: min(n_steps, len(vals))])
-                for name, vals in self.trace_lists
-            },
+            load_trace=TraceView(self.trace_table, n_steps),
         )
         self.step_templates: dict[tuple[int, str], dict] = {}
         #: int-key alias of the same templates for the emit loop:
@@ -498,7 +546,6 @@ class _CellPlan:
             else:
                 offset = min(step * self.dt, self.duration)
                 levels = testcase.levels_at(offset)
-                steps_done = step + 1
                 template = self._template(
                     outcome=RunOutcome.DISCOMFORT,
                     end_offset=offset,
@@ -510,10 +557,7 @@ class _CellPlan:
                     feedback=DiscomfortEvent(
                         offset=offset, levels=levels, source=source
                     ),
-                    load_trace={
-                        name: tuple(vals[: min(steps_done, len(vals))])
-                        for name, vals in self.trace_lists
-                    },
+                    load_trace=TraceView(self.trace_table, step + 1),
                 )
             self.step_templates[key] = template
         return template
@@ -743,7 +787,9 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     The cyclic garbage collector is paused for the duration of the call:
     the engine allocates millions of (acyclic, refcounted) records, and
     generational scans over that live heap dominate the runtime once
-    studies pass a few thousand users.
+    studies pass a few thousand users.  On the way out the records go
+    straight to the oldest generation, which only a full collection
+    scans.
     """
     # Local import: controlled imports the engine registry at module
     # level and resolves this module lazily, so the constants must be
@@ -756,8 +802,7 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     # non-finite value a threshold column can hold, so finiteness is
     # the armed mask in _finalize_thresholds.
     _NEVER = math.inf
-    machine = fixtures.machine
-    machine_id = machine.spec.name
+    machine_id = fixtures.machine.spec.name
     behavior = config.behavior
     entropy = (
         config.seed.entropy
@@ -776,12 +821,13 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
 
     cells_by_task: list[list[_CellPlan]] = []
     for task_name in tasks:
-        task_model = get_task(task_name)
-        model = machine.interactivity_model(task_model)
         cells_by_task.append([
-            _CellPlan(task_name, testcase, machine, task_model, model,
+            _CellPlan(task_name, testcase,
+                      fixtures.cell_traces(task_name, slot),
                       config.table, behavior)
-            for testcase in fixtures.testcases_by_task[task_name]
+            for slot, testcase in enumerate(
+                fixtures.testcases_by_task[task_name]
+            )
         ])
     # Intern each distinct (task, resource) to a small-int key: the
     # per-user skill-shift cache (the shift is a pure function of
@@ -795,6 +841,7 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                     draw.key, len(key_ids)
                 )
     runs_per_user = sum(len(cells) for cells in cells_by_task)
+    swaps_by_task = [_shuffle_swaps(len(cells)) for cells in cells_by_task]
     records: list[TestcaseRun | None] = [None] * ((stop - start) * runs_per_user)
 
     gc_was_enabled = gc.isenabled()
@@ -832,16 +879,21 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
             block_means: list[float] = []
 
             # --- phase 1: per-user draws, in exact scalar RNG order ----
+            if session_stream is not None:
+                w0, w1 = zip(*map(_fnv_words, range(block_start, block_stop)))
+                session_seeds = session_stream.seeds(w0, w1)
+                behavior_seeds = behavior_stream.seeds(w0, w1)
             for index in range(block_start, block_stop):
                 if session_stream is not None:
-                    w0, w1 = _fnv_words(index)
-                    rng = session_stream.rng(w0, w1)
-                    brng = behavior_stream.rng(w0, w1)
+                    k = index - block_start
+                    rng = session_stream.rng_at(*session_seeds[k])
+                    brng = behavior_stream.rng_at(*behavior_seeds[k])
                 else:
                     rng = derive_rng(config.seed, "user-session", index)
                     brng = derive_rng(config.seed, "user-behavior", index)
                 brandom = brng.random
                 bnormal = brng.standard_normal
+                session = _session_draws(rng, swaps_by_task)
                 profile = profiles[index]
                 ratings = profile.ratings
                 delay_mean = profile.reaction_delay_mean
@@ -861,17 +913,10 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                 }
                 block_means.append(delay_mean)
                 clock = _PREAMBLE_MINUTES * 60.0
-                for task_name, hot in zip(tasks, hot_by_task):
+                for task_name, hot, (order, hexs) in zip(
+                    tasks, hot_by_task, session
+                ):
                     context_base["task"] = task_name
-                    order = rng.permutation(len(hot)).tolist()
-                    # One flat block draw == len(hot) sequential
-                    # 16-byte run-id draws: 16 uint8 fill exactly 4
-                    # uint32 words and the C-order fill makes the flat
-                    # and (n, 16) shapes the same stream (property-
-                    # tested).
-                    hexs = rng.integers(
-                        0, 256, size=len(hot) * 16, dtype=np.uint8
-                    ).tobytes().hex()
                     off = 0
                     for cell_index in order:
                         (
@@ -949,6 +994,12 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                     cell.reset()
     finally:
         if gc_was_enabled:
+            if not gc.get_freeze_count():
+                # Promote everything to the oldest generation: the first
+                # young collection after this call would otherwise
+                # traverse every record just made.
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
     if telemetry.enabled and records:

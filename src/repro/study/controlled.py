@@ -27,6 +27,7 @@ from repro.monitor.base import SimulatedMonitor
 from repro.machine.specs import MachineSpec
 from repro.study.engine import (
     SESSION_ENGINES,
+    CellTraces,
     get_batch_range_engine,
     get_session_engine,
 )
@@ -150,6 +151,24 @@ class StudyFixtures:
     machine: SimulatedMachine
     testcases_by_task: dict[str, Sequence[Testcase]]
     profiles: tuple[UserProfile, ...]
+    #: ``(task, slot) -> CellTraces``, filled by :meth:`cell_traces`.
+    traces: dict[tuple[str, int], CellTraces] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def cell_traces(self, task: str, slot: int) -> CellTraces:
+        """The full-length traces of ``testcases_by_task[task][slot]`` on
+        this machine, computed on the cell's first run and shared by
+        every later run of it."""
+        cell = self.traces.get((task, slot))
+        if cell is None:
+            model = get_task(task)
+            cell = self.traces[task, slot] = CellTraces(
+                self.testcases_by_task[task][slot],
+                self.machine.interactivity_model(model),
+                SimulatedMonitor(self.machine, model),
+            )
+        return cell
 
 
 def study_fixtures(config: ControlledStudyConfig) -> StudyFixtures:
@@ -169,8 +188,7 @@ def study_fixtures(config: ControlledStudyConfig) -> StudyFixtures:
 def _run_user_session(
     profile: UserProfile,
     config: ControlledStudyConfig,
-    machine: SimulatedMachine,
-    testcases_by_task: dict[str, Sequence[Testcase]],
+    fixtures: StudyFixtures,
     user_index: int,
 ) -> list[TestcaseRun]:
     """One participant's 84-minute session."""
@@ -180,6 +198,11 @@ def _run_user_session(
         profile, config.table, config.behavior, seed=derive_rng(config.seed, "user-behavior", user_index)
     )
     run_session = get_session_engine(config.engine)
+    # The loop engine measures its traces sample by sample; the analytic
+    # engine reads them off the cell's shared full-length traces.
+    share_traces = config.engine != "loop"
+    machine = fixtures.machine
+    testcases_by_task = fixtures.testcases_by_task
     clock = _PREAMBLE_MINUTES * 60.0
     runs: list[TestcaseRun] = []
     for task_name in config.tasks:
@@ -187,8 +210,8 @@ def _run_user_session(
         model = machine.interactivity_model(task)
         monitor = SimulatedMonitor(machine, task)
         order = rng.permutation(len(testcases_by_task[task_name]))
-        for slot in order:
-            testcase = testcases_by_task[task_name][int(slot)]
+        for slot in order.tolist():
+            testcase = testcases_by_task[task_name][slot]
             context = RunContext(
                 user_id=profile.user_id,
                 task=task_name,
@@ -202,6 +225,11 @@ def _run_user_session(
                     },
                 },
             )
+            shared = (
+                {"traces": fixtures.cell_traces(task_name, slot)}
+                if share_traces
+                else {}
+            )
             result = run_session(
                 testcase,
                 user,
@@ -209,6 +237,7 @@ def _run_user_session(
                 model,
                 run_id=TestcaseRun.new_run_id(rng),
                 monitor=monitor,
+                **shared,
             )
             runs.append(result.run)
             clock += testcase.duration + _INTER_TESTCASE_GAP
@@ -253,13 +282,7 @@ def run_user_range(
     runs: list[TestcaseRun] = []
     for index in range(start, stop):
         runs.extend(
-            _run_user_session(
-                fixtures.profiles[index],
-                config,
-                fixtures.machine,
-                fixtures.testcases_by_task,
-                index,
-            )
+            _run_user_session(fixtures.profiles[index], config, fixtures, index)
         )
     return runs
 

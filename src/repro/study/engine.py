@@ -11,7 +11,8 @@ computes that decision in closed form with numpy:
 * crossing runs (threshold held for one reaction delay, reset on dips) via
   a vectorized last-false scan;
 * noise events at their scheduled step;
-* slowdown/jitter and monitor-load traces via the machine's batch methods.
+* slowdown/jitter and monitor-load traces via the machine's batch methods,
+  once per cell (:class:`CellTraces`), each run keeping a prefix view.
 
 The contract is **bit-for-bit equivalence** with the loop engine on the
 same armed user state — enforced by property tests
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.resources import Resource
-from repro.core.run import RunContext, TestcaseRun
+from repro.core.run import RunContext, TestcaseRun, TraceTable, TraceView
 from repro.core.session import (
     SessionResult,
     record_session_metrics,
@@ -44,6 +45,7 @@ from repro.users.behavior import SimulatedUser
 
 __all__ = [
     "BATCH_RANGE_ENGINES",
+    "CellTraces",
     "SESSION_ENGINES",
     "get_batch_range_engine",
     "get_session_engine",
@@ -65,6 +67,58 @@ def _level_array(testcase: Testcase, resource: Resource, n_steps: int) -> np.nda
         # t == duration (step index m) still reads the final sample.
         out[m] = values[-1]
     return out
+
+
+class CellTraces:
+    """One simulated cell's level series and full-length traces.
+
+    Every run of a (machine, task, testcase) cell plays the same
+    deterministic level series, so its slowdown, jitter, load and
+    contention traces are prefixes of the cell's full-length ones.  They
+    are computed here once per cell, with the machine's batch methods,
+    and every run's ``load_trace`` is a :class:`TraceView` of
+    :attr:`table` cut where the run stopped.  The study fixtures hold one
+    per cell (:meth:`repro.study.controlled.StudyFixtures.cell_traces`);
+    both fast engines read them.
+    """
+
+    __slots__ = ("n_steps", "levels", "slowdown", "jitter", "table")
+
+    def __init__(
+        self,
+        testcase: Testcase,
+        interactivity: TaskInteractivityModel | None = None,
+        monitor: SimulatedMonitor | None = None,
+    ):
+        n_steps = int(round(testcase.duration * testcase.sample_rate))
+        levels = {
+            resource: _level_array(testcase, resource, n_steps)
+            for resource in testcase.functions
+        }
+        if interactivity is not None:
+            slowdown, jitter = interactivity.interactivity_batch(levels, n_steps)
+        else:
+            slowdown, jitter = np.ones(n_steps), np.zeros(n_steps)
+        columns = {"slowdown": slowdown, "jitter": jitter}
+        if monitor is not None:
+            cpu, mem, disk = monitor._machine.sample_load_batch(
+                monitor._task, levels, n_steps
+            )
+            columns.update(load_cpu=cpu, load_memory=mem, load_disk=disk)
+        for resource, fn in testcase.functions.items():
+            columns[f"contention_{resource.value}"] = fn.values
+        self.n_steps = n_steps
+        self.levels = levels
+        self.slowdown = np.asarray(slowdown)
+        self.jitter = np.asarray(jitter)
+        # Every run of the cell shares these arrays.
+        for array in (self.slowdown, self.jitter, *levels.values()):
+            array.flags.writeable = False
+        # .tolist() yields plain floats (np.float64 scalars serialize to
+        # the same JSON but pickle an order of magnitude slower).
+        self.table = TraceTable(
+            columns, [np.asarray(v).tolist() for v in columns.values()]
+        )
 
 
 def _threshold_fire_step(
@@ -95,21 +149,25 @@ def run_analytic_session(
     interactivity: TaskInteractivityModel | None = None,
     run_id: str | None = None,
     monitor: SimulatedMonitor | None = None,
+    traces: CellTraces | None = None,
 ) -> SessionResult:
     """Closed-form equivalent of ``run_simulated_session`` for the fast
     path: a :class:`SimulatedUser` and (optionally) a
-    :class:`TaskInteractivityModel` / :class:`SimulatedMonitor`."""
+    :class:`TaskInteractivityModel` / :class:`SimulatedMonitor`.
+
+    ``traces`` are the cell's shared full-length traces, as the
+    controlled study passes them; without them the run computes its own
+    from ``interactivity`` and ``monitor``.
+    """
     telemetry = get_telemetry()
     started = time.perf_counter() if telemetry.enabled else 0.0
     user.begin_run(testcase, context)
 
+    if traces is None:
+        traces = CellTraces(testcase, interactivity, monitor)
     dt = 1.0 / testcase.sample_rate
-    n_steps = int(round(testcase.duration * testcase.sample_rate))
-
-    level_arrays = {
-        resource: _level_array(testcase, resource, n_steps)
-        for resource in testcase.functions
-    }
+    n_steps = traces.n_steps
+    level_arrays = traces.levels
 
     # --- the feedback decision, in closed form -------------------------
     candidates: list[tuple[int, str, float]] = []  # (step, source, offset)
@@ -153,28 +211,6 @@ def run_analytic_session(
         end_offset = testcase.duration
         steps_done = n_steps
 
-    # --- traces, vectorized ---------------------------------------------
-    if interactivity is not None:
-        slowdowns, jitters = interactivity.interactivity_batch(
-            level_arrays, n_steps
-        )
-    else:
-        slowdowns, jitters = np.ones(n_steps), np.zeros(n_steps)
-
-    extra_trace: dict[str, tuple[float, ...]] = {}
-    if monitor is not None:
-        machine = monitor._machine
-        task = monitor._task
-        cpu, mem, disk = machine.sample_load_batch(task, level_arrays, n_steps)
-        # .tolist() yields plain floats (np.float64 scalars serialize to the
-        # same JSON but pickle an order of magnitude slower — they would
-        # dominate the sharded engine's IPC cost).
-        extra_trace = {
-            "load_cpu": tuple(cpu[:steps_done].tolist()),
-            "load_memory": tuple(mem[:steps_done].tolist()),
-            "load_disk": tuple(disk[:steps_done].tolist()),
-        }
-
     outcome = RunOutcome.DISCOMFORT if event is not None else RunOutcome.EXHAUSTED
     run = TestcaseRun(
         run_id=run_id if run_id is not None else TestcaseRun.new_run_id(),
@@ -190,19 +226,7 @@ def run_analytic_session(
             for r, v in testcase.last_values(end_offset).items()
         },
         feedback=event,
-        load_trace={
-            "slowdown": tuple(np.asarray(slowdowns[:steps_done]).tolist()),
-            "jitter": tuple(np.asarray(jitters[:steps_done]).tolist()),
-            **extra_trace,
-            **{
-                f"contention_{r.value}": tuple(
-                    np.asarray(
-                        fn.values[: min(steps_done, len(fn.values))]
-                    ).tolist()
-                )
-                for r, fn in testcase.functions.items()
-            },
-        },
+        load_trace=TraceView(traces.table, steps_done),
         load_trace_rate=testcase.sample_rate,
     )
     if telemetry.enabled:
@@ -211,8 +235,8 @@ def run_analytic_session(
         )
     return SessionResult(
         run=run,
-        slowdown_trace=np.asarray(slowdowns[:steps_done]),
-        jitter_trace=np.asarray(jitters[:steps_done]),
+        slowdown_trace=traces.slowdown[:steps_done],
+        jitter_trace=traces.jitter[:steps_done],
     )
 
 

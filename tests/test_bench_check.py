@@ -150,6 +150,36 @@ class TestCompareReports:
             regressions, _ = bench_check.compare_reports(baseline, current)
             assert any("diverged" in r for r in regressions)
 
+    def test_pickle_bytes_growth_fails_with_no_tolerance(self):
+        base = study_report()
+        base["results"].append(
+            {"engine": "batch", "users": 33, "runs_per_second": 9000.0,
+             "sha256": "aa", "byte_identical_to_analytic": True,
+             "pickle_bytes_per_record": 990.25}
+        )
+        same = copy.deepcopy(base)
+        assert bench_check.compare_reports(
+            base, same, min_batch_speedup=0
+        )[0] == []
+        smaller = copy.deepcopy(base)
+        smaller["results"][-1]["pickle_bytes_per_record"] = 900.0
+        assert bench_check.compare_reports(
+            base, smaller, min_batch_speedup=0
+        )[0] == []
+        grown = copy.deepcopy(base)
+        grown["results"][-1]["pickle_bytes_per_record"] = 990.5
+        (regression,) = bench_check.compare_reports(
+            base, grown, tolerance=10.0, min_batch_speedup=0
+        )[0]
+        assert "engine=batch users=33" in regression
+        assert "pickle_bytes_per_record grew" in regression
+        dropped = copy.deepcopy(base)
+        del dropped["results"][-1]["pickle_bytes_per_record"]
+        (regression,) = bench_check.compare_reports(
+            base, dropped, min_batch_speedup=0
+        )[0]
+        assert "pickle_bytes_per_record missing" in regression
+
     def test_scheduler_pareto_dominance_is_noted(self):
         regressions, notes = bench_check.compare_reports(
             scheduler_report(), scheduler_report()

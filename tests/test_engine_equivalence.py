@@ -9,6 +9,7 @@ down to the serialized bytes the result store would hold.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.apps import get_task
 from repro.apps.registry import TASK_ORDER
 from repro.core.exercise import ExerciseFunction
 from repro.core.resources import Resource
-from repro.core.run import RunContext
+from repro.core.run import RunContext, TestcaseRun
 from repro.core.session import run_simulated_session
 from repro.core.testcase import Testcase
 from repro.machine import SimulatedMachine
@@ -117,6 +118,9 @@ def test_property_engines_identical(values, rate, mu, noise, delay, seed):
         assert a.feedback.source == b.feedback.source
         assert a.feedback.offset == b.feedback.offset
     assert a == b
+    # The loop's trace is a plain dict and the analytic engine's a view
+    # of its cell's table: they render through different code.
+    assert a.to_json() == b.to_json()
     assert np.array_equal(
         loop_result.slowdown_trace, analytic_result.slowdown_trace
     )
@@ -328,6 +332,21 @@ class TestRngIdentities:
             assert fast.bit_generator.state == ref.bit_generator.state
             assert np.array_equal(fast.random(3), ref.random(3))
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        entropy=st.integers(min_value=0, max_value=2**128 - 1),
+        start=st.integers(min_value=0, max_value=2**20),
+    )
+    def test_property_block_seeds_match_derive_rng(self, entropy, start):
+        indices = range(start, start + 17)
+        w0, w1 = zip(*map(batch_mod._fnv_words, indices))
+        stream = batch_mod._DerivedStream(entropy, "user-behavior")
+        for index, seed in zip(indices, stream.seeds(w0, w1)):
+            ref = derive_rng(entropy, "user-behavior", index)
+            assert stream.rng_at(*seed).bit_generator.state == (
+                ref.bit_generator.state
+            )
+
     def test_flat_run_id_block_matches_sequential_draws(self):
         # One integers(size=n*16) call == n sequential 16-byte draws ==
         # one integers(size=(n, 16)) call, bits and stream state.
@@ -347,6 +366,41 @@ class TestRngIdentities:
                 == b.bit_generator.state
                 == c.bit_generator.state
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sizes=st.lists(
+            st.integers(min_value=0, max_value=40), min_size=1, max_size=5
+        ),
+        odd_start=st.booleans(),
+        words_per_run=st.sampled_from([1, 8]),
+    )
+    def test_property_session_draws_match_scalar_draws(
+        self, seed, sizes, odd_start, words_per_run
+    ):
+        # One bulk word draw, replayed, == per task a permutation and n
+        # 16-byte run ids, whatever the stream's half-used-word state
+        # and however often the word budget runs short.
+        fast = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        if odd_start:
+            fast.integers(0, 2, dtype=np.uint32)
+            ref.integers(0, 2, dtype=np.uint32)
+        with mock.patch.object(batch_mod, "_WORDS_PER_RUN", words_per_run):
+            got = batch_mod._session_draws(
+                fast, [batch_mod._shuffle_swaps(n) for n in sizes]
+            )
+        want = [
+            (
+                ref.permutation(n).tolist(),
+                "".join(
+                    TestcaseRun.new_run_id(ref) for _ in range(n)
+                ),
+            )
+            for n in sizes
+        ]
+        assert got == want
 
     @settings(max_examples=25, deadline=None)
     @given(

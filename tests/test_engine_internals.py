@@ -88,23 +88,32 @@ class TestLevelArrayBoundaryBothEngines:
 
     def test_batch_engine_shares_the_same_level_arrays(self):
         from repro.machine import SimulatedMachine
+        from repro.monitor.base import SimulatedMonitor
         from repro.study import batch as batch_mod
+        from repro.study.engine import CellTraces
         from repro.apps import get_task
         from repro.users.behavior import BehaviorParams
         from repro.users.tolerance import paper_calibrated_table
 
-        # The batch cell plan must import the *same* function, not a
+        # The batch cell plan must use the analytic engine's *own* level
+        # arrays (CellTraces builds them with _level_array), not a
         # reimplementation that could drift on this boundary.
-        assert batch_mod._level_array is _level_array
-
         tc = self._short_testcase()
         machine = SimulatedMachine()
         task = get_task("word")
-        cell = batch_mod._CellPlan(
-            "word", tc, machine, task,
-            machine.interactivity_model(task),
-            paper_calibrated_table(), BehaviorParams(),
+        traces = CellTraces(
+            tc, machine.interactivity_model(task),
+            SimulatedMonitor(machine, task),
         )
+        cell = batch_mod._CellPlan(
+            "word", tc, traces, paper_calibrated_table(), BehaviorParams(),
+        )
+        assert cell.level_arrays is traces.levels
+        for resource in tc.functions:
+            assert np.array_equal(
+                traces.levels[resource],
+                _level_array(tc, resource, traces.n_steps),
+            )
         for resource in tc.functions:
             expected = [
                 tc.levels_at(float(i))[resource]

@@ -1,7 +1,11 @@
 """Tests for run records (feedback, outcomes, serialization)."""
 
+import gc
 import json
 import math
+import pickle
+import weakref
+from json.decoder import NaN
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.resources import Resource
-from repro.core.run import RunContext, TestcaseRun
+from repro.core.run import RunContext, TestcaseRun, TraceTable, TraceView
 from repro.errors import SerializationError, ValidationError
 
 
@@ -131,7 +135,7 @@ def _canonical(run: TestcaseRun) -> str:
 
 
 class TestCanonicalJson:
-    """``to_json``'s fragment-assembled fast path must stay byte-identical
+    """``to_json``'s field-by-field assembly must stay byte-identical
     to ``json.dumps(to_dict(), sort_keys=True)`` — the form every digest,
     golden pin, and store payload is defined against."""
 
@@ -162,8 +166,8 @@ class TestCanonicalJson:
 
     def test_shared_mappings_across_records(self):
         # The batch engine shares trace/shape mappings between records;
-        # fragment-cache hits must reproduce the exact bytes for every
-        # record that shares the object.
+        # every record that shares the object must render the exact
+        # bytes.
         shapes = {Resource.CPU: "step"}
         trace = {"slowdown": tuple(float(i) / 7 for i in range(50))}
         runs = [
@@ -176,7 +180,6 @@ class TestCanonicalJson:
     def test_cache_reset_at_cap(self, monkeypatch):
         from repro.core import run as run_mod
 
-        monkeypatch.setattr(run_mod, "_FRAGMENT_CACHE_MAX", 4)
         monkeypatch.setattr(run_mod, "_STR_CACHE_MAX", 4)
         for i in range(20):
             run = make_run(
@@ -185,12 +188,120 @@ class TestCanonicalJson:
                 load_trace={"slowdown": (float(i),)},
             )
             assert run.to_json() == _canonical(run)
-        assert len(run_mod._fragment_cache) <= 4
         assert len(run_mod._str_cache) <= 4
 
     def test_roundtrips_through_from_json(self):
         run = make_run()
         assert TestcaseRun.from_json(run.to_json()) == run
+
+    def test_record_mappings_collectable_after_to_json(self):
+        # Serializing a record must not keep its mappings alive: a
+        # finished study's records are garbage once written.
+        class Watched(dict):
+            """A dict that weak references can watch."""
+
+        mappings = [
+            Watched({Resource.CPU: "ramp"}),
+            Watched({Resource.CPU: 1.5}),
+            Watched({Resource.CPU: (1.1, 1.5)}),
+            Watched({"slowdown": (1.0, 1.1)}),
+        ]
+        run = make_run(
+            shapes=mappings[0],
+            levels_at_end=mappings[1],
+            last_values=mappings[2],
+            load_trace=mappings[3],
+        )
+        assert run.to_json() == _canonical(run)
+        refs = [weakref.ref(m) for m in mappings]
+        del run, mappings
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+
+
+class TestTraceView:
+    """A simulated run's ``load_trace``: its cell's table cut at a step."""
+
+    def _table(self):
+        return TraceTable(
+            ["slowdown", "jitter"], [(1.0, 2.0, 3.0), (0.0, 0.5)]
+        )
+
+    def test_view_equals_dict_both_ways(self):
+        view = TraceView(self._table(), 2)
+        plain = {"slowdown": (1.0, 2.0), "jitter": (0.0, 0.5)}
+        assert view == plain and plain == view
+        assert not view != plain and not plain != view
+        shorter = {"slowdown": (1.0,), "jitter": (0.0,)}
+        assert view != shorter and shorter != view
+        assert make_run(load_trace=view) == make_run(load_trace=plain)
+        assert make_run(load_trace=plain) == make_run(load_trace=view)
+
+    def test_views_past_every_column_are_equal(self):
+        table = self._table()
+        assert TraceView(table, 3) == TraceView(table, 7)
+        assert TraceView(table, 1) != TraceView(table, 2)
+
+    def test_read_only_mapping(self):
+        view = TraceView(self._table(), 1)
+        assert list(view) == ["slowdown", "jitter"] and len(view) == 2
+        assert view["slowdown"] == (1.0,) and "jitter" in view
+        assert view.get("load_cpu") is None
+        with pytest.raises(TypeError):
+            view["slowdown"] = (9.0,)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValidationError):
+            TraceTable(["a", "a"], [(1.0,), (2.0,)])
+        with pytest.raises(ValidationError):
+            TraceTable(["a"], [])
+        with pytest.raises(ValidationError):
+            TraceView(self._table(), -1)
+
+    def test_shared_table_pickles_once(self):
+        column = tuple(i / 7 for i in range(2000))
+        table = TraceTable(
+            ["slowdown", "contention_cpu"], [column, column[::-1]]
+        )
+        runs = [
+            make_run(run_id=f"p{i}", load_trace=TraceView(table, 100 + i))
+            for i in range(20)
+        ]
+        blob = pickle.dumps(runs)
+        # The twenty records together cost less than one more column.
+        assert len(blob) < len(pickle.dumps(table)) + len(
+            pickle.dumps(column)
+        )
+        restored = pickle.loads(blob)
+        assert restored == runs
+        assert len({id(r.load_trace.table) for r in restored}) == 1
+        assert [r.to_json() for r in restored] == [r.to_json() for r in runs]
+
+
+#: Sample values whose JSON needs care.  NaN never equals itself, so a
+#: record holding one compares equal only through identity; the samples
+#: use the decoder's own NaN object, the one ``json.loads`` returns for
+#: every NaN it parses.
+_EDGE_SAMPLES = st.one_of(
+    st.sampled_from([NaN, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    columns=st.dictionaries(
+        st.text(max_size=6), st.lists(_EDGE_SAMPLES, max_size=8), max_size=4
+    ),
+)
+def test_property_trace_view_matches_dumps(columns):
+    table = TraceTable(columns, columns.values())
+    longest = max((len(c) for c in columns.values()), default=0)
+    for steps in range(longest + 2):
+        run = make_run(load_trace=TraceView(table, steps))
+        text = run.to_json()
+        assert text == _canonical(run)
+        assert TestcaseRun.from_json(text) == run
 
 
 @settings(max_examples=60, deadline=None)
