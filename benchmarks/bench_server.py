@@ -1,6 +1,6 @@
-"""Throughput and tail latency of the UUCS server backends.
+"""Throughput and tail latency of the UUCS TCP server.
 
-Benchmarks every registered server backend (threading, asyncio) at
+Benchmarks the asyncio server (``repro.net.AsyncioServerTransport``) at
 several concurrent-client counts.  Each client holds one persistent
 connection, registers once, then issues sync requests back-to-back
 until its share of the request budget is spent.  Per-cell results go to
@@ -12,7 +12,10 @@ until its share of the request budget is spent.  Per-cell results go to
 Throughput is aggregate requests/second across all clients; p99 comes
 from the server's own ``uucs_server_request_seconds`` histogram (a
 fresh in-memory telemetry hub per cell), so it measures server-side
-handling time, not client-side queueing.
+handling time, not client-side queueing.  The report keeps the
+``"benchmark"`` name and the per-cell ``"backend": "asyncio"`` key it had
+when a threading server was measured beside it, so ``bench_check.py``
+still matches new cells to older baselines.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.core.feedback import RunOutcome
 from repro.core.resources import Resource
 from repro.core.run import RunContext, TestcaseRun
 from repro.core.testcase import Testcase
-from repro.net import SERVER_BACKENDS, serve_transport
+from repro.net import AsyncioServerTransport
 from repro.server import PROTOCOL_VERSION, Message, UUCSServer
 from repro.telemetry import Telemetry
 
@@ -77,16 +80,15 @@ def _client_worker(listener, index: int, n_requests: int) -> int:
     return n_requests
 
 
-def bench_cell(tmp_root: Path, backend: str, n_clients: int,
-               total_requests: int) -> dict:
+def bench_cell(tmp_root: Path, n_clients: int, total_requests: int) -> dict:
     per_client = max(1, total_requests // n_clients)
     telemetry = Telemetry()
-    server = UUCSServer(tmp_root / f"{backend}-{n_clients}", seed=1,
+    server = UUCSServer(tmp_root / f"clients-{n_clients}", seed=1,
                         telemetry=telemetry)
     server.add_testcases(
         [Testcase.single("a", constant(Resource.CPU, 1.0, 10.0))]
     )
-    with serve_transport(server, backend=backend) as listener:
+    with AsyncioServerTransport(server) as listener:
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=n_clients) as pool:
             futures = [
@@ -97,7 +99,7 @@ def bench_cell(tmp_root: Path, backend: str, n_clients: int,
         elapsed = time.perf_counter() - started
     histogram = telemetry.metrics.get("uucs_server_request_seconds")
     return {
-        "backend": backend,
+        "backend": "asyncio",
         "clients": n_clients,
         "requests": done,
         "wall_seconds": round(elapsed, 4),
@@ -107,17 +109,16 @@ def bench_cell(tmp_root: Path, backend: str, n_clients: int,
     }
 
 
-def bench(tmp_root: Path, backends, client_counts, total_requests) -> dict:
+def bench(tmp_root: Path, client_counts, total_requests) -> dict:
     cells = []
-    for backend in backends:
-        for n_clients in client_counts:
-            cell = bench_cell(tmp_root, backend, n_clients, total_requests)
-            cells.append(cell)
-            print(
-                f"{backend:>10} x {n_clients:>4} clients: "
-                f"{cell['requests_per_second']:>9.1f} req/s, "
-                f"p99 {cell['p99_ms']:.2f} ms"
-            )
+    for n_clients in client_counts:
+        cell = bench_cell(tmp_root, n_clients, total_requests)
+        cells.append(cell)
+        print(
+            f"{n_clients:>4} clients: "
+            f"{cell['requests_per_second']:>9.1f} req/s, "
+            f"p99 {cell['p99_ms']:.2f} ms"
+        )
     return {
         "benchmark": "UUCS server backends (repro.net)",
         "host": {
@@ -134,10 +135,6 @@ def bench(tmp_root: Path, backends, client_counts, total_requests) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--backends", nargs="+", default=sorted(SERVER_BACKENDS),
-        choices=sorted(SERVER_BACKENDS),
-    )
-    parser.add_argument(
         "--clients", type=int, nargs="+", default=[1, 32, 256]
     )
     parser.add_argument("--requests", type=int, default=4096,
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="bench-server-") as tmp:
-        report = bench(Path(tmp), args.backends, args.clients, args.requests)
+        report = bench(Path(tmp), args.clients, args.requests)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

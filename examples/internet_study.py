@@ -17,7 +17,8 @@ from repro.apps import ALL_TASKS
 from repro.client import ClientConfig, UUCSClient
 from repro.core import Resource
 from repro.machine import MachineSpec, SimulatedMachine
-from repro.server import TCPServerTransport, UUCSServer
+from repro.net import AsyncioServerTransport
+from repro.server import UUCSServer
 from repro.study import generate_library
 from repro.study.internet import InternetStudyResult, host_speed_effect, InternetStudyConfig
 from repro.users import MechanisticUser, sample_population
@@ -76,7 +77,7 @@ def main() -> None:
         server = UUCSServer(base / "server", seed=SEED)
         library = generate_library(60, seed=derive_rng(SEED, "library"))
         server.add_testcases(library)
-        listener = TCPServerTransport(server)
+        listener = AsyncioServerTransport(server)
         host, port = listener.address
         print(f"UUCS server on {host}:{port} with {len(library)} testcases")
 

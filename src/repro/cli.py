@@ -61,7 +61,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.faults.shardchaos import ShardFaultPlan
-from repro.net import SERVER_BACKENDS, serve_transport
+from repro.net import AsyncioServerTransport
 from repro.server.server import UUCSServer
 from repro.stores import ResultStore, TestcaseStore
 from repro.study.checkpoint import StudyCheckpoint
@@ -554,21 +554,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = UUCSServer(args.root, seed=args.seed, telemetry=telemetry)
     if args.library:
         server.add_testcases(generate_library(args.library, seed=args.seed))
-    from repro.net import default_backend
-
-    backend = args.backend or default_backend()
-    transport = serve_transport(
-        server,
-        backend=backend,
-        host=args.host,
-        port=args.port,
-        max_connections=args.max_connections,
+    transport = AsyncioServerTransport(
+        server, args.host, args.port, max_connections=args.max_connections
     )
     host, port = transport.address
-    _print(
-        f"UUCS server on {host}:{port} "
-        f"({backend} backend, {len(server.testcases)} testcases)"
-    )
+    _print(f"UUCS server on {host}:{port} ({len(server.testcases)} testcases)")
     chaos = None
     if args.chaos:
         from repro.faults import ChaosTCPProxy, FaultPlan
@@ -936,16 +926,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--root", default="server")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)
-    serve.add_argument("--backend", choices=sorted(SERVER_BACKENDS),
-                       default=None,
-                       help="server transport backend (default: "
-                            "$UUCS_SERVER_BACKEND or threading); asyncio "
-                            "holds thousands of concurrent connections in "
-                            "one process")
     serve.add_argument("--max-connections", type=int, default=None,
-                       help="serve at most N connections at once; excess "
-                            "connections queue with backpressure instead "
-                            "of failing")
+                       help="serve at most N >= 1 connections at once "
+                            "(default: no limit); excess connections queue "
+                            "with backpressure instead of failing")
     serve.add_argument("--library", type=int, default=0)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--timeout", type=float, default=0.0,

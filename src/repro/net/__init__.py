@@ -1,36 +1,16 @@
 """Networking for the Internet-facing UUCS deployment (paper §4).
 
 The server's protocol logic lives in one transport-agnostic
-:class:`RequestDispatcher`; pluggable backends put it on a socket:
-
-* ``threading`` — :class:`~repro.server.server.TCPServerTransport`, a
-  thread per connection (the historical default);
-* ``asyncio`` — :class:`AsyncioServerTransport`, one event loop holding
-  thousands of concurrent connections.
-
-Pick one with :func:`serve_transport` (or ``uucs serve --backend``);
-the ``UUCS_SERVER_BACKEND`` environment variable sets the default, so
-one test suite can run against every backend.
+:class:`RequestDispatcher`; :class:`AsyncioServerTransport` puts it on a
+TCP socket, one event loop holding thousands of concurrent connections
+(``uucs serve``).  Clients dial it with
+:class:`~repro.server.TCPClientTransport`.
 """
 
 from repro.net.dispatcher import RequestDispatcher
 from repro.net.asyncio_server import AsyncioServerTransport
-from repro.net.backends import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    SERVER_BACKENDS,
-    default_backend,
-    get_server_backend,
-    serve_transport,
-)
 
 __all__ = [
     "AsyncioServerTransport",
-    "BACKEND_ENV",
-    "DEFAULT_BACKEND",
     "RequestDispatcher",
-    "SERVER_BACKENDS",
-    "default_backend",
-    "get_server_backend",
-    "serve_transport",
 ]

@@ -1,19 +1,16 @@
-"""The asyncio UUCS server backend.
+"""The UUCS TCP server.
 
 One process, one event loop, thousands of mostly-idle client
 connections — the fleet shape Anderson & Fedak observed for volunteer
 computing, where each client syncs for milliseconds and then sits on an
 open socket for minutes.  A thread per connection prices that fleet in
-stacks; a coroutine per connection prices it in a few hundred bytes.
+stacks; a coroutine per connection prices it in a few hundred bytes
+(measured in EXPERIMENTS.md, "Serving a fleet").
 
-:class:`AsyncioServerTransport` mirrors the blocking
-:class:`~repro.server.server.TCPServerTransport` API exactly —
-construct, ``.address``, ``.connect()``, ``.close()``, context manager —
-so callers select a backend by name (see :mod:`repro.net.backends`)
-without changing shape.  The event loop runs in a dedicated background
-thread; protocol behaviour is the shared
-:class:`~repro.net.dispatcher.RequestDispatcher`, so both backends serve
-bit-identical responses.
+Constructing an :class:`AsyncioServerTransport` starts serving; use its
+``.address``, ``.connect()`` and ``.close()``, or use it as a context
+manager.  The event loop runs in a dedicated background thread; protocol
+behaviour is the :class:`~repro.net.dispatcher.RequestDispatcher`.
 
 Request dispatch runs inline on the loop rather than in an executor:
 :meth:`UUCSServer.handle` serializes on a global lock anyway, so
@@ -32,14 +29,10 @@ import threading
 
 from repro.errors import TransportError, ValidationError
 from repro.net.dispatcher import RequestDispatcher
+from repro.server.protocol import MAX_MESSAGE_BYTES
 from repro.server.server import TCPClientTransport, UUCSServer
 
 __all__ = ["AsyncioServerTransport"]
-
-#: Per-line read ceiling.  Hot-sync responses ship whole testcases on one
-#: line, so the asyncio stream limit must be far beyond the 64 KiB
-#: default the blocking backend never had.
-MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: Pending-accept queue.  Large enough that a benchmark's worth of
 #: simultaneous dials (hundreds) never sees ECONNREFUSED.
@@ -69,7 +62,7 @@ class AsyncioServerTransport:
             raise ValidationError(
                 f"max_connections must be >= 1, got {max_connections}"
             )
-        self._dispatcher = RequestDispatcher(server, backend="asyncio")
+        self._dispatcher = RequestDispatcher(server)
         self._max_connections = max_connections
         self._drain_timeout = float(drain_timeout)
         self._tasks: set[asyncio.Task] = set()
@@ -111,12 +104,13 @@ class AsyncioServerTransport:
         if self._max_connections is not None:
             self._limiter = asyncio.Semaphore(self._max_connections)
         # reuse_address lets a restarted server rebind its old port while
-        # the previous incarnation's connections linger in TIME_WAIT.
+        # the previous incarnation's connections linger in TIME_WAIT.  The
+        # read limit is the codec's cap, so any line it accepts gets in.
         return await asyncio.start_server(
             self._handle_connection,
             host,
             port,
-            limit=MAX_LINE_BYTES,
+            limit=MAX_MESSAGE_BYTES,
             backlog=LISTEN_BACKLOG,
             reuse_address=True,
         )
@@ -157,8 +151,9 @@ class AsyncioServerTransport:
                 try:
                     line = await reader.readline()
                 except ValueError:
-                    # Line beyond MAX_LINE_BYTES: framing is lost, so the
-                    # connection cannot be salvaged; drop it like a reset.
+                    # Line beyond MAX_MESSAGE_BYTES: framing is lost, so
+                    # the connection cannot be salvaged; drop it like a
+                    # reset.
                     break
                 if not line:
                     break  # EOF: the peer (or shutdown) closed the stream
@@ -182,7 +177,7 @@ class AsyncioServerTransport:
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
 
-    # -- public API (mirrors TCPServerTransport) ---------------------------
+    # -- public API --------------------------------------------------------
 
     @property
     def address(self) -> tuple[str, int]:

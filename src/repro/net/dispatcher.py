@@ -1,19 +1,15 @@
-"""Transport-agnostic request dispatch for UUCS server backends.
+"""Transport-agnostic request dispatch for the UUCS TCP server.
 
 The UUCS wire protocol is newline-delimited JSON: one request line in,
-one response line out, any number of exchanges per connection.  That
-per-line contract used to live inside the threading transport's socket
-handler; :class:`RequestDispatcher` extracts it so every backend —
-blocking ``socketserver`` threads, the asyncio event loop, or anything
-added later — shares one implementation of decoding, dispatch, error
-replies, and telemetry.  A protocol guarantee proven against one backend
-(idempotent hot sync, error replies to garbage lines, per-client byte
-rollups, chaos-proxy survival) therefore holds on all of them.
+one response line out, any number of exchanges per connection.
+:class:`RequestDispatcher` holds that per-line contract — decoding,
+dispatch, error replies, and telemetry — apart from the socket code of
+:class:`~repro.net.AsyncioServerTransport`, which only moves bytes
+between the stream and the dispatcher.
 
 The dispatcher is thread-safe to exactly the degree its
-:class:`~repro.server.server.UUCSServer` is: ``dispatch_line`` may be
-called concurrently from many handler threads (the threading backend)
-or serially from one event loop (the asyncio backend).
+:class:`~repro.server.server.UUCSServer` is; the asyncio server calls
+``dispatch_line`` serially from its one event loop.
 """
 
 from __future__ import annotations
@@ -30,23 +26,18 @@ __all__ = ["RequestDispatcher"]
 
 
 class RequestDispatcher:
-    """Per-line protocol core shared by every server backend.
+    """Per-line protocol core of the TCP server.
 
     A transport owns exactly one dispatcher and calls three hooks:
     :meth:`connection_opened` / :meth:`connection_closed` around each
     connection's lifetime, and :meth:`dispatch_line` once per request
-    line.  All telemetry the old in-handler implementation recorded —
-    request/byte counters, malformed-line counts, per-client rollups —
-    is recorded here, identically for every backend, plus
-    connection-lifecycle families shared across backends (the
-    ``backend`` label/field tells fleets apart).
+    line.  The wire-level telemetry — request/byte counters,
+    malformed-line counts, per-client rollups, connection-lifecycle
+    families — is recorded here.
     """
 
-    def __init__(self, server: "UUCSServer", backend: str = "unknown"):
+    def __init__(self, server: "UUCSServer"):
         self.server = server
-        #: Registry name of the owning backend (``threading``/``asyncio``),
-        #: stamped on lifecycle events so mixed fleets stay attributable.
-        self.backend = backend
 
     # -- connection lifecycle ----------------------------------------------
 
@@ -63,7 +54,7 @@ class RequestDispatcher:
             "uucs_server_open_connections",
             "TCP connections currently open.",
         ).inc()
-        telemetry.emit("server.connection_open", backend=self.backend)
+        telemetry.emit("server.connection_open")
 
     def connection_closed(self) -> None:
         """Record a finished connection (pair with :meth:`connection_opened`)."""
@@ -74,7 +65,7 @@ class RequestDispatcher:
             "uucs_server_open_connections",
             "TCP connections currently open.",
         ).dec()
-        telemetry.emit("server.connection_close", backend=self.backend)
+        telemetry.emit("server.connection_close")
 
     def connection_waited(self) -> None:
         """Record a connection held back by the connection limit."""
@@ -85,7 +76,7 @@ class RequestDispatcher:
             "uucs_server_connection_limit_waits_total",
             "Connections that waited for a slot under the connection limit.",
         ).inc()
-        telemetry.emit("server.connection_wait", backend=self.backend)
+        telemetry.emit("server.connection_wait")
 
     def connection_forced_closed(self, count: int = 1) -> None:
         """Record straggler connections force-closed during shutdown."""
@@ -102,12 +93,7 @@ class RequestDispatcher:
         self.connection_forced_closed(forced)
         telemetry = self.server.telemetry
         if telemetry.enabled:
-            telemetry.emit(
-                "server.shutdown",
-                backend=self.backend,
-                drained=drained,
-                forced=forced,
-            )
+            telemetry.emit("server.shutdown", drained=drained, forced=forced)
 
     # -- request dispatch --------------------------------------------------
 
@@ -116,8 +102,7 @@ class RequestDispatcher:
 
         Blank lines yield ``None`` (nothing to write).  A line that fails
         to decode or dispatch never raises: any library error becomes an
-        ``error`` reply so one garbage line cannot kill the connection,
-        exactly as the pre-extraction socket handler behaved.
+        ``error`` reply so one garbage line cannot kill the connection.
         """
         if not line.strip():
             return None

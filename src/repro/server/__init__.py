@@ -17,7 +17,6 @@ from repro.server.sampling import GrowingSampler
 from repro.server.server import (
     InProcessTransport,
     TCPClientTransport,
-    TCPServerTransport,
     UUCSServer,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "InProcessTransport",
     "Message",
     "TCPClientTransport",
-    "TCPServerTransport",
     "UUCSServer",
     "decode_message",
     "encode_message",

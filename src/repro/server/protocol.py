@@ -28,7 +28,13 @@ from typing import Any, Mapping
 
 from repro.errors import ProtocolError
 
-__all__ = ["PROTOCOL_VERSION", "Message", "decode_message", "encode_message"]
+__all__ = [
+    "MAX_MESSAGE_BYTES",
+    "PROTOCOL_VERSION",
+    "Message",
+    "decode_message",
+    "encode_message",
+]
 
 #: Highest protocol revision this package speaks.  v1 is the seed wire
 #: format; v2 adds idempotent hot sync (``sync_seq`` replay detection).
@@ -39,7 +45,13 @@ REQUEST_TYPES = ("register", "sync", "ping")
 #: Message types a server may send.
 RESPONSE_TYPES = ("registered", "sync_ok", "pong", "error")
 
-_MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+#: Longest message line, newline excluded, that either side sends or
+#: accepts.  A client uploads its whole result queue as one ``sync``
+#: line (a 33-user study with full traces is ~20 MiB), so the cap is
+#: generous; it exists to bound what outside input can make us buffer.
+#: The TCP server's stream reader uses the same number, so a line the
+#: codec would accept is never dropped on the wire.
+MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -84,9 +96,9 @@ def encode_message(message: Message) -> bytes:
         {"type": message.type, **dict(message.payload)}, sort_keys=True
     )
     raw = data.encode()
-    if len(raw) > _MAX_MESSAGE_BYTES:
+    if len(raw) > MAX_MESSAGE_BYTES:
         raise ProtocolError(
-            f"message of {len(raw)} bytes exceeds the {_MAX_MESSAGE_BYTES} cap"
+            f"message of {len(raw)} bytes exceeds the {MAX_MESSAGE_BYTES} cap"
         )
     return raw + b"\n"
 
@@ -94,7 +106,9 @@ def encode_message(message: Message) -> bytes:
 def decode_message(line: bytes | str) -> Message:
     """Parse one JSON line into a :class:`Message`."""
     if isinstance(line, bytes):
-        if len(line) > _MAX_MESSAGE_BYTES:
+        # The cap counts the message, not its newline terminator, as
+        # encode_message and the server's stream reader do.
+        if len(line) - line.endswith(b"\n") > MAX_MESSAGE_BYTES:
             raise ProtocolError("oversized message")
         line = line.decode(errors="replace")
     try:

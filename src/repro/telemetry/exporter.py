@@ -1,10 +1,10 @@
 """Metrics endpoint, push gateway, and fleet dashboard over TCP
 (``uucs serve --metrics-port``, ``uucs dashboard``).
 
-Built on the same :mod:`socketserver` machinery as the UUCS TCP
-transport.  Both raw TCP peers (``nc host port``) and HTTP clients
-work: a bare connection (or any non-HTTP first line) receives one
-plain exposition and is closed; HTTP requests are routed by path:
+Built on :mod:`socketserver`, a thread per connection.  Both raw TCP
+peers (``nc host port``) and HTTP clients work: a bare connection (or
+any non-HTTP first line) receives one plain exposition and is closed;
+HTTP requests are routed by path:
 
 * ``GET /`` — the self-contained live fleet dashboard page
   (:mod:`repro.telemetry.webpage`; plain exposition instead when the

@@ -199,38 +199,40 @@ class TestServeAndClient:
                        "--library", "3", "--timeout", "0.2") == 0
         out = capsys.readouterr().out
         assert "UUCS server on 127.0.0.1" in out
-        assert "threading backend" in out
         assert "3 testcases" in out
 
     def test_serve_asyncio_backend(self, tmp_path, capsys):
+        # The asyncio transport is the only server; a connection cap is
+        # accepted and the server still comes up.
         assert run_cli("serve", "--root", str(tmp_path / "srv"),
-                       "--backend", "asyncio", "--max-connections", "64",
+                       "--max-connections", "64",
                        "--library", "3", "--timeout", "0.2") == 0
         out = capsys.readouterr().out
         assert "UUCS server on 127.0.0.1" in out
-        assert "asyncio backend" in out
+        assert "3 testcases" in out
 
-    def test_serve_backend_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("UUCS_SERVER_BACKEND", "asyncio")
+    def test_serve_rejects_zero_max_connections(self, tmp_path, capsys):
+        # Omitting the flag means no limit; 0 is a validation error.
         assert run_cli("serve", "--root", str(tmp_path / "srv"),
-                       "--timeout", "0.2") == 0
-        assert "asyncio backend" in capsys.readouterr().out
+                       "--max-connections", "0", "--timeout", "0.2") == 3
+        assert "max_connections must be >= 1" in capsys.readouterr().err
 
     def test_serve_asyncio_with_chaos_proxy(self, tmp_path, capsys):
         assert run_cli("serve", "--root", str(tmp_path / "srv"),
-                       "--backend", "asyncio", "--library", "2",
+                       "--library", "2",
                        "--chaos", "drop=0.1", "--timeout", "0.2") == 0
         out = capsys.readouterr().out
-        assert "asyncio backend" in out
+        assert "UUCS server on 127.0.0.1" in out
         assert "chaos proxy on" in out
 
     def test_client_against_tcp_server(self, tmp_path, capsys):
-        from repro.server import TCPServerTransport, UUCSServer
+        from repro.net import AsyncioServerTransport
+        from repro.server import UUCSServer
         from repro.study import generate_library
 
         server = UUCSServer(tmp_path / "srv", seed=1)
         server.add_testcases(generate_library(10, seed=1))
-        with TCPServerTransport(server) as listener:
+        with AsyncioServerTransport(server) as listener:
             _, port = listener.address
             assert run_cli(
                 "client", "--port", str(port),

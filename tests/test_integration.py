@@ -13,7 +13,8 @@ from repro.apps import get_task
 from repro.client import ClientConfig, UUCSClient
 from repro.core.resources import Resource
 from repro.machine import MachineSpec, SimulatedMachine
-from repro.server import TCPServerTransport, UUCSServer
+from repro.net import AsyncioServerTransport
+from repro.server import UUCSServer
 from repro.study.testcases import task_testcases
 from repro.users import make_user, sample_population
 
@@ -23,7 +24,7 @@ def tcp_stack(tmp_path):
     server = UUCSServer(tmp_path / "server", seed=1, sync_batch=8)
     for task in ("word", "quake"):
         server.add_testcases(task_testcases(task))
-    listener = TCPServerTransport(server)
+    listener = AsyncioServerTransport(server)
     yield server, listener
     listener.close()
 

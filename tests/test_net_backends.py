@@ -1,7 +1,7 @@
-"""Backend-parity tests for repro.net: every registered server backend
-must serve the same protocol through the shared dispatcher, enforce the
-connection limit with backpressure, and release its port on every
-shutdown path — including exception paths."""
+"""Tests for the TCP server in repro.net: it must serve the protocol
+through the shared dispatcher, accept any line the codec accepts,
+enforce the connection limit with backpressure, and release its port on
+every shutdown path — including exception paths."""
 
 import socket
 import threading
@@ -13,17 +13,9 @@ from repro.core.exercise import constant
 from repro.core.resources import Resource
 from repro.core.testcase import Testcase
 from repro.errors import ValidationError
-from repro.net import (
-    SERVER_BACKENDS,
-    AsyncioServerTransport,
-    default_backend,
-    get_server_backend,
-    serve_transport,
-)
-from repro.server import Message, TCPServerTransport, UUCSServer
+from repro.net import AsyncioServerTransport
+from repro.server import Message, UUCSServer
 from repro.telemetry import Telemetry
-
-BACKENDS = sorted(SERVER_BACKENDS)
 
 
 def tc(tcid):
@@ -36,43 +28,18 @@ def make_server(tmp_path, telemetry=None):
     return server
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
 class TestRegistry:
-    def test_names_map_to_transports(self):
-        assert SERVER_BACKENDS["threading"] is TCPServerTransport
-        assert SERVER_BACKENDS["asyncio"] is AsyncioServerTransport
-
-    def test_default_is_threading(self, monkeypatch):
-        monkeypatch.delenv("UUCS_SERVER_BACKEND", raising=False)
-        assert default_backend() == "threading"
-        assert get_server_backend() is TCPServerTransport
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv("UUCS_SERVER_BACKEND", "asyncio")
-        assert default_backend() == "asyncio"
-        assert get_server_backend() is AsyncioServerTransport
-        # An explicit name still beats the environment.
-        assert get_server_backend("threading") is TCPServerTransport
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError, match="unknown server backend"):
-            get_server_backend("carrier-pigeon")
-
     def test_bad_connection_limit_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             AsyncioServerTransport(make_server(tmp_path), max_connections=0)
 
 
 class TestProtocolParity:
-    """The dispatcher contract, proven against every backend."""
+    """The dispatcher contract, proven over a real socket."""
 
-    def test_full_exchange(self, tmp_path, backend):
+    def test_full_exchange(self, tmp_path):
         server = make_server(tmp_path)
-        with serve_transport(server, backend=backend) as listener:
+        with AsyncioServerTransport(server) as listener:
             with listener.connect() as transport:
                 assert transport.request(Message("ping", {})).type == "pong"
                 reg = transport.request(
@@ -85,10 +52,10 @@ class TestProtocolParity:
                 assert len(sync.payload["testcases"]) == 2
 
     def test_garbage_line_gets_error_reply_and_connection_lives(
-        self, tmp_path, backend
+        self, tmp_path
     ):
         server = make_server(tmp_path)
-        with serve_transport(server, backend=backend) as listener:
+        with AsyncioServerTransport(server) as listener:
             host, port = listener.address
             with socket.create_connection((host, port), timeout=5.0) as sock:
                 lines = sock.makefile("rb")
@@ -99,11 +66,11 @@ class TestProtocolParity:
                 sock.sendall(b'{"type": "ping", "payload": {}}\n')
                 assert json.loads(lines.readline())["type"] == "pong"
 
-    def test_idempotent_sync_replay_over_wire(self, tmp_path, backend):
+    def test_idempotent_sync_replay_over_wire(self, tmp_path):
         from test_sync_idempotent import sync_payload
 
         server = make_server(tmp_path)
-        with serve_transport(server, backend=backend) as listener:
+        with AsyncioServerTransport(server) as listener:
             with listener.connect() as transport:
                 reg = transport.request(
                     Message("register", {"snapshot": {}})
@@ -122,10 +89,10 @@ class TestProtocolParity:
                 assert replay.payload["sync_seq"] == 1
         assert sorted(server.results.run_ids()) == ["r1", "r2"]
 
-    def test_byte_and_client_rollup_parity(self, tmp_path, backend):
+    def test_byte_and_client_rollup_parity(self, tmp_path):
         telemetry = Telemetry()
         server = make_server(tmp_path, telemetry=telemetry)
-        with serve_transport(server, backend=backend) as listener:
+        with AsyncioServerTransport(server) as listener:
             with listener.connect() as transport:
                 reg = transport.request(
                     Message("register", {"snapshot": {}})
@@ -147,13 +114,40 @@ class TestProtocolParity:
         assert latency.count(type="register") == 1
         assert latency.count(type="sync") == 1
 
+    def test_line_over_16_mib_is_served(self, tmp_path):
+        """A client uploads its whole result queue as one line, and a
+        33-user study's records come to ~20 MiB: the reader must take
+        any line the codec does, not stop at a smaller limit of its own."""
+        server = make_server(tmp_path)
+        padded = Message("ping", {"pad": "x" * (17 * 1024 * 1024)})
+        with AsyncioServerTransport(server) as listener:
+            with listener.connect() as transport:
+                assert transport.request(padded).type == "pong"
+                assert transport.request(Message("ping", {})).type == "pong"
+
+    def test_line_over_the_codec_cap_drops_the_connection(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.errors import TransportError
+        from repro.net import asyncio_server
+
+        monkeypatch.setattr(asyncio_server, "MAX_MESSAGE_BYTES", 1024)
+        server = make_server(tmp_path)
+        with AsyncioServerTransport(server) as listener:
+            with listener.connect() as transport:
+                # Framing is lost: the server hangs up without a reply.
+                with pytest.raises(TransportError):
+                    transport.request(Message("ping", {"pad": "x" * 4096}))
+            with listener.connect() as transport:
+                assert transport.request(Message("ping", {})).type == "pong"
+
 
 class TestConnectionLifecycle:
-    def test_open_gauge_tracks_connections(self, tmp_path, backend):
+    def test_open_gauge_tracks_connections(self, tmp_path):
         telemetry = Telemetry.in_memory()
         server = make_server(tmp_path, telemetry=telemetry)
         gauge = telemetry.metrics.gauge("uucs_server_open_connections")
-        with serve_transport(server, backend=backend) as listener:
+        with AsyncioServerTransport(server) as listener:
             with listener.connect() as transport:
                 transport.request(Message("ping", {}))
                 assert gauge.value() == 1
@@ -171,14 +165,12 @@ class TestConnectionLifecycle:
         assert "server.connection_open" in names
         assert "server.connection_close" in names
 
-    def test_connection_limit_applies_backpressure(self, tmp_path, backend):
+    def test_connection_limit_applies_backpressure(self, tmp_path):
         """With 2 slots and 3 clients, the third is queued — not refused —
         and completes once a slot frees."""
         telemetry = Telemetry()
         server = make_server(tmp_path, telemetry=telemetry)
-        with serve_transport(
-            server, backend=backend, max_connections=2
-        ) as listener:
+        with AsyncioServerTransport(server, max_connections=2) as listener:
             first = listener.connect()
             second = listener.connect()
             first.request(Message("ping", {}))
@@ -209,10 +201,10 @@ class TestConnectionLifecycle:
 
 class TestShutdown:
     def test_close_disconnects_idle_clients_and_releases_port(
-        self, tmp_path, backend
+        self, tmp_path
     ):
         server = make_server(tmp_path)
-        listener = serve_transport(server, backend=backend)
+        listener = AsyncioServerTransport(server)
         host, port = listener.address
         client = listener.connect()
         client.request(Message("ping", {}))
@@ -224,49 +216,39 @@ class TestShutdown:
             client.request(Message("ping", {}))
         client.close()
         # ...and the port is immediately rebindable.
-        rebound = serve_transport(server, backend=backend, host=host, port=port)
+        rebound = AsyncioServerTransport(server, host, port)
         try:
             with rebound.connect() as again:
                 assert again.request(Message("ping", {})).type == "pong"
         finally:
             rebound.close()
 
-    def test_close_is_idempotent(self, tmp_path, backend):
-        listener = serve_transport(make_server(tmp_path), backend=backend)
+    def test_close_is_idempotent(self, tmp_path):
+        listener = AsyncioServerTransport(make_server(tmp_path))
         listener.close()
         listener.close()
 
     def test_exception_path_shutdown_still_releases_port(
-        self, tmp_path, backend, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         """Regression: a handler-teardown error mid-shutdown must not
         leave the listening socket bound (the next incarnation rebinds
         the same port immediately)."""
         server = make_server(tmp_path)
-        listener = serve_transport(server, backend=backend)
+        listener = AsyncioServerTransport(server)
         host, port = listener.address
         client = listener.connect()
         client.request(Message("ping", {}))
-        boom = RuntimeError("teardown exploded")
-        if backend == "threading":
-            from repro.server.server import _ReusableThreadingTCPServer
 
-            def exploding(self):
-                raise boom
+        async def exploding(self):
+            raise RuntimeError("teardown exploded")
 
-            monkeypatch.setattr(
-                _ReusableThreadingTCPServer, "close_all_connections", exploding
-            )
-        else:
-            async def exploding(self):
-                raise boom
-
-            monkeypatch.setattr(AsyncioServerTransport, "_drain", exploding)
+        monkeypatch.setattr(AsyncioServerTransport, "_drain", exploding)
         with pytest.raises(RuntimeError, match="teardown exploded"):
             listener.close()
         client.close()
         monkeypatch.undo()
-        rebound = serve_transport(server, backend=backend, host=host, port=port)
+        rebound = AsyncioServerTransport(server, host, port)
         try:
             with rebound.connect() as again:
                 assert again.request(Message("ping", {})).type == "pong"

@@ -1,14 +1,11 @@
-"""Concurrent-client soak tests for the server backends.
+"""Concurrent-client soak tests for the TCP server.
 
-Every backend must serve N >= 32 simultaneously-syncing clients with
+The server must serve N >= 32 simultaneously-syncing clients with
 exactly-once result-store contents (including deliberate lost-ack
-replays), and the asyncio backend must hold >= 256 concurrent
-connections in one process — the mostly-idle fleet shape the paper's
-Internet study implies at scale."""
+replays), and hold >= 256 concurrent connections in one process — the
+mostly-idle fleet shape the paper's Internet study implies at scale."""
 
 from concurrent.futures import ThreadPoolExecutor
-
-import pytest
 
 from test_sync_idempotent import sync_payload, tc
 
@@ -19,11 +16,9 @@ from repro.faults import (
     RetryingTransport,
     RetryPolicy,
 )
-from repro.net import SERVER_BACKENDS, serve_transport
+from repro.net import AsyncioServerTransport
 from repro.server import Message, UUCSServer
 from repro.telemetry import Telemetry
-
-BACKENDS = sorted(SERVER_BACKENDS)
 
 
 def make_server(tmp_path, telemetry=None):
@@ -32,7 +27,6 @@ def make_server(tmp_path, telemetry=None):
     return server
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestConcurrentSyncSoak:
     N_CLIENTS = 32
     SYNCS_PER_CLIENT = 3
@@ -65,10 +59,10 @@ class TestConcurrentSyncSoak:
                 uploaded.extend(run_ids)
             return uploaded
 
-    def test_exactly_once_under_concurrency(self, tmp_path, backend):
+    def test_exactly_once_under_concurrency(self, tmp_path):
         server = make_server(tmp_path)
         expected = []
-        with serve_transport(server, backend=backend) as listener:
+        with AsyncioServerTransport(server) as listener:
             with ThreadPoolExecutor(max_workers=self.N_CLIENTS) as pool:
                 futures = [
                     pool.submit(self._client_session, listener, index)
@@ -92,7 +86,7 @@ class TestAsyncioScale:
         telemetry = Telemetry()
         server = make_server(tmp_path, telemetry=telemetry)
         gauge = telemetry.metrics.gauge("uucs_server_open_connections")
-        with serve_transport(server, backend="asyncio") as listener:
+        with AsyncioServerTransport(server) as listener:
             transports = []
             try:
                 def register(transport):
@@ -132,11 +126,11 @@ class TestAsyncioScale:
 
 class TestAsyncioChaosInterop:
     def test_chaos_proxy_in_front_of_asyncio_backend(self, tmp_path):
-        """The `serve --chaos` deployment shape with the asyncio backend
+        """The `serve --chaos` deployment shape, the asyncio server
         behind the proxy: a retrying client achieves exactly-once sync
         through injected drops, dups, and disconnects."""
         server = make_server(tmp_path)
-        listener = serve_transport(server, backend="asyncio")
+        listener = AsyncioServerTransport(server)
         proxy = ChaosTCPProxy(
             listener.address,
             FaultPlan(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.server import protocol
 from repro.server.protocol import Message, decode_message, encode_message
 
 
@@ -68,6 +69,20 @@ class TestCodec:
     def test_unknown_type_rejected_at_decode(self):
         with pytest.raises(ProtocolError):
             decode_message(json.dumps({"type": "gossip"}))
+
+    def test_size_cap_excludes_the_newline(self, monkeypatch):
+        """Encoder and decoder agree on the boundary: a message of
+        exactly MAX_MESSAGE_BYTES is sent and accepted, one byte more
+        is refused at both ends."""
+        line = encode_message(Message("ping", {}))
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", len(line) - 1)
+        assert encode_message(Message("ping", {})) == line
+        assert decode_message(line).type == "ping"
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", len(line) - 2)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            encode_message(Message("ping", {}))
+        with pytest.raises(ProtocolError, match="oversized"):
+            decode_message(line)
 
 
 @settings(max_examples=50)

@@ -6,7 +6,7 @@ from repro.core.exercise import constant
 from repro.core.resources import Resource
 from repro.core.testcase import Testcase
 from repro.errors import RegistrationError, ValidationError
-from repro.net import serve_transport
+from repro.net import AsyncioServerTransport
 from repro.server import (
     ClientRegistry,
     GrowingSampler,
@@ -157,7 +157,7 @@ class TestTCPTransport:
     def test_full_exchange_over_tcp(self, tmp_path):
         server = UUCSServer(tmp_path, seed=1)
         server.add_testcases([tc("a")])
-        with serve_transport(server) as listener:
+        with AsyncioServerTransport(server) as listener:
             with listener.connect() as transport:
                 pong = transport.request(Message("ping", {}))
                 assert pong.type == "pong"
@@ -172,7 +172,7 @@ class TestTCPTransport:
 
     def test_multiple_clients(self, tmp_path):
         server = UUCSServer(tmp_path, seed=2)
-        with serve_transport(server) as listener:
+        with AsyncioServerTransport(server) as listener:
             transports = [listener.connect() for _ in range(4)]
             try:
                 ids = set()
@@ -258,7 +258,7 @@ class TestPerClientRollups:
 
         server = UUCSServer(tmp_path, seed=1, telemetry=Telemetry())
         server.add_testcases([tc("a")])
-        with serve_transport(server) as listener:
+        with AsyncioServerTransport(server) as listener:
             with listener.connect() as transport:
                 reg = transport.request(
                     Message("register", {"snapshot": {}})

@@ -11,7 +11,8 @@ appear.
 import pytest
 
 from repro.client.client import ClientConfig, UUCSClient
-from repro.server.server import TCPServerTransport, UUCSServer
+from repro.net import AsyncioServerTransport
+from repro.server.server import UUCSServer
 from repro.study import ControlledStudyConfig, run_controlled_study
 from repro.study.internet import generate_library
 from repro.telemetry import Telemetry, get_telemetry, read_events, use_telemetry
@@ -78,7 +79,7 @@ class TestServerRoundTrip:
         server = UUCSServer(root / "server", seed=5, telemetry=telemetry)
         server.add_testcases(generate_library(6, seed=5))
         rng = derive_rng(11, "telemetry-rt")
-        with TCPServerTransport(server) as listener:
+        with AsyncioServerTransport(server) as listener:
             with listener.connect() as transport:
                 client = UUCSClient(
                     ClientConfig(root=root / "client", user_id="u1"),
