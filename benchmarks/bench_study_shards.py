@@ -54,7 +54,6 @@ from repro.study import (
     run_controlled_study,
     run_sharded_study,
 )
-from repro.study.engine import BATCH_RANGE_ENGINES
 from repro.telemetry import Telemetry, use_telemetry
 
 
@@ -196,7 +195,7 @@ def bench_engines(
             analytic_digest = cell["sha256"]
         cells.append(cell)
     for engine in engines:
-        if engine in BATCH_RANGE_ENGINES and scale_users > users:
+        if engine == "batch" and scale_users > users:
             cells.append(one_cell(engine, scale_users))
 
     for cell in cells:

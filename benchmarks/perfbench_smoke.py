@@ -3,14 +3,18 @@
 Runs every workload briefly with no instrumentation, then one traced
 pass, which wraps every workload's layer entry points by name.  Fails
 (exit 1) unless each run exits 0 and its last output line reports
-``"correct": true`` and ``"failed": 0``::
+``"correct": true`` and ``"failed": 0``, and unless every ``*_us``
+layer of the traced pass is above 0::
 
     python benchmarks/perfbench_smoke.py
 
 Each workload checks its own output against an independent path (store
 bytes across engines, a 2-shard scoreboard, the sync server's store),
 so this catches a change that breaks those checks or renames an entry
-point the traced pass patches, without a full benchmark run.
+point the traced pass patches, without a full benchmark run.  A layer
+reading 0 means its patched entry point is no longer called — say,
+because a caller captured the function before the patch — and its
+time silently lands in its caller's layer instead.
 """
 
 from __future__ import annotations
@@ -49,6 +53,12 @@ def run_once(workload: str, trace: int) -> str | None:
             f"correct={result.get('correct')} failed={result.get('failed')} "
             f"attempted={result.get('attempted')}"
         )
+    idle = sorted(
+        name for name, metric in result.get("metrics", {}).items()
+        if name.endswith("_us") and metric["value"] == 0
+    )
+    if trace and idle:
+        return f"layers never entered (0 us): {', '.join(idle)}"
     return None
 
 

@@ -65,8 +65,7 @@ from repro.net import AsyncioServerTransport
 from repro.server.server import UUCSServer
 from repro.stores import ResultStore, TestcaseStore
 from repro.study.checkpoint import StudyCheckpoint
-from repro.study.controlled import ControlledStudyConfig
-from repro.study.engine import SESSION_ENGINES
+from repro.study.controlled import ENGINES, ControlledStudyConfig
 from repro.study.internet import generate_library
 from repro.scheduler.policy import SCHEDULER_POLICIES
 from repro.study.sharded import resolve_shards, run_sharded_study, shard_ranges
@@ -335,7 +334,10 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         seed=args.seed,
         cooldown_epochs=args.cooldown,
     )
-    n_shards = resolve_shards(args.shards, config.clients)
+    try:
+        n_shards = resolve_shards(args.shards, config.clients)
+    except StudyError as exc:
+        raise SchedulerError(str(exc)) from None
     push_to = (
         _parse_hostport(args.push_gateway, "--push-gateway")
         if args.push_gateway
@@ -360,13 +362,17 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         on_progress=on_progress,
     )
-    if hub is not None:
-        with use_telemetry(hub):
+    try:
+        if hub is not None:
+            with use_telemetry(hub):
+                board = run_fleet(config, **fleet_kwargs)
+                if push_to is not None:
+                    pusher()  # final snapshot carries the full scoreboard
+        else:
             board = run_fleet(config, **fleet_kwargs)
-            if push_to is not None:
-                pusher()  # final snapshot carries the full scoreboard
-    else:
-        board = run_fleet(config, **fleet_kwargs)
+    except KeyboardInterrupt:
+        _print("interrupted", err=True)
+        return 130
     if args.out:
         Path(args.out).write_text(board.to_json())
     _print(
@@ -822,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--users", type=int, default=33)
     study.add_argument("--seed", type=int, default=2004)
     study.add_argument("--engine", default="analytic",
-                       choices=sorted(SESSION_ENGINES),
+                       choices=sorted(ENGINES),
                        help="session engine: 'batch' advances whole "
                             "(task, testcase) cells as numpy arrays — "
                             "byte-identical records, ~30x the runs/s "

@@ -32,6 +32,7 @@ otherwise the full epoch is harvested and the policy hears
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from repro.errors import SchedulerError
 from repro.paperdata import STUDY_TASKS
 from repro.scheduler.policy import SCHEDULER_POLICIES, build_policy
 from repro.study.sharded import Shard, shard_ranges
+from repro.study.supervisor import SupervisorPolicy, supervised_map
 from repro.telemetry import Telemetry, get_telemetry
 from repro.users import SimulatedUser, paper_calibrated_table
 from repro.users.population import sample_profile
@@ -61,6 +63,10 @@ FLEET_RESOURCES: tuple[Resource, ...] = (
     Resource.MEMORY,
     Resource.DISK,
 )
+
+#: How hard a sharded fleet run fights for each shard: the supervisor's
+#: defaults (3 attempts, seeded backoff, no watchdog).
+_SUPERVISOR = SupervisorPolicy()
 
 #: Aggregate field order inside worker payloads (one int list per cell).
 _AGG_FIELDS = (
@@ -335,121 +341,13 @@ def _scoreboard(
     return Scoreboard(config=config, cells=tuple(cells), elapsed_s=elapsed_s)
 
 
-def _fleet_worker_main(conn, config: FleetConfig, start: int, stop: int) -> None:
-    """Worker process entry: simulate one shard, reply on ``conn``.
+def _simulate_shard(config: FleetConfig, shard: Shard, attempt: int) -> dict:
+    """Supervised worker body: one shard's client aggregates.
 
-    Mirrors the sharded-study wire shape: ``("ok", aggregates)`` on
-    success, ``("error", message)`` on any exception, EOF on death.
+    A pure function of ``(config, shard)``, so every attempt returns the
+    same aggregates and a retry is always safe.
     """
-    try:
-        conn.send(("ok", simulate_clients(config, start, stop)))
-    except BaseException as exc:  # noqa: BLE001 — everything must be reported
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-def _run_sharded(
-    config: FleetConfig,
-    plan: Sequence[Shard],
-    max_workers: int | None,
-    mp_context: str | None,
-    max_attempts: int,
-    on_progress: Callable[[int, int], None] | None = None,
-) -> list[dict[str, list[int]]]:
-    """Supervised shard execution; every shard must complete.
-
-    Unlike the study supervisor there is no quarantine escape hatch: a
-    partial scoreboard would silently break byte-reproducibility, so a
-    shard that exhausts its attempts raises :class:`SchedulerError`.
-    Retries are safe because workers are pure functions of
-    ``(config, start, stop)``.
-    """
-    from multiprocessing.connection import wait as conn_wait
-
-    from repro.study.sharded import _resolve_context
-
-    ctx = _resolve_context(mp_context)
-    workers = (
-        max(1, min(len(plan), max_workers)) if max_workers else len(plan)
-    )
-    pending = list(reversed(plan))
-    running: dict = {}
-    attempts: dict[int, int] = {}
-    batches: dict[int, dict[str, list[int]]] = {}
-    procs: dict[int, object] = {}
-
-    def _launch(shard: Shard) -> None:
-        attempts[shard.index] = attempts.get(shard.index, 0) + 1
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_fleet_worker_main,
-            args=(send_conn, config, shard.start, shard.stop),
-            daemon=True,
-            name=f"uucs-fleet-{shard.index}",
-        )
-        proc.start()
-        send_conn.close()
-        running[recv_conn] = shard
-        procs[shard.index] = proc
-
-    def _reap(shard: Shard, conn) -> None:
-        running.pop(conn, None)
-        try:
-            conn.close()
-        except OSError:
-            pass
-        proc = procs.pop(shard.index, None)
-        if proc is not None:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-
-    def _failed(shard: Shard, detail: str) -> None:
-        if attempts[shard.index] >= max_attempts:
-            raise SchedulerError(
-                f"fleet shard {shard.index} failed after "
-                f"{attempts[shard.index]} attempts: {detail}"
-            )
-        pending.append(shard)
-
-    try:
-        while pending or running:
-            while pending and len(running) < workers:
-                _launch(pending.pop())
-            for conn in conn_wait(list(running)):
-                shard = running.get(conn)
-                if shard is None:
-                    continue
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    _reap(shard, conn)
-                    _failed(shard, "worker died without replying")
-                    continue
-                _reap(shard, conn)
-                kind, payload = (
-                    message
-                    if isinstance(message, tuple) and len(message) == 2
-                    else ("error", f"malformed worker reply: {message!r}")
-                )
-                if kind == "ok" and isinstance(payload, dict):
-                    batches[shard.index] = payload
-                    if on_progress is not None:
-                        on_progress(len(batches), len(plan))
-                else:
-                    _failed(shard, str(payload))
-    finally:
-        for conn, shard in list(running.items()):
-            _reap(shard, conn)
-    return [batches[shard.index] for shard in plan]
+    return simulate_clients(config, shard.start, shard.stop)
 
 
 def _record_scoreboard(telemetry: Telemetry, board: Scoreboard) -> None:
@@ -498,17 +396,20 @@ def run_fleet(
     config: FleetConfig | None = None,
     shards: int = 1,
     max_workers: int | None = None,
-    mp_context: str | None = None,
-    max_attempts: int = 3,
     on_progress: Callable[[int, int], None] | None = None,
 ) -> Scoreboard:
     """Run one fleet simulation; byte-identical for any ``shards``.
 
-    ``shards=1`` runs in-process; larger counts fan client ranges out to
-    supervised worker processes (dead workers are relaunched up to
-    ``max_attempts`` times, then the run fails — a partial scoreboard
-    is never returned).  ``on_progress(done, total)`` is called after
-    each shard completes in the sharded path.
+    ``shards=1`` runs in-process.  Larger counts fan client ranges out
+    to at most ``max_workers`` worker processes under the study's shard
+    supervisor (:func:`repro.study.supervisor.supervised_map`) with its
+    default policy: a shard whose worker dies or raises is relaunched
+    after a seeded backoff, and one that fails all
+    ``SupervisorPolicy.max_attempts`` attempts raises
+    :class:`SchedulerError` — a partial scoreboard is never returned.
+    A ``KeyboardInterrupt`` kills every live worker before it
+    propagates.  ``on_progress(done, total)`` is called after each shard
+    completes (once, with ``(1, 1)``, when ``shards=1``).
 
     When telemetry is enabled the scoreboard lands in the
     ``uucs_sched_*`` metric families and one ``scheduler.decision``
@@ -535,10 +436,27 @@ def run_fleet(
                 on_progress(1, 1)
         else:
             plan = shard_ranges(config.clients, shards)
-            batches = _run_sharded(
-                config, plan, max_workers, mp_context, max_attempts,
-                on_progress,
+            done: dict[int, dict[str, list[int]]] = {}
+
+            def collect(shard: Shard, aggregates: dict, elapsed_s: float):
+                done[shard.index] = aggregates
+                if on_progress is not None:
+                    on_progress(len(done), len(plan))
+
+            def give_up(shard: Shard, attempts: int, reason: str,
+                        detail: str, backoff_s: float | None):
+                if backoff_s is None:
+                    raise SchedulerError(
+                        f"fleet shard {shard.index} failed after "
+                        f"{attempts} attempts: {detail}"
+                    )
+
+            supervised_map(
+                functools.partial(_simulate_shard, config), plan,
+                _SUPERVISOR, collect, give_up, seed=config.seed,
+                max_workers=max_workers,
             )
+            batches = list(done.values())
         board = _scoreboard(
             config,
             _merge_aggregates(batches),

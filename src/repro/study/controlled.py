@@ -25,12 +25,8 @@ from repro.errors import StudyError
 from repro.machine.machine import SimulatedMachine
 from repro.monitor.base import SimulatedMonitor
 from repro.machine.specs import MachineSpec
-from repro.study.engine import (
-    SESSION_ENGINES,
-    CellTraces,
-    get_batch_range_engine,
-    get_session_engine,
-)
+from repro.study import batch
+from repro.study.engine import SESSION_ENGINES, CellTraces, get_session_engine
 from repro.study.testcases import STUDY_SAMPLE_RATE, task_testcases
 from repro.telemetry import get_telemetry
 from repro.users.behavior import BehaviorParams, SimulatedUser
@@ -40,6 +36,7 @@ from repro.users.tolerance import ToleranceTable, paper_calibrated_table
 from repro.util.rng import derive_rng
 
 __all__ = [
+    "ENGINES",
     "ControlledStudyConfig",
     "StudyFixtures",
     "StudyResult",
@@ -47,6 +44,11 @@ __all__ = [
     "run_user_range",
     "study_fixtures",
 ]
+
+#: Every engine a config may name: the per-session engines, plus the
+#: cell-batched "batch" engine, which :func:`run_user_range` hands the
+#: whole user range to.
+ENGINES = (*SESSION_ENGINES, "batch")
 
 #: Seconds between testcases (user keeps working; client idles).
 _INTER_TESTCASE_GAP = 0.0
@@ -85,7 +87,7 @@ class ControlledStudyConfig:
             raise StudyError(f"n_users must be >= 1, got {self.n_users}")
         if not self.tasks:
             raise StudyError("at least one task is required")
-        if self.engine not in SESSION_ENGINES:
+        if self.engine not in ENGINES:
             raise StudyError(f"unknown engine {self.engine!r}")
 
 
@@ -273,12 +275,11 @@ def run_user_range(
         )
     if fixtures is None:
         fixtures = study_fixtures(config)
-    batch_runner = get_batch_range_engine(config.engine)
-    if batch_runner is not None:
-        # Cell-batched engines replace the whole per-user loop; they
-        # honor the same derivation order, so the byte contract above
+    if config.engine == "batch":
+        # The cell-batched engine replaces the whole per-user loop; it
+        # honors the same derivation order, so the byte contract above
         # (and the sharded checkpoint spans built on it) is unchanged.
-        return batch_runner(config, start, stop, fixtures)
+        return batch.run_batch_user_range(config, start, stop, fixtures)
     runs: list[TestcaseRun] = []
     for index in range(start, stop):
         runs.extend(

@@ -23,7 +23,6 @@ the loop.
 
 from __future__ import annotations
 
-import importlib
 import math
 import time
 
@@ -44,10 +43,8 @@ from repro.monitor.base import SimulatedMonitor
 from repro.users.behavior import SimulatedUser
 
 __all__ = [
-    "BATCH_RANGE_ENGINES",
     "CellTraces",
     "SESSION_ENGINES",
-    "get_batch_range_engine",
     "get_session_engine",
     "run_analytic_session",
 ]
@@ -240,27 +237,17 @@ def run_analytic_session(
     )
 
 
-#: Session engines by config name.  All callables share a signature and
-#: produce identical run records on the same armed user state; study
-#: drivers (sequential and sharded) resolve the engine here so the choice
-#: stays a pure config value that survives a process boundary.  The
-#: "batch" engine's per-session behavior *is* the analytic closed form —
-#: its speed comes from the user-range path below, which the controlled
-#: driver engages instead of the per-session loop.
+#: Per-session engines by config name.  Both callables share a
+#: signature and produce identical run records on the same armed user
+#: state; study drivers (sequential and sharded) resolve the engine here
+#: so the choice stays a pure config value that survives a process
+#: boundary.  The cell-batched "batch" engine has no per-session
+#: callable: it replaces the whole user loop
+#: (:func:`repro.study.batch.run_batch_user_range`), and
+#: :data:`repro.study.controlled.ENGINES` names all three.
 SESSION_ENGINES = {
     "analytic": run_analytic_session,
     "loop": run_simulated_session,
-    "batch": run_analytic_session,
-}
-
-#: Engines that replace the whole per-user session loop of
-#: ``repro.study.controlled.run_user_range`` with a cell-batched range
-#: runner ``(config, start, stop, fixtures) -> list[TestcaseRun]``.
-#: Values are ``"module:callable"`` import paths, resolved lazily —
-#: :mod:`repro.study.batch` imports study modules, so eager imports here
-#: would cycle through :mod:`repro.study.controlled`.
-BATCH_RANGE_ENGINES = {
-    "batch": "repro.study.batch:run_batch_user_range",
 }
 
 
@@ -270,14 +257,3 @@ def get_session_engine(name: str):
         return SESSION_ENGINES[name]
     except KeyError:
         raise KeyError(f"unknown session engine {name!r}") from None
-
-
-def get_batch_range_engine(name: str):
-    """The user-range runner for ``name``, or None for per-session
-    engines."""
-    target = BATCH_RANGE_ENGINES.get(name)
-    if target is None:
-        return None
-    module_name, _, attr = target.partition(":")
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)

@@ -17,14 +17,12 @@ keeps :func:`_run_shard` spawn-safe: it is a module-level function whose
 arguments survive pickling under any multiprocessing start method.
 ``tests/shardcheck.py`` enforces the contract at 1/2/4/8 shards.
 
-Shards run under a *supervisor* rather than a bare process pool: each
-shard is one ``multiprocessing.Process`` talking back over a pipe, so a
-worker that dies, hangs past its watchdog deadline, or returns a damaged
-batch costs only that shard an attempt — it is relaunched after a
-seeded backoff (:class:`~repro.study.supervisor.SupervisorPolicy`) and,
-if it keeps failing, quarantined so every healthy shard's results still
-complete the study.  (A pool cannot do this: one SIGKILLed pool worker
-poisons every pending future with ``BrokenProcessPool``.)  With a
+Shards run under :func:`~repro.study.supervisor.supervised_map`, the
+shard supervisor ``uucs harvest`` shares, rather than a bare process
+pool: a worker that dies, hangs past its watchdog deadline, or returns
+a damaged batch costs only that shard an attempt.  This module adds the
+study's own policy on top: a shard that keeps failing is quarantined so
+every healthy shard's results still complete the study, and with a
 :class:`~repro.study.checkpoint.StudyCheckpoint` attached, committed
 shards also survive *driver* death — ``resume=True`` salvages their
 bytes from the store and recomputes only the remainder, byte-identical
@@ -33,12 +31,10 @@ to an uninterrupted run.
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import signal
 import time
-from collections import deque
-from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,7 +50,7 @@ from repro.study.controlled import (
     run_user_range,
     study_fixtures,
 )
-from repro.study.supervisor import SupervisorPolicy
+from repro.study.supervisor import SupervisorPolicy, supervised_map
 from repro.telemetry import (
     Telemetry,
     TraceContext,
@@ -62,7 +58,6 @@ from repro.telemetry import (
     process_guid,
     use_telemetry,
 )
-from repro.util.rng import derive_rng
 
 __all__ = [
     "Shard",
@@ -247,83 +242,43 @@ def merge_shard_batches(
     return runs
 
 
-def _resolve_context(mp_context: str | None) -> multiprocessing.context.BaseContext:
-    """Pick a start method: explicit request, else fork where available.
-
-    Fork avoids re-importing the interpreter per worker (the study's
-    compute is fractions of a second, so spawn startup would dominate);
-    everything submitted is nevertheless spawn-safe, which the test
-    suite exercises with an explicit ``mp_context="spawn"``.
-    """
-    if mp_context is not None:
-        return multiprocessing.get_context(mp_context)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _shard_worker_main(
-    conn,
+def _supervised_shard(
     config: ControlledStudyConfig,
-    start: int,
-    stop: int,
-    trace: tuple[str, dict | None, int] | None,
-    faults,
-) -> None:
-    """Supervised worker entry point: run the shard, report over ``conn``.
+    worker_telemetry: str | Path | None,
+    parent_wire: dict | None,
+    chaos: ShardFaultPlan,
+    shard: Shard,
+    attempt: int,
+) -> list:
+    """One supervised attempt at ``shard``, run in a worker process.
 
-    Module-level and argument-only like :func:`_run_shard` (spawn-safe);
-    the extra ``faults`` argument is a picklable
-    :class:`~repro.faults.shardchaos.ShardAttemptFaults` acting out this
-    attempt's injected failures: hang (sleep before computing), kill
-    (SIGKILL self after ``kill_after_runs`` run records), or corrupt
-    (replace the batch tail with a marker the supervisor must reject).
-    Real failures follow the same wire shape — any exception becomes an
-    ``("error", message)`` reply, and a death without a reply surfaces
-    to the supervisor as EOF on the pipe.
+    Module-level, so a :func:`functools.partial` of it pickles under any
+    start method.  ``chaos`` rolls this attempt's injected failures
+    (none for an inactive plan) and the worker acts them out: hang
+    (sleep before computing), kill (SIGKILL self after
+    ``kill_after_runs`` run records), or corrupt (replace the batch tail
+    with a marker the supervisor's ``accept`` check must reject).
     """
-    try:
-        if faults is not None and faults.hang_s is not None:
-            time.sleep(faults.hang_s)
-        if faults is not None and faults.kill_after_runs is not None:
-            fixtures = study_fixtures(config)
-            done = 0
-            for index in range(start, stop):
-                done += len(run_user_range(config, index, index + 1, fixtures))
-                if done >= faults.kill_after_runs:
-                    break
-            os.kill(os.getpid(), signal.SIGKILL)
-        runs = _run_shard(config, start, stop, trace)
-        if faults is not None and faults.corrupt:
-            conn.send(("ok", list(runs[:-1]) + [CORRUPT_MARKER]))
-        else:
-            conn.send(("ok", runs))
-    except BaseException as exc:  # noqa: BLE001 — everything must be reported
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-class _ShardTask:
-    """Mutable supervisor bookkeeping for one shard's attempts."""
-
-    __slots__ = ("shard", "rng", "attempts", "process", "conn", "started", "deadline")
-
-    def __init__(self, shard: Shard, rng):
-        self.shard = shard
-        #: Per-shard backoff-jitter stream, derived from the study seed:
-        #: one shard's retries never perturb another's schedule.
-        self.rng = rng
-        self.attempts = 0
-        self.process = None
-        self.conn = None
-        self.started = 0.0
-        self.deadline: float | None = None
+    faults = chaos.worker_faults(shard.index, attempt)
+    if faults.hang_s is not None:
+        time.sleep(faults.hang_s)
+    if faults.kill_after_runs is not None:
+        fixtures = study_fixtures(config)
+        done = 0
+        for index in range(shard.start, shard.stop):
+            done += len(run_user_range(config, index, index + 1, fixtures))
+            if done >= faults.kill_after_runs:
+                break
+        os.kill(os.getpid(), signal.SIGKILL)
+    trace = None
+    if worker_telemetry is not None:
+        trace = (
+            f"{worker_telemetry}.shard{shard.index}.jsonl",
+            parent_wire,
+            shard.index,
+        )
+    runs = _run_shard(config, shard.start, shard.stop, trace)
+    return list(runs[:-1]) + [CORRUPT_MARKER] if faults.corrupt else runs
 
 
 def run_sharded_study(
@@ -401,12 +356,12 @@ def run_sharded_study(
         raise StudyError(f"shards must be >= 1, got {shards}")
     if resume and checkpoint is None:
         raise StudyError("resume=True requires a checkpoint")
-    chaos_active = chaos is not None and chaos.active
+    chaos = chaos if chaos is not None else ShardFaultPlan()
     supervised = (
         supervisor is not None
         or checkpoint is not None
         or resume
-        or chaos_active
+        or chaos.active
     )
     if shards == 1 and not supervised:
         return run_controlled_study(config)
@@ -448,27 +403,12 @@ def run_sharded_study(
         profiles = fixtures.profiles
         quarantined: set[int] = set()
         to_run = [shard for shard in plan if shard.index not in results]
-        workers = (
-            max(1, min(len(to_run), max_workers))
-            if max_workers
-            else max(1, len(to_run))
-        )
-        ctx = _resolve_context(mp_context)
         track_progress = telemetry.enabled or on_progress is not None
         study_started = time.perf_counter() if track_progress else 0.0
         shards_done = len(results)
         users_done = sum(plan[i].n_users for i in results)
         runs_done = sum(len(batch) for batch in results.values())
         completions = 0
-
-        pending: deque[_ShardTask] = deque(
-            _ShardTask(
-                shard, derive_rng(config.seed, "shard-supervisor", shard.index)
-            )
-            for shard in to_run
-        )
-        retry_due: list[tuple[float, _ShardTask]] = []
-        running: dict = {}
 
         if telemetry.enabled:
             # Publish the 0% baseline so a dashboard attached before the
@@ -494,71 +434,7 @@ def run_sharded_study(
             if checkpoint is not None:
                 _checkpoint_gauge(telemetry).set(next_write)
 
-        def _launch(task: _ShardTask) -> None:
-            task.attempts += 1
-            faults = (
-                chaos.worker_faults(task.shard.index, task.attempts)
-                if chaos_active
-                else None
-            )
-            trace = None
-            if worker_telemetry is not None:
-                trace = (
-                    f"{worker_telemetry}.shard{task.shard.index}.jsonl",
-                    parent_wire,
-                    task.shard.index,
-                )
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(
-                    send_conn,
-                    config,
-                    task.shard.start,
-                    task.shard.stop,
-                    trace,
-                    faults,
-                ),
-                daemon=True,
-                name=f"uucs-shard-{task.shard.index}",
-            )
-            proc.start()
-            # Drop the parent's copy of the send end, or a dead worker
-            # would never surface as EOF on the receive end.
-            send_conn.close()
-            task.process = proc
-            task.conn = recv_conn
-            task.started = time.perf_counter()
-            task.deadline = (
-                task.started + policy.watchdog_s
-                if policy.watchdog_s is not None
-                else None
-            )
-            running[recv_conn] = task
-
-        def _reap(task: _ShardTask, kill: bool = False) -> int | None:
-            """Tear one attempt down; return the worker's exit code."""
-            if task.conn is not None:
-                running.pop(task.conn, None)
-                try:
-                    task.conn.close()
-                except OSError:
-                    pass
-                task.conn = None
-            exitcode = None
-            proc = task.process
-            if proc is not None:
-                if kill and proc.is_alive():
-                    proc.kill()
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=5.0)
-                exitcode = proc.exitcode
-                task.process = None
-            return exitcode
-
-        def _valid_batch(shard: Shard, batch) -> bool:
+        def _accept(shard: Shard, batch) -> bool:
             """Structural integrity of a worker reply: all records real,
             covering exactly the shard's users in index order."""
             if not isinstance(batch, list) or not batch:
@@ -572,48 +448,46 @@ def run_sharded_study(
                     seen.append(user)
             return seen == [p.user_id for p in profiles[shard.start : shard.stop]]
 
-        def _attempt_failed(task: _ShardTask, reason: str, detail: str) -> None:
-            failures = task.attempts
-            if failures >= policy.max_attempts:
+        def _failed(
+            shard: Shard, attempts: int, reason: str, detail: str,
+            backoff_s: float | None,
+        ) -> None:
+            if backoff_s is None:
                 if not policy.quarantine:
                     raise StudyError(
-                        f"shard {task.shard.index} failed after {failures} "
+                        f"shard {shard.index} failed after {attempts} "
                         f"attempts ({reason}): {detail}"
                     )
-                quarantined.add(task.shard.index)
+                quarantined.add(shard.index)
                 if checkpoint is not None:
-                    checkpoint.quarantine(task.shard, failures, detail)
+                    checkpoint.quarantine(shard, attempts, detail)
                 if telemetry.enabled:
                     _quarantine_gauge(telemetry).set(len(quarantined))
                     telemetry.emit(
                         "study.shard_quarantined",
-                        shard=task.shard.index,
-                        attempts=failures,
+                        shard=shard.index,
+                        attempts=attempts,
                         reason=reason,
                         error=detail,
                     )
-                return
-            delay = policy.backoff(failures, task.rng)
-            if telemetry.enabled:
+            elif telemetry.enabled:
                 _retry_counter(telemetry).inc(
-                    shard=str(task.shard.index), reason=reason
+                    shard=str(shard.index), reason=reason
                 )
                 telemetry.emit(
                     "study.shard_retry",
-                    shard=task.shard.index,
-                    attempt=failures,
+                    shard=shard.index,
+                    attempt=attempts,
                     reason=reason,
                     error=detail,
-                    backoff_s=delay,
+                    backoff_s=backoff_s,
                 )
-            retry_due.append((time.perf_counter() + delay, task))
 
-        def _completed(task: _ShardTask, batch: list) -> None:
+        def _completed(shard: Shard, batch: list, elapsed_s: float) -> None:
             nonlocal next_write, shards_done, users_done, runs_done, completions
-            elapsed = time.perf_counter() - task.started
-            results[task.shard.index] = batch
+            results[shard.index] = batch
             shards_done += 1
-            users_done += task.shard.n_users
+            users_done += shard.n_users
             runs_done += len(batch)
             if checkpoint is not None:
                 # Frontier-ordered commits: shard k's bytes go to the
@@ -630,7 +504,7 @@ def run_sharded_study(
                 if telemetry.enabled:
                     _checkpoint_gauge(telemetry).set(next_write)
             if telemetry.enabled:
-                _record_shard_metrics(telemetry, task.shard, len(batch), elapsed)
+                _record_shard_metrics(telemetry, shard, len(batch), elapsed_s)
             if track_progress:
                 progress = StudyProgress(
                     shards_total=len(plan),
@@ -642,97 +516,25 @@ def run_sharded_study(
                 )
                 if telemetry.enabled:
                     _shard_progress_gauge(telemetry).set(
-                        1.0, shard=str(task.shard.index)
+                        1.0, shard=str(shard.index)
                     )
                     _record_progress_metrics(telemetry, progress)
                 if on_progress is not None:
                     on_progress(progress)
             completions += 1
-            if chaos is not None and chaos.driver_sigint(completions):
+            if chaos.driver_sigint(completions):
                 raise KeyboardInterrupt(
                     f"injected driver SIGINT after shard completion "
                     f"{completions}"
                 )
 
-        try:
-            while pending or retry_due or running:
-                now = time.perf_counter()
-                if retry_due:
-                    due_now = [item for item in retry_due if item[0] <= now]
-                    if due_now:
-                        retry_due[:] = [
-                            item for item in retry_due if item[0] > now
-                        ]
-                        pending.extend(task for _, task in due_now)
-                while pending and len(running) < workers:
-                    _launch(pending.popleft())
-                if running:
-                    waits: list[float] = []
-                    for task in running.values():
-                        if task.deadline is not None:
-                            waits.append(task.deadline - now)
-                    if retry_due:
-                        waits.append(min(due for due, _ in retry_due) - now)
-                    timeout = max(0.0, min(waits)) if waits else None
-                    ready = _conn_wait(list(running), timeout=timeout)
-                elif retry_due:
-                    time.sleep(
-                        max(0.0, min(due for due, _ in retry_due) - now)
-                    )
-                    continue
-                else:
-                    continue
-                for conn in ready:
-                    task = running.get(conn)
-                    if task is None:
-                        continue
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        exitcode = _reap(task)
-                        _attempt_failed(
-                            task,
-                            "killed",
-                            f"worker died without replying "
-                            f"(exitcode {exitcode})",
-                        )
-                        continue
-                    _reap(task)
-                    kind, payload = (
-                        message if isinstance(message, tuple) and len(message) == 2
-                        else ("error", f"malformed worker reply: {message!r}")
-                    )
-                    if kind == "ok" and _valid_batch(task.shard, payload):
-                        _completed(task, payload)
-                    elif kind == "ok":
-                        _attempt_failed(
-                            task, "corrupt", "worker returned a damaged batch"
-                        )
-                    else:
-                        _attempt_failed(task, "error", str(payload))
-                if policy.watchdog_s is not None and running:
-                    now = time.perf_counter()
-                    expired = [
-                        task
-                        for task in running.values()
-                        if task.deadline is not None and now >= task.deadline
-                    ]
-                    for task in expired:
-                        _reap(task, kill=True)
-                        _attempt_failed(
-                            task,
-                            "watchdog",
-                            f"watchdog expired after {policy.watchdog_s}s",
-                        )
-        finally:
-            # Leak-proof teardown on *every* exit path — normal return,
-            # StudyError, injected or real KeyboardInterrupt: kill and
-            # reap whatever is still running so an aborted study leaves
-            # no orphan workers behind.
-            pending.clear()
-            retry_due.clear()
-            for task in list(running.values()):
-                _reap(task, kill=True)
+        work = functools.partial(
+            _supervised_shard, config, worker_telemetry, parent_wire, chaos
+        )
+        supervised_map(
+            work, to_run, policy, _completed, _failed, seed=config.seed,
+            accept=_accept, max_workers=max_workers, mp_context=mp_context,
+        )
 
         quarantined_shards = tuple(sorted(quarantined))
         if quarantined_shards:

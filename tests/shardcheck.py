@@ -30,7 +30,7 @@ if __package__ in (None, ""):  # standalone: make `repro` importable
 
 from repro.faults.shardchaos import ShardFaultPlan  # noqa: E402
 from repro.stores.results import ResultStore  # noqa: E402
-from repro.study.engine import SESSION_ENGINES  # noqa: E402
+from repro.study.controlled import ENGINES  # noqa: E402
 from repro.study import (  # noqa: E402  (after the standalone path fix-up)
     ControlledStudyConfig,
     StudyCheckpoint,
@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--users", type=int, default=33)
     parser.add_argument("--seed", type=int, default=2004)
-    parser.add_argument("--engine", choices=sorted(SESSION_ENGINES),
+    parser.add_argument("--engine", choices=sorted(ENGINES),
                         default="analytic")
     parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4, 8])
     parser.add_argument("--mp-context", default=None,

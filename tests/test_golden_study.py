@@ -22,7 +22,7 @@ import pytest
 from shardcheck import study_digest
 
 from repro.study import ControlledStudyConfig, run_controlled_study
-from repro.study.engine import SESSION_ENGINES
+from repro.study.controlled import ENGINES
 
 GOLDEN = Path(__file__).parent / "golden" / "controlled_study_seed2004.sha256"
 
@@ -35,12 +35,11 @@ def test_canonical_study_matches_golden(controlled_study):
     )
 
 
-@pytest.mark.parametrize("engine", sorted(SESSION_ENGINES))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_every_registered_engine_matches_golden(engine):
     """One pin, every engine: byte-identity is the engines' contract, so
-    any engine registered in SESSION_ENGINES must reproduce the exact
-    golden bytes — a new engine cannot land without passing through
-    here."""
+    any engine named in ENGINES must reproduce the exact golden bytes —
+    a new engine cannot land without passing through here."""
     result = run_controlled_study(ControlledStudyConfig(engine=engine))
     expected = GOLDEN.read_text().split()[0]
     assert study_digest(result) == expected, (

@@ -1,12 +1,18 @@
-"""Fleet simulation: byte-reproducibility, aggregation, CLI, telemetry."""
+"""Fleet simulation: byte-reproducibility, aggregation, shard failures,
+CLI, telemetry."""
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.errors import SchedulerError
 from repro.scheduler import FleetConfig, Scoreboard, run_fleet, simulate_clients
+from repro.scheduler import fleet
 from repro.scheduler.fleet import _merge_aggregates, _scoreboard
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -82,6 +88,69 @@ class TestRunFleet:
         assert len(data["cells"]) == len(board.cells)
 
 
+class TestShardFailures:
+    """Sharded runs under the shard supervisor.  Forked workers inherit
+    a monkeypatched ``fleet.simulate_clients``, which is how these tests
+    make a worker die or stall."""
+
+    def _patch(self, monkeypatch, body):
+        real = fleet.simulate_clients
+
+        def patched(config, start, stop):
+            body(start)
+            return real(config, start, stop)
+
+        monkeypatch.setattr(fleet, "simulate_clients", patched)
+
+    def test_killed_shard_is_retried_to_identical_json(
+        self, tmp_path, monkeypatch
+    ):
+        baseline = run_fleet(CONFIG).to_json()
+        marker = tmp_path / "killed-once"
+
+        def die_once(start):
+            # The middle of three shards dies on its first attempt only.
+            if start == 8 and not marker.exists():
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self._patch(monkeypatch, die_once)
+        assert run_fleet(CONFIG, shards=3).to_json() == baseline
+        assert marker.exists()
+
+    def test_shard_that_always_dies_raises(self, monkeypatch, capsys):
+        def always_die(start):
+            if start > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self._patch(monkeypatch, always_die)
+        with pytest.raises(SchedulerError, match="after 3 attempts"):
+            run_fleet(CONFIG, shards=3)
+        assert run_cli(
+            "harvest", "--clients", "24", "--epochs", "2", "--shards", "3",
+        ) == 12
+        assert "after 3 attempts" in capsys.readouterr().err
+
+    def test_interrupt_kills_live_workers_at_once(self, monkeypatch):
+        def stall_later_shards(start):
+            if start > 0:
+                time.sleep(60)
+
+        def interrupt(done, total):
+            raise KeyboardInterrupt
+
+        self._patch(monkeypatch, stall_later_shards)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_fleet(CONFIG, shards=2, on_progress=interrupt)
+        assert time.monotonic() - started < 3.0
+        leaked = [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("uucs-shard")
+        ]
+        assert not leaked, f"worker processes leaked: {leaked}"
+
+
 class TestTelemetry:
     def test_disabled_telemetry_records_nothing(self):
         hub = Telemetry.disabled()
@@ -150,6 +219,25 @@ class TestHarvestCLI:
             "harvest", "--clients", "2", "--epochs", "1", "--budget", "7",
         ) == 12
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shards", ["0", "abc"])
+    def test_bad_shards_exits_scheduler_code(self, shards, capsys):
+        assert run_cli(
+            "harvest", "--clients", "2", "--epochs", "1", "--shards", shards,
+        ) == 12
+        assert "shards" in capsys.readouterr().err
+
+    def test_interrupt_exits_130(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.scheduler.run_fleet", interrupted)
+        try:
+            code = run_cli("harvest", "--clients", "2", "--epochs", "1")
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped uucs harvest")
+        assert code == 130
+        assert "interrupted" in capsys.readouterr().err
 
     def test_telemetry_log_written(self, tmp_path, capsys):
         log = tmp_path / "telemetry.jsonl"

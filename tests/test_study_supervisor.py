@@ -10,6 +10,8 @@ nothing went wrong.
 """
 
 import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -21,7 +23,9 @@ from repro.study import (
     SupervisorPolicy,
     run_controlled_study,
     run_sharded_study,
+    shard_ranges,
 )
+from repro.study.supervisor import supervised_map
 from shardcheck import serialized_records
 
 #: Small config shared by the end-to-end supervisor runs.
@@ -251,3 +255,123 @@ class TestSupervisedStudy:
         result = run_sharded_study(SMALL, shards=1)
         assert serialized_records(result) == self._baseline()
         assert result.quarantined == ()
+
+
+# Module-level workers for the supervised_map tests below; each gets
+# ``(shard, attempt)`` with a 1-based attempt.
+def _attempt(shard, attempt):
+    return attempt
+
+
+def _killed_first(shard, attempt):
+    if attempt == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return shard.index
+
+
+def _raises_first(shard, attempt):
+    if attempt == 1:
+        raise RuntimeError("flaky worker")
+    return shard.index
+
+
+def _hangs_first(shard, attempt):
+    if attempt == 1:
+        time.sleep(3600)
+    return shard.index
+
+
+def _always_raises(shard, attempt):
+    raise RuntimeError("broken worker")
+
+
+def _slow_after_first(shard, attempt):
+    if shard.index > 0:
+        time.sleep(60)
+    return shard.index
+
+
+class TestSupervisedMap:
+    """The supervision loop on its own, with trivial workers."""
+
+    def _map(self, work, accept=None, n_shards=2, **policy):
+        results, failures = {}, []
+        supervised_map(
+            work,
+            shard_ranges(n_shards, n_shards),
+            SupervisorPolicy(**{**FAST, **policy}),
+            lambda shard, payload, elapsed_s: results.update(
+                {shard.index: payload}
+            ),
+            lambda shard, attempts, reason, detail, backoff_s: failures.append(
+                (shard.index, attempts, reason, detail, backoff_s)
+            ),
+            seed=3,
+            accept=accept,
+        )
+        return results, failures
+
+    def test_killed_attempt_is_retried(self):
+        results, failures = self._map(_killed_first)
+        assert results == {0: 0, 1: 1}
+        assert sorted((f[0], f[1], f[2]) for f in failures) == [
+            (0, 1, "killed"), (1, 1, "killed"),
+        ]
+        assert all("died without replying" in f[3] for f in failures)
+        assert all(f[4] is not None and f[4] >= 0 for f in failures)
+
+    def test_error_reply_is_retried(self):
+        results, failures = self._map(_raises_first)
+        assert results == {0: 0, 1: 1}
+        assert {(f[0], f[2]) for f in failures} == {(0, "error"), (1, "error")}
+        assert all(f[3] == "RuntimeError: flaky worker" for f in failures)
+
+    def test_rejected_payload_is_retried_as_corrupt(self):
+        results, failures = self._map(
+            _attempt, accept=lambda shard, payload: payload > 1
+        )
+        assert results == {0: 2, 1: 2}
+        assert {(f[0], f[1], f[2]) for f in failures} == {
+            (0, 1, "corrupt"), (1, 1, "corrupt"),
+        }
+
+    def test_hang_reclaimed_by_watchdog(self):
+        started = time.monotonic()
+        results, failures = self._map(_hangs_first, watchdog_s=0.5)
+        assert results == {0: 0, 1: 1}
+        assert {f[2] for f in failures} == {"watchdog"}
+        assert time.monotonic() - started < 30
+
+    def test_no_backoff_once_attempts_run_out(self):
+        results, failures = self._map(_always_raises, max_attempts=2)
+        assert results == {}
+        for index in (0, 1):
+            mine = [f for f in failures if f[0] == index]
+            assert [f[1] for f in mine] == [1, 2]
+            assert mine[0][4] is not None
+            assert mine[1][4] is None
+
+    def test_backoff_schedule_is_seeded(self):
+        first = sorted(self._map(_raises_first)[1])
+        assert sorted(self._map(_raises_first)[1]) == first
+
+    def test_on_result_exception_leaves_no_live_worker(self):
+        def boom(shard, payload, elapsed_s):
+            raise RuntimeError("callback failed")
+
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="callback failed"):
+            supervised_map(
+                _slow_after_first,
+                shard_ranges(3, 3),
+                SupervisorPolicy(**FAST),
+                boom,
+                lambda *args: None,
+                seed=0,
+            )
+        assert time.monotonic() - started < 30
+        leaked = [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("uucs-shard")
+        ]
+        assert not leaked, f"worker processes leaked: {leaked}"
