@@ -35,6 +35,12 @@ report; ``mode`` for the dashboard report; ``policy x budget`` — plus
   equal-or-lower discomfort rate — the paper's §5 claim, enforced as an
   absolute contract on the current report (same fleet, same host, no
   tolerance);
+* a scheduler report where, at any matched budget, the ``cdf`` cell's
+  ``decisions_per_second`` is under :data:`MIN_CDF_VS_STATIC_THROUGHPUT`
+  (0.5) times the ``static`` cell's — an absolute contract on the
+  current report, host-independent because both policies run the same
+  fleet on the same host, so the cdf policy's per-decision bookkeeping
+  cannot grow back to dominate the fleet's cost;
 * the study report's best batch-engine ``speedup_vs_analytic`` falling
   under ``--min-batch-speedup`` (default 10x) — an absolute contract on
   the current report, so the batch engine's win cannot silently rot
@@ -58,7 +64,11 @@ import json
 import sys
 from pathlib import Path
 
-__all__ = ["compare_reports", "load_report"]
+__all__ = ["MIN_CDF_VS_STATIC_THROUGHPUT", "compare_reports", "load_report"]
+
+#: Least ``decisions_per_second`` a scheduler report's ``cdf`` cell may
+#: have, as a fraction of the same report's ``static`` cell.
+MIN_CDF_VS_STATIC_THROUGHPUT = 0.5
 
 #: Per-cell metrics: name -> direction ("up" = bigger is better).
 _THROUGHPUT = {
@@ -163,9 +173,10 @@ def compare_reports(
     # contract on the current report: at every matched budget, the
     # comfort-measuring ``cdf`` policy must harvest strictly more than
     # the fixed-ceiling ``static`` strawman at an equal-or-lower
-    # discomfort-event rate.  Both cells run the same seeded fleet on
-    # the same host, so the comparison is host-independent and gets no
-    # tolerance.
+    # discomfort-event rate, and decide at least
+    # MIN_CDF_VS_STATIC_THROUGHPUT as fast.  Both cells run the same
+    # seeded fleet on the same host, so the comparison is
+    # host-independent and gets no tolerance.
     pareto: dict[object, dict[str, dict]] = {}
     for cell in current["results"]:
         if "harvested_resource_hours" in cell and "shards" not in cell:
@@ -188,6 +199,19 @@ def compare_reports(
                 f"budget={budget}: cdf discomfort rate "
                 f"{cdf['discomfort_rate']:.4f} exceeds static's "
                 f"{static['discomfort_rate']:.4f}"
+            )
+        cdf_rate = cdf.get("decisions_per_second")
+        static_rate = static.get("decisions_per_second")
+        if (
+            cdf_rate is not None
+            and static_rate is not None
+            and cdf_rate < MIN_CDF_VS_STATIC_THROUGHPUT * static_rate
+        ):
+            regressions.append(
+                f"budget={budget}: cdf decisions_per_second {cdf_rate:.1f} "
+                f"is {cdf_rate / static_rate:.2f}x static's "
+                f"{static_rate:.1f}, under the required "
+                f"{MIN_CDF_VS_STATIC_THROUGHPUT:g}x"
             )
         if (
             cdf["harvested_resource_hours"] > static["harvested_resource_hours"]
@@ -247,7 +271,7 @@ def compare_reports(
                 )
         if "sha256" in base and "sha256" in curr and base["sha256"] != curr["sha256"]:
             regressions.append(
-                f"{key}: study output sha256 changed "
+                f"{key}: output sha256 changed "
                 f"({base['sha256'][:12]}... -> {curr['sha256'][:12]}...)"
             )
         for metric in _THROUGHPUT:

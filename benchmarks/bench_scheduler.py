@@ -9,8 +9,9 @@ Two questions, one report (``BENCH_scheduler.json`` at the repo root):
    harvests more at the same or lower discomfort rate than a fixed
    ceiling — becomes an absolute gate in ``bench_check.py``: ``cdf``
    must strictly beat ``static`` on harvest without exceeding its
-   discomfort rate.  (``aimd`` is the third frontier point: it harvests
-   aggressively but pays in discomfort; it is reported, not gated.)
+   discomfort rate, and decide at least half as fast.  (``aimd`` is the
+   third frontier point: it harvests aggressively but pays in
+   discomfort; it is reported, not gated.)
 
 2. **Is sharding still invisible?**  The ``cdf`` fleet re-runs at
    several shard counts; each cell carries the scoreboard sha256 and a

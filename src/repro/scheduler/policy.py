@@ -14,12 +14,14 @@ module turns that argument into three competing, swappable policies:
 * ``cdf`` — the paper's proposal: admission control plus a dynamic
   throttle driven by the measured discomfort CDF.  The policy feeds every
   discomfort level into the same ``uucs_discomfort_level`` histogram the
-  dashboard federates, recomputes ``c_a`` through the *same*
-  :func:`repro.telemetry.web.comfort_cells` computation the fleet view
-  displays, and keeps its ceiling a safety margin below ``c_a`` — where
-  ``a`` is the configured discomfort-event budget.  When a cell's
-  realized discomfort rate overruns the budget, new borrow requests for
-  that cell are denied until the rate amortizes back under it.
+  dashboard federates, reads ``c_a`` as that histogram's own quantile —
+  the :func:`repro.util.comfort.quantile_from_buckets` kernel and 4-place
+  rounding :func:`repro.telemetry.web.comfort_cells` applies for the
+  fleet view (a property test pins the two equal) — and keeps its
+  ceiling a safety margin below ``c_a``, where ``a`` is the configured
+  discomfort-event budget.  When a cell's realized discomfort rate
+  overruns the budget, new borrow requests for that cell are denied
+  until the rate amortizes back under it.
 
 Policies are deterministic value machines: they draw no randomness and
 read no clocks, so a fleet simulation over them is byte-reproducible.
@@ -35,9 +37,7 @@ from repro.core.session import DISCOMFORT_LEVEL_BUCKETS
 from repro.errors import SchedulerError
 from repro.paperdata import RAMP_PARAMS
 from repro.telemetry import Telemetry
-from repro.telemetry.aggregate import RegistrySnapshot
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.web import comfort_cells
+from repro.telemetry.metrics import Histogram
 from repro.throttle import FeedbackController, Throttle
 
 __all__ = [
@@ -240,12 +240,12 @@ class CDFPolicy(SchedulerPolicy):
     ``uucs_discomfort_level`` histogram (the client instrument's exact
     shape: same name, same label set, same buckets), and the cell's
     ``c_a`` — the ``budget``-quantile of that measured discomfort CDF —
-    is recomputed through :func:`repro.telemetry.web.comfort_cells`,
-    the same code path the fleet dashboard renders.  On discomfort the
-    ceiling drops straight to ``safety * c_a`` — the measured
-    budget-compliant setpoint — instead of blindly halving (blind
-    multiplicative backoff is used only before the first ``c_a``
-    exists), so one event re-seats the cell where the CDF says at most
+    is read from it with the quantile kernel and rounding the fleet
+    dashboard's :func:`repro.telemetry.web.comfort_cells` uses.  The
+    event is observed before ``c_a`` is read, so every discomfort has a
+    measured CDF behind it: the ceiling drops straight to ``safety *
+    c_a`` — the measured budget-compliant setpoint — instead of blindly
+    halving, so one event re-seats the cell where the CDF says at most
     a ``budget`` fraction of reactions lie below.
 
     Admission control: a cell whose realized discomfort-event rate
@@ -262,7 +262,6 @@ class CDFPolicy(SchedulerPolicy):
         budget: float = 0.05,
         start_fraction: float = 0.1,
         climb_fraction: float = 0.3,
-        backoff: float = 0.5,
         soft_backoff: float = 0.9,
         safety: float = 0.75,
         floor_fraction: float = 0.02,
@@ -270,8 +269,6 @@ class CDFPolicy(SchedulerPolicy):
     ):
         if not 0.0 < budget < 1.0:
             raise SchedulerError(f"budget must be in (0, 1), got {budget}")
-        if not 0.0 < backoff < 1.0:
-            raise SchedulerError(f"backoff must be in (0,1), got {backoff}")
         if not 0.0 < soft_backoff < 1.0:
             raise SchedulerError(
                 f"soft_backoff must be in (0,1), got {soft_backoff}"
@@ -289,13 +286,11 @@ class CDFPolicy(SchedulerPolicy):
         self._budget = float(budget)
         self._start = float(start_fraction)
         self._climb = float(climb_fraction)
-        self._backoff = float(backoff)
         self._soft_backoff = float(soft_backoff)
         self._safety = float(safety)
         self._floor = float(floor_fraction)
         self._min_observations = int(min_observations)
-        self._registry = MetricsRegistry()
-        self._histogram = self._registry.histogram(
+        self._histogram = Histogram(
             "uucs_discomfort_level",
             "Contention levels at which this scheduler drew discomfort.",
             unit="level",
@@ -305,8 +300,6 @@ class CDFPolicy(SchedulerPolicy):
         self._ceilings: dict[tuple[str, Resource], float] = {}
         self._decisions: dict[tuple[str, Resource], int] = {}
         self._discomforts: dict[tuple[str, Resource], int] = {}
-        self._c_a: dict[tuple[str, Resource], float] = {}
-        self._dirty = False
 
     @classmethod
     def build(cls, budget: float = 0.05) -> "CDFPolicy":
@@ -319,18 +312,15 @@ class CDFPolicy(SchedulerPolicy):
         return self._budget
 
     def _c_a_for(self, cell: tuple[str, Resource]) -> float | None:
-        """This cell's measured ``c_a``, recomputed lazily when stale."""
-        if self._dirty:
-            snapshot = RegistrySnapshot.of(self._registry)
-            self._c_a = {}
-            for row in comfort_cells(snapshot, quantile=self._budget):
-                c_a = row.get("c_q")
-                if c_a is None:
-                    continue
-                key = (str(row["task"]), Resource.parse(str(row["resource"])))
-                self._c_a[key] = float(c_a)  # type: ignore[arg-type]
-            self._dirty = False
-        return self._c_a.get(cell)
+        """This cell's measured ``c_a`` (``None`` before any discomfort).
+
+        Rounded to 4 places, as ``comfort_cells`` rounds its ``c_q``.
+        """
+        task, resource = cell
+        c_a = self._histogram.quantile(
+            self._budget, task=task, resource=resource.value
+        )
+        return round(c_a, 4) if c_a is not None else None
 
     def _ceiling(self, cell: tuple[str, Resource]) -> float:
         ceiling = self._ceilings.get(cell)
@@ -356,20 +346,16 @@ class CDFPolicy(SchedulerPolicy):
         self._histogram.observe(
             float(level), task=task, resource=resource.value
         )
-        self._dirty = True
-        cap = cell_cap(task, resource)
-        floor = self._floor * cap
-        ceiling = self._ceiling(cell)
-        c_a = self._c_a_for(cell)
-        if c_a is not None:
-            # The measured CDF says where to sit: the budget-quantile of
-            # observed discomfort levels, shaded by the safety margin.
-            # The soft step keeps every discomfort a strict decrease even
-            # when the ceiling is already at or below the CDF target.
-            target = min(ceiling * self._soft_backoff, self._safety * c_a)
-        else:
-            # No measured CDF yet: blind multiplicative backoff.
-            target = ceiling * self._backoff
+        floor = self._floor * cell_cap(task, resource)
+        # The measured CDF (never empty: the level was just observed)
+        # says where to sit: the budget-quantile of observed discomfort
+        # levels, shaded by the safety margin.  The soft step keeps every
+        # discomfort a strict decrease even when the ceiling is already
+        # at or below the CDF target.
+        target = min(
+            self._ceiling(cell) * self._soft_backoff,
+            self._safety * self._c_a_for(cell),
+        )
         self._ceilings[cell] = max(floor, target)
 
     def on_comfortable(

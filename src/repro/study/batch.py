@@ -68,7 +68,7 @@ from repro.study.engine import CellTraces
 from repro.telemetry import get_telemetry
 from repro.users.behavior import _SKILL_STEP, BehaviorParams
 from repro.users.profile import RATING_CATEGORIES, SkillLevel, UserProfile
-from repro.util.rng import derive_rng
+from repro.util.rng import _fnv_words, derive_rng
 
 __all__ = ["run_batch_user_range"]
 
@@ -218,16 +218,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 #: PCG64's default 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _fnv_words(part) -> tuple[int, int]:
-    """The two uint32 spawn-key words ``derive_rng`` hashes ``part``
-    into (pure-int FNV-1a, identical to repro.util.rng's np.uint64
-    byte loop)."""
-    h = 14695981039346656037
-    for byte in repr(part).encode():
-        h = ((h ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-    return (h & _M32, (h >> 32) & _M32)
 
 
 class _DerivedStream:
@@ -930,11 +920,8 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                         # further RNG), so it is deferred to
                         # _finalize_thresholds and applied as one
                         # array expression per cell draw.  (The
-                        # truncated path stores the bare uniform:
-                        # uniform(0, b) computes 0 + (b-0)*random(),
-                        # the same bits as b*random() — property-
-                        # tested — and the b* product happens in the
-                        # finalize pass.)
+                        # truncated path stores the bare random(); its
+                        # f_max* product happens in the finalize pass.)
                         if pairs is not None:
                             if type(pairs[0]) is float:
                                 p_react, is_z, th_append = pairs

@@ -97,9 +97,13 @@ class ToleranceSpec:
             return math.inf
         if self.range_max is None:
             return float(np.exp(self.mu + self.sigma * rng.standard_normal()))
-        u = rng.uniform(0.0, self._f_max)
-        # ndtri is norm.ppf's kernel; bit-identical, already relied on by
-        # the batch engine's vectorized replay (study/batch.py).
+        # A uniform on [0, f_max): the same bits as numpy's
+        # ``uniform(0.0, f_max)`` (``0.0 + (f_max - 0.0) * random()``)
+        # without its per-call argument handling, and the product the
+        # batch engine's vectorized replay (study/batch.py) applies to
+        # its stored ``random()`` draws.  ndtri is norm.ppf's kernel;
+        # bit-identical, already relied on by that replay.
+        u = self._f_max * rng.random()
         return float(math.exp(self.mu + self.sigma * float(sp_special.ndtri(u))))
 
     def mean_threshold(self) -> float:

@@ -28,6 +28,15 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _fnv_words(part: object) -> tuple[int, int]:
+    """The two uint32 spawn-key words :func:`derive_rng` hashes one key
+    ``part`` into: 64-bit FNV-1a over ``repr(part)``, low word first."""
+    h = 14695981039346656037  # FNV-1a offset basis
+    for byte in repr(part).encode():
+        h = ((h ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    return (h & 0xFFFFFFFF, h >> 32)
+
+
 def derive_rng(seed: SeedLike, *key: object) -> np.random.Generator:
     """Derive an independent generator from ``seed`` and a hashable ``key``.
 
@@ -48,11 +57,7 @@ def derive_rng(seed: SeedLike, *key: object) -> np.random.Generator:
     # Hash the key into a stable sequence of 32-bit words.
     words: list[int] = []
     for part in key:
-        h = np.uint64(14695981039346656037)  # FNV-1a offset basis
-        for byte in repr(part).encode():
-            h = np.uint64((int(h) ^ byte) * 1099511628211 % (1 << 64))
-        words.append(int(h) & 0xFFFFFFFF)
-        words.append((int(h) >> 32) & 0xFFFFFFFF)
+        words.extend(_fnv_words(part))
     if entropy is None:
         seq = np.random.SeedSequence(spawn_key=tuple(words))
     else:

@@ -52,7 +52,7 @@ def scheduler_report():
             {"policy": "static", "budget": 0.1, "decisions_per_second": 90000.0,
              "harvested_resource_hours": 500.0, "discomfort_rate": 0.28,
              "sha256": "cc"},
-            {"policy": "cdf", "budget": 0.1, "decisions_per_second": 40000.0,
+            {"policy": "cdf", "budget": 0.1, "decisions_per_second": 80000.0,
              "harvested_resource_hours": 650.0, "discomfort_rate": 0.10,
              "sha256": "dd"},
             {"policy": "cdf", "budget": 0.1, "shards": 2, "sha256": "dd",
@@ -141,7 +141,8 @@ class TestCompareReports:
         regressions, _ = bench_check.compare_reports(
             study_report(), current, tolerance=10.0
         )
-        assert any("sha256 changed" in r for r in regressions)
+        assert any("shards=4: output sha256 changed" in r
+                   for r in regressions)
 
     def test_shard_divergence_fails_in_either_report(self):
         bad = study_report()
@@ -211,6 +212,25 @@ class TestCompareReports:
         bad["results"][1]["harvested_resource_hours"] = 100.0
         regressions, _ = bench_check.compare_reports(bad, bad)
         assert any("strictly more" in r for r in regressions)
+
+    def test_scheduler_cdf_throughput_floor_vs_static(self):
+        """cdf must decide at least half as fast as static in the same
+        report: 0.35x (42.6k vs 120.6k decisions/s) fails and 0.91x
+        (159.3k vs 174.6k) passes, whatever the baseline says."""
+        for cdf_rate, static_rate, passes in (
+            (42645.5, 120612.3, False),
+            (159300.0, 174600.0, True),
+        ):
+            report = scheduler_report()
+            report["results"][0]["decisions_per_second"] = static_rate
+            report["results"][1]["decisions_per_second"] = cdf_rate
+            regressions, _ = bench_check.compare_reports(report, report)
+            if passes:
+                assert regressions == []
+            else:
+                (regression,) = regressions
+                assert "0.35x static's" in regression
+                assert "under the required 0.5x" in regression
 
     def test_scheduler_policy_cells_keyed_distinctly(self):
         keys = {

@@ -31,7 +31,7 @@ from repro.study.engine import _threshold_fire_step, run_analytic_session
 from repro.users.behavior import BehaviorParams, SimulatedUser
 from repro.users.population import sample_profile
 from repro.users.tolerance import ToleranceSpec, ToleranceTable
-from repro.util.rng import derive_rng
+from repro.util.rng import _fnv_words, derive_rng
 from repro.util.timeseries import SampledSeries
 
 
@@ -327,7 +327,7 @@ class TestRngIdentities:
     def test_property_fast_derive_matches_derive_rng(self, entropy, index):
         for label in ("user-session", "user-behavior"):
             stream = batch_mod._DerivedStream(entropy, label)
-            fast = stream.rng(*batch_mod._fnv_words(index))
+            fast = stream.rng(*_fnv_words(index))
             ref = derive_rng(entropy, label, index)
             assert fast.bit_generator.state == ref.bit_generator.state
             assert np.array_equal(fast.random(3), ref.random(3))
@@ -339,7 +339,7 @@ class TestRngIdentities:
     )
     def test_property_block_seeds_match_derive_rng(self, entropy, start):
         indices = range(start, start + 17)
-        w0, w1 = zip(*map(batch_mod._fnv_words, indices))
+        w0, w1 = zip(*map(_fnv_words, indices))
         stream = batch_mod._DerivedStream(entropy, "user-behavior")
         for index, seed in zip(indices, stream.seeds(w0, w1)):
             ref = derive_rng(entropy, "user-behavior", index)

@@ -177,7 +177,6 @@ class TestCDFPolicy:
     def test_bad_tunables_rejected(self):
         for kwargs in (
             {"budget": 0.0},
-            {"backoff": 1.0},
             {"soft_backoff": 0.0},
             {"safety": 1.5},
             {"start_fraction": 0.0},

@@ -3,22 +3,28 @@ fleet reproducibility.
 
 These are the safety rails under the harvesting scheduler: whatever
 sequence of feedback a controller or policy sees, its ceiling stays in
-its envelope and a discomfort is never a no-op; whatever (seed, shard
-layout) a fleet runs under, the scoreboard is a pure function of the
-config.
+its envelope and a discomfort is never a no-op; the ``cdf`` policy's
+``c_a`` is the dashboard's ``c_q`` for the same observations; whatever
+(seed, shard layout) a fleet runs under, the scoreboard is a pure
+function of the config.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.resources import Resource
+from repro.core.session import DISCOMFORT_LEVEL_BUCKETS
 from repro.errors import ThrottleError
+from repro.paperdata import STUDY_TASKS
 from repro.scheduler import CDFPolicy, FleetConfig, cell_cap, simulate_clients
-from repro.scheduler.fleet import _merge_aggregates
+from repro.scheduler.fleet import FLEET_RESOURCES, _merge_aggregates
 from repro.telemetry import Telemetry
+from repro.telemetry.aggregate import RegistrySnapshot
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.web import comfort_cells
 from repro.throttle import FeedbackController, Throttle
 
 CELL = ("powerpoint", Resource.CPU)
@@ -111,6 +117,60 @@ class TestCDFPolicyProperties:
                     assert after == floor
             else:
                 policy.on_comfortable(*CELL, min(step, 3600.0))
+
+
+ALL_CELLS = [
+    (task, resource) for task in STUDY_TASKS for resource in FLEET_RESOURCES
+]
+
+# Discomfort levels: exactly on a bucket bound, under the first bound,
+# over the last one (the overflow clamp), or anywhere in between.
+discomfort_levels = st.one_of(
+    st.sampled_from(DISCOMFORT_LEVEL_BUCKETS),
+    st.floats(min_value=0.0, max_value=DISCOMFORT_LEVEL_BUCKETS[0]),
+    st.floats(min_value=DISCOMFORT_LEVEL_BUCKETS[-1], max_value=64.0),
+    st.floats(min_value=0.0, max_value=8.0),
+)
+
+
+class TestCDFPolicyMatchesDashboard:
+    """The controller and the operator never disagree about ``c_a``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        budget=st.floats(
+            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+        ),
+        observations=st.lists(
+            st.tuples(st.sampled_from(ALL_CELLS), discomfort_levels),
+            max_size=40,
+        ),
+    )
+    @example(
+        budget=0.05,
+        observations=[(ALL_CELLS[0], b) for b in DISCOMFORT_LEVEL_BUCKETS]
+        + [(ALL_CELLS[1], 0.01), (ALL_CELLS[1], 0.0), (ALL_CELLS[2], 4.5),
+           (ALL_CELLS[2], 9.0), (ALL_CELLS[2], 4.0)],
+    )
+    def test_c_a_equals_comfort_cells_c_q(self, budget, observations):
+        policy = CDFPolicy(budget=budget)
+        registry = MetricsRegistry()
+        histogram = registry.histogram(
+            "uucs_discomfort_level",
+            labelnames=("task", "resource"),
+            buckets=DISCOMFORT_LEVEL_BUCKETS,
+        )
+        for (task, resource), level in observations:
+            policy.on_discomfort(task, resource, level)
+            histogram.observe(level, task=task, resource=resource.value)
+            dashboard = {
+                (row["task"], Resource.parse(row["resource"])): row["c_q"]
+                for row in comfort_cells(
+                    RegistrySnapshot.of(registry), quantile=budget
+                )
+            }
+            for cell in ALL_CELLS:
+                assert policy._c_a_for(cell) == dashboard.get(cell)
 
 
 class TestFleetReproducibilityProperties:
