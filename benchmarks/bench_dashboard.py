@@ -15,8 +15,14 @@ fails if either dashboard mode costs more than ``--max-overhead-pct``
 * ``web-on-stream`` — an SSE reader attached and draining, so every
   push also builds its fleet row and broadcast frame.
 
+A fourth cell, ``burst-256``, is the fleet arriving at once: 256
+clients released together, 8 pushes each, dashboard on, no reader.  It
+reports client-side ``p50_ms``/``p99_ms`` per push and ``failed``
+pushes, and any failed push fails the benchmark: a gateway that resets
+connections under a burst loses the fleet's metrics.
+
 Each mode runs ``--rounds`` interleaved rounds.  Throughput cells keep
-the fastest round; overhead is judged per round against that same
+the fastest round (``failed`` counts every round's failures); overhead is judged per round against that same
 round's ``web-off`` cell, keeping the minimum across rounds — a load
 spike during either cell of a pair can only inflate its ratio, so the
 minimum is the least noise-contaminated estimate of the true cost.
@@ -33,6 +39,7 @@ import json
 import os
 import platform
 import socket
+import statistics
 import sys
 import threading
 import time
@@ -46,11 +53,15 @@ if __package__ in (None, ""):  # standalone: make `repro` importable
 
 from repro._version import __version__
 from repro.core.session import DISCOMFORT_LEVEL_BUCKETS
+from repro.errors import ProtocolError
 from repro.telemetry.aggregate import push_snapshot
 from repro.telemetry.exporter import MetricsExporter
 from repro.telemetry.metrics import MetricsRegistry
 
 MODES = ("web-off", "web-on-idle", "web-on-stream")
+BURST_MODE = "burst-256"
+BURST_PUSHERS = 256
+BURST_PUSHES_EACH = 8
 
 
 def client_snapshots(worker: int, count: int) -> list[dict]:
@@ -165,6 +176,47 @@ def run_mode(mode: str, pushes: int, workers: int) -> dict:
     }
 
 
+def run_burst(pushers: int, pushes_each: int) -> dict:
+    """``pushers`` clients released at once, each pushing in turn."""
+    sequences = [client_snapshots(w, pushes_each) for w in range(pushers)]
+    clock: dict[str, float] = {}
+    gate = threading.Barrier(
+        pushers, action=lambda: clock.setdefault("start", time.perf_counter())
+    )
+    with MetricsExporter(MetricsRegistry()) as exporter:
+        host, port = exporter.address
+
+        def pusher(worker: int) -> tuple[list[float], int]:
+            latencies, failed = [], 0
+            gate.wait()
+            for snapshot in sequences[worker]:
+                began = time.perf_counter()
+                try:
+                    push_snapshot(host, port, f"burst-{worker}", snapshot)
+                except ProtocolError:
+                    failed += 1
+                    continue
+                latencies.append(time.perf_counter() - began)
+            return latencies, failed
+
+        with ThreadPoolExecutor(max_workers=pushers) as pool:
+            outcomes = list(pool.map(pusher, range(pushers)))
+        wall = time.perf_counter() - clock["start"]
+    latencies = sorted(t for times, _ in outcomes for t in times)
+    failed = sum(count for _, count in outcomes)
+    cuts = statistics.quantiles(latencies, n=100, method="inclusive")
+    return {
+        "mode": BURST_MODE,
+        "pushes": pushers * pushes_each,
+        "clients": pushers,
+        "wall_seconds": round(wall, 4),
+        "pushes_per_second": round(len(latencies) / wall, 1),
+        "p50_ms": round(cuts[49] * 1000, 3),
+        "p99_ms": round(cuts[98] * 1000, 3),
+        "failed": failed,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pushes", type=int, default=600,
@@ -190,6 +242,7 @@ def main(argv=None) -> int:
     # noise as overhead.
     run_mode("web-off", min(args.pushes, 200), args.workers)
     rounds: list[dict[str, dict]] = []
+    bursts: list[dict] = []
     for round_no in range(args.rounds):
         cells: dict[str, dict] = {}
         for mode in MODES:
@@ -198,6 +251,11 @@ def main(argv=None) -> int:
             print(f"{mode:>14} round {round_no + 1}: {rate:>8.1f} pushes/s")
             cells[mode] = cell
         rounds.append(cells)
+        burst = run_burst(BURST_PUSHERS, BURST_PUSHES_EACH)
+        print(f"{BURST_MODE:>14} round {round_no + 1}: "
+              f"{burst['pushes_per_second']:>8.1f} pushes/s, "
+              f"p99 {burst['p99_ms']:.1f} ms, {burst['failed']} failed")
+        bursts.append(burst)
 
     best = {
         mode: max(
@@ -206,7 +264,14 @@ def main(argv=None) -> int:
         )
         for mode in MODES
     }
+    best_burst = dict(max(bursts, key=lambda cell: cell["pushes_per_second"]))
+    best_burst["failed"] = sum(cell["failed"] for cell in bursts)
     failures = []
+    if best_burst["failed"]:
+        failures.append(
+            f"{BURST_MODE}: {best_burst['failed']} of "
+            f"{best_burst['pushes'] * len(bursts)} pushes failed"
+        )
     for mode in MODES:
         overhead = min(
             (1.0 - cells[mode]["pushes_per_second"]
@@ -230,7 +295,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "pushes_per_cell": args.pushes,
         "max_overhead_pct": args.max_overhead_pct,
-        "results": [best[mode] for mode in MODES],
+        "results": [best[mode] for mode in MODES] + [best_burst],
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n",
                               encoding="utf-8")
@@ -239,9 +304,12 @@ def main(argv=None) -> int:
         cell = best[mode]
         print(f"{mode:>14}: {cell['pushes_per_second']:>8.1f} pushes/s "
               f"(+{cell['overhead_pct']:.1f}% overhead)")
+    print(f"{BURST_MODE:>14}: {best_burst['pushes_per_second']:>8.1f} pushes/s "
+          f"(p50 {best_burst['p50_ms']:.1f} ms, p99 {best_burst['p99_ms']:.1f} ms, "
+          f"{best_burst['failed']} failed)")
     if failures:
         for failure in failures:
-            print(f"OVERHEAD: {failure}", file=sys.stderr)
+            print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(f"OK: dashboard overhead within {args.max_overhead_pct:g}% of web-off")
     return 0

@@ -9,25 +9,30 @@ modes the in-process :class:`~repro.faults.injection.FaultInjectingTransport`
 can only approximate, and it works against any client (``uucs client
 --port <proxy port>``) without code changes.
 
-The proxy shares one seeded RNG across connections (lock-guarded), so a
-single sequential client sees a deterministic fault schedule — the basis
-of the seeded soak tests.
+The proxy is an :class:`~repro.net.listener.AsyncioListener`: every
+relay is a coroutine on one event-loop thread, so ``close()`` ends them
+all, and the one seeded RNG they share needs no lock.  A single
+sequential client sees a deterministic fault schedule — the basis of
+the seeded soak tests.
 """
 
 from __future__ import annotations
 
-import socket
-import threading
-import time
+import asyncio
 
 from repro.faults.injection import FaultPlan
+from repro.net.listener import AsyncioListener
+from repro.server.protocol import MAX_MESSAGE_BYTES
 from repro.telemetry import Telemetry, get_telemetry
 from repro.util.rng import SeedLike, ensure_rng
 
 __all__ = ["ChaosTCPProxy"]
 
+#: How long dialling the upstream server may take.
+_CONNECT_TIMEOUT_S = 10.0
 
-class ChaosTCPProxy:
+
+class ChaosTCPProxy(AsyncioListener):
     """Fault-injecting line proxy in front of a UUCS TCP server."""
 
     def __init__(
@@ -42,33 +47,20 @@ class ChaosTCPProxy:
         self._upstream = (upstream[0], int(upstream[1]))
         self._plan = plan
         self._rng = ensure_rng(seed)
-        self._rng_lock = threading.Lock()
         self._telemetry = telemetry
-        self._closing = False
         #: Injected-fault counts by kind (observable).
         self.injected: dict[str, int] = {}
-        self._listener = socket.create_server((host, port))
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="uucs-chaos-proxy", daemon=True
-        )
-        self._thread.start()
+        super().__init__(host, port, limit=MAX_MESSAGE_BYTES)
 
     @property
     def telemetry(self) -> Telemetry:
         return self._telemetry if self._telemetry is not None else get_telemetry()
 
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._listener.getsockname()[:2]
-        return str(host), int(port)
-
     def _hit(self, probability: float) -> bool:
-        with self._rng_lock:
-            return float(self._rng.random()) < probability
+        return float(self._rng.random()) < probability
 
     def _note(self, kind: str) -> None:
-        with self._rng_lock:
-            self.injected[kind] = self.injected.get(kind, 0) + 1
+        self.injected[kind] = self.injected.get(kind, 0) + 1
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.metrics.counter(
@@ -78,33 +70,25 @@ class ChaosTCPProxy:
             ).inc(kind=kind)
             telemetry.emit("chaos.injected", kind=kind)
 
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
-            ).start()
-
-    def _serve(self, client: socket.socket) -> None:
+    async def handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         plan = self._plan
+        server, upstream = await asyncio.wait_for(
+            asyncio.open_connection(*self._upstream, limit=MAX_MESSAGE_BYTES),
+            _CONNECT_TIMEOUT_S,
+        )
         try:
-            server = socket.create_connection(self._upstream, timeout=10.0)
-        except OSError:
-            client.close()
-            return
-        try:
-            client_lines = client.makefile("rb")
-            server_lines = server.makefile("rb")
-            for line in client_lines:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    return  # the client hung up
                 if not line.strip():
                     continue
                 if self._hit(plan.drop_request):
-                    # The request evaporates; killing the connection makes
-                    # the loss visible to the client immediately instead
-                    # of stalling it on a read timeout.
+                    # The request evaporates; killing the connection
+                    # makes the loss visible to the client immediately
+                    # instead of stalling it on a read timeout.
                     self._note("drop_request")
                     return
                 if self._hit(plan.disconnect):
@@ -114,11 +98,11 @@ class ChaosTCPProxy:
                     # Deliver twice; swallow the first response so the
                     # client sees exactly one (the server saw two).
                     self._note("duplicate")
-                    server.sendall(line)
-                    if not server_lines.readline():
+                    upstream.write(line)
+                    if not await server.readline():
                         return
-                server.sendall(line)
-                response = server_lines.readline()
+                upstream.write(line)
+                response = await server.readline()
                 if not response:
                     return  # upstream died; drop the client too
                 if self._hit(plan.drop_response):
@@ -127,31 +111,17 @@ class ChaosTCPProxy:
                     return
                 if self._hit(plan.truncate):
                     self._note("truncate")
-                    client.sendall(response[: max(1, len(response) // 2)])
+                    writer.write(response[: max(1, len(response) // 2)])
                     return
                 if self._hit(plan.corrupt):
                     self._note("corrupt")
                     response = b"\x00garbage\xff" + response[9:-1] + b"\n"
                 if self._hit(plan.delay) and plan.delay_s > 0.0:
                     self._note("delay")
-                    time.sleep(plan.delay_s)
-                client.sendall(response)
-        except OSError:
-            pass  # either side vanished; nothing to salvage
+                    await asyncio.sleep(plan.delay_s)
+                writer.write(response)
+                await writer.drain()
+        except ValueError:
+            pass  # a line past MAX_MESSAGE_BYTES: framing is lost
         finally:
-            for sock in (client, server):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-
-    def close(self) -> None:
-        self._closing = True
-        self._listener.close()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "ChaosTCPProxy":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+            upstream.close()

@@ -1,10 +1,11 @@
 """Metrics endpoint, push gateway, and fleet dashboard over TCP
 (``uucs serve --metrics-port``, ``uucs dashboard``).
 
-Built on :mod:`socketserver`, a thread per connection.  Both raw TCP
-peers (``nc host port``) and HTTP clients work: a bare connection (or
-any non-HTTP first line) receives one plain exposition and is closed;
-HTTP requests are routed by path:
+Runs on the shared :class:`~repro.net.listener.AsyncioListener`: one
+event-loop thread and a coroutine per connection, ``/stream`` readers
+included.  Both raw TCP peers (``nc host port``) and HTTP clients work:
+a bare connection (or any non-HTTP first line) receives one plain
+exposition and is closed; HTTP requests are routed by path:
 
 * ``GET /`` — the self-contained live fleet dashboard page
   (:mod:`repro.telemetry.webpage`; plain exposition instead when the
@@ -46,16 +47,15 @@ tests can script the passage of time.
 
 from __future__ import annotations
 
+import asyncio
 import json
-import queue
-import socketserver
 import threading
 import time
-import warnings
 from collections import deque
 from typing import Mapping
 
 from repro.errors import ValidationError
+from repro.net.listener import AsyncioListener
 from repro.telemetry import web as _web
 from repro.telemetry.aggregate import ClientRollups, RegistrySnapshot
 from repro.telemetry.webpage import render_page
@@ -66,6 +66,7 @@ _TEXT = "text/plain; version=0.0.4; charset=utf-8"
 _JSON = "application/json; charset=utf-8"
 _HTML = "text/html; charset=utf-8"
 _SSE = "text/event-stream"
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found"}
 
 #: Largest accepted ``POST /push`` body (a fleet client's snapshot).
 _MAX_PUSH_BYTES = 8 * 1024 * 1024
@@ -74,193 +75,48 @@ _MAX_PUSH_BYTES = 8 * 1024 * 1024
 #: the lossless path; the feed is a recent-events convenience).
 _FEED_CAPACITY = 100
 
+#: A request arrives whole within this or not at all: a peer that sends
+#: no HTTP request in time is a raw-TCP scraper.
+_REQUEST_WAIT_S = 0.5
 #: Seconds between SSE keepalive comments when no pushes arrive.
 _KEEPALIVE_S = 15.0
-#: How long the stream pump lingers after a push before building
-#: frames, so a burst collapses to one frame per client (see
-#: MetricsExporter._pump).
+#: How long the stream lingers after a push before building frames, so
+#: a burst collapses to one frame per client (see MetricsExporter._flush).
 _COALESCE_S = 0.025
-#: How long close() waits for the coalescing pump thread before giving
-#: up and warning instead of hanging shutdown (monkeypatched small in
-#: tests; a wedged subscriber queue must never block process exit).
-_PUMP_JOIN_S = 5.0
 
 
-class _MetricsHandler(socketserver.StreamRequestHandler):
-    timeout = 0.5  # the scrape request, if any, arrives immediately
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, bytes | None] | None:
+    """Parse one HTTP request into ``(method, path, body)``.
 
-    def handle(self) -> None:
-        exporter: "MetricsExporter" = self.server.exporter  # type: ignore[attr-defined]
-        try:
-            method, path, content_length = self._read_request()
-            if method is None:
-                # Silent or non-HTTP peer: bare plain-TCP exposition.
-                self.wfile.write(exporter.render_fleet().encode("utf-8"))
-                return
-            self._route(exporter, method, path, content_length)
-        except (TimeoutError, OSError):
-            # Peer reset/closed mid-scrape; nothing sane left to write.
-            return
-
-    # -- request parsing ---------------------------------------------------
-
-    def _read_request(self) -> tuple[str | None, str, int]:
-        """Parse an HTTP request line + headers; (None, "", 0) if raw TCP."""
-        try:
-            first = self.rfile.readline(65536)
-        except (TimeoutError, OSError):
-            return None, "", 0
-        parts = first.split()
-        if parts[:1] not in ([b"GET"], [b"HEAD"], [b"POST"]):
-            return None, "", 0
-        method = parts[0].decode("ascii")
-        target = parts[1].decode("utf-8", errors="replace") if len(parts) > 1 else "/"
-        path = target.split("?", 1)[0]
-        content_length = 0
-        while True:
-            line = self.rfile.readline(65536)
-            if not line.strip():
-                break
-            name, _, value = line.partition(b":")
-            if name.strip().lower() == b"content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
-        return method, path, content_length
-
-    # -- routing -----------------------------------------------------------
-
-    def _route(
-        self,
-        exporter: "MetricsExporter",
-        method: str,
-        path: str,
-        content_length: int,
-    ) -> None:
-        head = method == "HEAD"
-        web = exporter.web_enabled
-        if method in ("GET", "HEAD") and path == "/" and web:
-            self._respond(200, _HTML, render_page(), body_suppressed=head)
-        elif method in ("GET", "HEAD") and (
-            path == "/metrics" or (path == "/" and not web)
-        ):
-            self._respond(200, _TEXT, exporter.render_fleet(), body_suppressed=head)
-        elif method in ("GET", "HEAD") and path == "/snapshot":
-            body = json.dumps(exporter.fleet_snapshot(), sort_keys=True)
-            self._respond(200, _JSON, body, body_suppressed=head)
-        elif method in ("GET", "HEAD") and path == "/clients":
-            body = json.dumps(exporter.client_rows(), sort_keys=True)
-            self._respond(200, _JSON, body, body_suppressed=head)
-        elif method in ("GET", "HEAD") and path == "/fleet" and web:
-            body = json.dumps(exporter.fleet_view(), sort_keys=True)
-            self._respond(200, _JSON, body, body_suppressed=head)
-        elif method in ("GET", "HEAD") and path == "/history" and web:
-            body = json.dumps(exporter.history_view(), sort_keys=True)
-            self._respond(200, _JSON, body, body_suppressed=head)
-        elif method in ("GET", "HEAD") and path == "/stream" and web:
-            self._handle_stream(exporter, body_suppressed=head)
-        elif method == "POST" and path == "/push":
-            self._handle_push(exporter, content_length)
-        else:
-            self._respond(404, _TEXT, f"unknown path {path!r}\n")
-
-    def _handle_push(self, exporter: "MetricsExporter", content_length: int) -> None:
-        if content_length <= 0 or content_length > _MAX_PUSH_BYTES:
-            self._respond(400, _JSON, '{"error": "push requires a sane Content-Length"}')
-            return
-        body = self.rfile.read(content_length)
-        try:
-            payload = json.loads(body)
-            client_id = payload["client_id"]
-            snapshot = payload["snapshot"]
-            if not isinstance(client_id, str) or not client_id:
-                raise ValueError("client_id must be a non-empty string")
-            if not isinstance(snapshot, dict):
-                raise ValueError("snapshot must be an object")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            self._respond(400, _JSON, json.dumps({"error": f"bad push payload: {exc}"}))
-            return
-        merged = exporter.record_push(client_id, snapshot)
-        self._respond(200, _JSON, json.dumps({"ok": True, "metrics": merged}))
-
-    def _handle_stream(
-        self, exporter: "MetricsExporter", body_suppressed: bool = False
-    ) -> None:
-        broker = exporter.broker
-        if broker is None:
-            self._respond(404, _TEXT, "stream disabled\n")
-            return
-        self.wfile.write(
-            b"HTTP/1.0 200 OK\r\n"
-            b"Content-Type: " + _SSE.encode("ascii") + b"\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        if body_suppressed:
-            return
-        # Subscribe *before* building the hello view: a push landing in
-        # between is then delivered as a (redundant, idempotent) frame
-        # rather than lost.
-        sub = broker.subscribe()
-        try:
-            self.connection.settimeout(None)  # long-lived, not a scrape
-            view = exporter.fleet_view()
-            self.wfile.write(
-                _web.format_sse("hello", view, event_id=int(view["version"]))
-            )
-            self.wfile.flush()
-            closing = False
-            while not closing:
-                try:
-                    frame = sub.frames.get(timeout=_KEEPALIVE_S)
-                except queue.Empty:
-                    self.wfile.write(b": keepalive\n\n")
-                    self.wfile.flush()
-                    continue
-                if frame is None:  # broker closed: exporter shutting down
-                    break
-                # The pump publishes a whole coalesce window at once;
-                # greedily drain it so the window leaves as a single
-                # write()/flush() — one send syscall and one reader
-                # wake-up per window instead of per frame.  Frames stay
-                # whole either way (each is pre-serialized).
-                batch = [frame]
-                while True:
-                    try:
-                        nxt = sub.frames.get_nowait()
-                    except queue.Empty:
-                        break
-                    if nxt is None:
-                        closing = True
-                        break
-                    batch.append(nxt)
-                self.wfile.write(b"".join(batch))
-                self.wfile.flush()
-        except (TimeoutError, OSError, ValueError):
-            pass  # reader went away; unsubscribe below
-        finally:
-            broker.unsubscribe(sub)
-
-    def _respond(
-        self,
-        status: int,
-        content_type: str,
-        body: str,
-        body_suppressed: bool = False,
-    ) -> None:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found"}
-        raw = body.encode("utf-8")
-        self.wfile.write(
-            f"HTTP/1.0 {status} {reasons.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(raw)}\r\n\r\n".encode("ascii")
-        )
-        if not body_suppressed:
-            self.wfile.write(raw)
+    ``None`` means the peer is not speaking HTTP.  ``body`` is read only
+    for a POST whose ``Content-Length`` is sane, and is ``None``
+    otherwise.
+    """
+    parts = (await reader.readline()).split()
+    if parts[:1] not in ([b"GET"], [b"HEAD"], [b"POST"]):
+        return None
+    method = parts[0].decode("ascii")
+    target = parts[1].decode("utf-8", errors="replace") if len(parts) > 1 else "/"
+    content_length = 0
+    while True:
+        line = await reader.readline()
+        if not line.strip():
+            break
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                content_length = 0
+    body = None
+    if method == "POST" and 0 < content_length <= _MAX_PUSH_BYTES:
+        body = await reader.readexactly(content_length)
+    return method, target.split("?", 1)[0], body
 
 
-class MetricsExporter:
+class MetricsExporter(AsyncioListener):
     """Serves a metrics registry's fleet view on ``host:port``.
 
     ``rollups`` backs ``GET /clients`` and the ``/history`` ring
@@ -308,34 +164,18 @@ class MetricsExporter:
         self._push_at: dict[str, float] = {}
         self._version = 0
         self._events: deque[dict[str, object]] = deque(maxlen=_FEED_CAPACITY)
+        # HTTP pushes all run on the loop thread, but record_push and the
+        # views stay callable from any thread, so the push state keeps
+        # its lock.
         self._pushed_lock = threading.Lock()
-        # Serializes the push pipeline so SSE frames leave in version
-        # order (readers assert monotonic ids).
-        self._pipeline_lock = threading.Lock()
         self._broker = _web.StreamBroker() if self._web else None
-        # Stream pump state: pushes mark clients dirty; a dedicated
-        # thread coalesces marks into at most one frame per client per
-        # window (see _pump).  _row_sent tracks which clients any
+        # Stream state: pushes mark clients dirty, and a loop callback
+        # coalesces the marks into at most one frame per client per
+        # window (see _flush).  _row_sent tracks which clients any
         # subscriber has already received a full row for.
         self._dirty: dict[str, list] = {}
         self._row_sent: set[str] = set()
-        self._pump_wake = threading.Event()
-        self._pump_stop = False
-        self._pump_thread: threading.Thread | None = None
-        if self._web:
-            self._pump_thread = threading.Thread(
-                target=self._pump, name="uucs-stream-pump", daemon=True
-            )
-            self._pump_thread.start()
-        self._tcp = socketserver.ThreadingTCPServer(
-            (host, port), _MetricsHandler, bind_and_activate=True
-        )
-        self._tcp.daemon_threads = True
-        self._tcp.exporter = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="uucs-metrics", daemon=True
-        )
-        self._thread.start()
+        super().__init__(host, port)
 
     @property
     def registry(self):
@@ -368,14 +208,14 @@ class MetricsExporter:
 
         Per push this does O(one client) work — snapshot store, history
         sample, discomfort-event diff, and (only while ``/stream``
-        readers are attached) an O(1) dirty mark for the stream pump,
-        which builds the actual SSE frame off this path (see
-        :meth:`_pump`).  A frame carries the full fleet row only when
-        the client is new to the stream or its discomfort CDF grew;
-        otherwise it is a light delta (runs, borrow, discomfort count)
-        the page applies to the row it holds, recomputing headroom
-        client-side from the unchanged per-cell ``c_q``.  The full
-        fleet merge is never rebuilt here.
+        readers are attached) an O(1) dirty mark; the actual SSE frame
+        is built off this path (see :meth:`_flush`).  A frame carries
+        the full fleet row only when the client is new to the stream or
+        its discomfort CDF grew; otherwise it is a light delta (runs,
+        borrow, discomfort count) the page applies to the row it holds,
+        recomputing headroom client-side from the unchanged per-cell
+        ``c_q``.  The full fleet merge is never rebuilt here.  Safe to
+        call from any thread.
         """
         now = self._clock()
         at = round(now - self._started, 3)
@@ -388,14 +228,16 @@ class MetricsExporter:
             self._rollups.record_push(client_id, now=at)
             return len(snapshot)
         snap = RegistrySnapshot.adopt(stored)
-        with self._pipeline_lock:
-            with self._pushed_lock:
-                previous = self._snapshots.get(client_id)
-                self._pushed[client_id] = stored
-                self._snapshots[client_id] = snap
-                self._push_at[client_id] = now
-                self._version += 1
-                version = self._version
+        # One critical section per push keeps the event diff and the
+        # dirty mark in version order even when pushes arrive off the
+        # loop; SSE readers assert monotonic ids.
+        with self._pushed_lock:
+            previous = self._snapshots.get(client_id)
+            self._pushed[client_id] = stored
+            self._snapshots[client_id] = snap
+            self._push_at[client_id] = now
+            self._version += 1
+            version = self._version
             events = _web.discomfort_events(client_id, previous, snap, at)
             if events:
                 self._events.extend(events)
@@ -410,9 +252,14 @@ class MetricsExporter:
             )
             broker = self._broker
             if broker is not None and broker.subscribers:
-                # Mark dirty and wake the pump; frames are built there,
-                # off the push path, at most once per coalesce window
-                # per client (events accumulate so none are lost).
+                # Mark dirty; frames are built by _flush, off the push
+                # path, at most once per coalesce window per client
+                # (events accumulate so none are lost).  The window's
+                # first mark schedules its flush.
+                if not self._dirty:
+                    self._loop.call_soon_threadsafe(
+                        self._loop.call_later, _COALESCE_S, self._flush
+                    )
                 entry = self._dirty.get(client_id)
                 if entry is None:
                     self._dirty[client_id] = [
@@ -425,80 +272,67 @@ class MetricsExporter:
                     entry[3] = borrow
                     entry[4] = discomforts
                     entry[5].extend(events)
-                self._pump_wake.set()
         return len(snapshot)
 
-    def _pump(self) -> None:
-        """Builds and publishes SSE frames from dirty-client marks.
+    def _flush(self) -> None:
+        """Builds and publishes one coalesce window's SSE frames.
 
-        Runs on its own thread so ``/push`` never pays for frame
-        construction: pushes mark their client dirty (O(1)) and this
-        loop wakes, lingers one coalesce window so a burst collapses to
-        one frame per client, then publishes the *latest* state of each
-        dirty client.  Intermediate light deltas are absolute values, so
-        skipping them loses nothing; discomfort events accumulate in the
-        dirty entry and every one is delivered.  Frames are published in
-        version order (readers assert monotonic ids); entries marked
-        after the swap carry strictly larger versions, so ordering holds
-        across windows too.
+        Runs on the loop ``_COALESCE_S`` after a window's first dirty
+        mark, so ``/push`` never pays for frame construction and a burst
+        collapses to one frame per client carrying its *latest* state.
+        Intermediate light deltas are absolute values, so skipping them
+        loses nothing; discomfort events accumulate in the dirty entry
+        and every one is delivered.  Frames are published in version
+        order (readers assert monotonic ids); entries marked after the
+        swap carry strictly larger versions, so ordering holds across
+        windows too.
         """
-        while True:
-            self._pump_wake.wait(timeout=_KEEPALIVE_S)
-            if self._pump_stop:
-                return
-            if not self._pump_wake.is_set():
-                continue
-            self._pump_wake.clear()
-            time.sleep(_COALESCE_S)
-            with self._pipeline_lock:
-                dirty, self._dirty = self._dirty, {}
-            broker = self._broker
-            if not dirty or broker is None or not broker.subscribers:
-                continue
-            frames = []
-            for client_id, entry in dirty.items():
-                version, at, runs, borrow, discomforts, events = entry
-                with self._pushed_lock:
-                    snap = self._snapshots.get(client_id)
-                if snap is None:
-                    continue
-                rate = self._client_rate(client_id)
-                payload: dict[str, object] = {
-                    "version": version,
-                    "at": at,
-                    "client_id": client_id,
-                    "runs": runs,
-                    "runs_per_s": round(rate, 4) if rate is not None else None,
-                    "borrow_level": borrow,
-                    "discomforts": discomforts,
-                    "events": events,
-                }
-                # Scheduler pushes never grow the discomfort histogram
-                # (their feedback lives in uucs_sched_* families), so a
-                # light delta would leave the fleet table's scheduler
-                # columns stale; such clients always get a full row.
-                # They push at shard-completion cadence, so this stays
-                # off the per-client hot path.
-                sched = any(key.startswith("uucs_sched_") for key in snap)
-                if events or sched or client_id not in self._row_sent:
-                    payload["row"] = _web.client_fleet_row(
-                        client_id,
-                        snap,
-                        age_s=0.0,
-                        runs_per_s=rate,
-                        sample=(runs, borrow, discomforts),
-                    )
-                    self._row_sent.add(client_id)
-                if "uucs_study_progress_ratio" in snap:
-                    study = _web.study_progress(snap)
-                    if study is not None:
-                        payload["study"] = study
-                frames.append(
-                    (version, _web.format_sse("push", payload, event_id=version))
+        with self._pushed_lock:
+            dirty, self._dirty = self._dirty, {}
+        broker = self._broker
+        if not broker.subscribers:
+            return
+        frames = []
+        for client_id, entry in dirty.items():
+            version, at, runs, borrow, discomforts, events = entry
+            snap = self._snapshots[client_id]  # never removed once pushed
+            rate = self._client_rate(client_id)
+            payload: dict[str, object] = {
+                "version": version,
+                "at": at,
+                "client_id": client_id,
+                "runs": runs,
+                "runs_per_s": round(rate, 4) if rate is not None else None,
+                "borrow_level": borrow,
+                "discomforts": discomforts,
+                "events": events,
+            }
+            # Scheduler pushes never grow the discomfort histogram
+            # (their feedback lives in uucs_sched_* families), so a
+            # light delta would leave the fleet table's scheduler
+            # columns stale; such clients always get a full row.
+            # They push at shard-completion cadence, so this stays
+            # off the per-client hot path.
+            sched = any(key.startswith("uucs_sched_") for key in snap)
+            if events or sched or client_id not in self._row_sent:
+                payload["row"] = _web.client_fleet_row(
+                    client_id,
+                    snap,
+                    age_s=0.0,
+                    runs_per_s=rate,
+                    sample=(runs, borrow, discomforts),
                 )
-            frames.sort()
-            for _, frame in frames:
-                broker.publish(frame)
+                self._row_sent.add(client_id)
+            if "uucs_study_progress_ratio" in snap:
+                study = _web.study_progress(snap)
+                if study is not None:
+                    payload["study"] = study
+            frames.append(
+                (version, _web.format_sse("push", payload, event_id=version))
+            )
+        frames.sort()
+        for _, frame in frames:
+            broker.publish(frame)
 
     def _client_rate(self, client_id: str) -> float | None:
         """Latest runs/s for ``client_id`` from its history ring."""
@@ -618,42 +452,118 @@ class MetricsExporter:
             "clients": self._rollups.history_series(self._clock()),
         }
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- serving (on the loop thread) -------------------------------------
 
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._tcp.server_address[:2]
-        return str(host), int(port)
+    async def handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            request = await asyncio.wait_for(
+                _read_request(reader), _REQUEST_WAIT_S
+            )
+        except asyncio.IncompleteReadError:
+            return  # the peer hung up mid-body
+        except (asyncio.TimeoutError, ValueError):
+            request = None  # silent, or a line past the read limit
+        if request is None:
+            # Silent or non-HTTP peer: bare plain-TCP exposition.
+            writer.write(self.render_fleet().encode("utf-8"))
+            return
+        method, path, body = request
+        if method != "POST" and path == "/stream" and self._web:
+            await self._stream(writer, head=method == "HEAD")
+            return
+        status, content_type, text = self._route(method, path, body)
+        raw = text.encode("utf-8")
+        writer.write(
+            f"HTTP/1.0 {status} {_REASONS[status]}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(raw)}\r\n\r\n".encode("ascii")
+        )
+        if method != "HEAD":
+            writer.write(raw)
 
-    def close(self) -> None:
-        if self._pump_thread is not None:
-            self._pump_stop = True  # stop publishing before the broker closes
-            self._pump_wake.set()
-            self._pump_thread.join(timeout=_PUMP_JOIN_S)
-            if self._pump_thread.is_alive():
-                # A wedged pump (e.g. a subscriber queue that never
-                # drains) must not hang shutdown: the thread is a
-                # daemon, so abandon it loudly and move on.  The broker
-                # close below unblocks any parked publish.
-                warnings.warn(
-                    "metrics exporter SSE pump did not stop within "
-                    f"{_PUMP_JOIN_S}s; abandoning it",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._registry.counter(
-                    "uucs_exporter_pump_abandoned_total",
-                    "SSE pump threads still alive when close() gave up "
-                    "waiting for them.",
-                ).inc()
+    def _route(
+        self, method: str, path: str, body: bytes | None
+    ) -> tuple[int, str, str]:
+        """``(status, content type, body)`` for every route but /stream."""
+        web = self._web
+        if method == "POST":
+            if path == "/push":
+                return self._push(body)
+        elif path == "/" and web:
+            return 200, _HTML, render_page()
+        elif path in ("/", "/metrics"):
+            return 200, _TEXT, self.render_fleet()
+        elif path == "/snapshot":
+            return 200, _JSON, json.dumps(self.fleet_snapshot(), sort_keys=True)
+        elif path == "/clients":
+            return 200, _JSON, json.dumps(self.client_rows(), sort_keys=True)
+        elif path == "/fleet" and web:
+            return 200, _JSON, json.dumps(self.fleet_view(), sort_keys=True)
+        elif path == "/history" and web:
+            return 200, _JSON, json.dumps(self.history_view(), sort_keys=True)
+        return 404, _TEXT, f"unknown path {path!r}\n"
+
+    def _push(self, body: bytes | None) -> tuple[int, str, str]:
+        if body is None:
+            return 400, _JSON, '{"error": "push requires a sane Content-Length"}'
+        try:
+            payload = json.loads(body)
+            client_id = payload["client_id"]
+            snapshot = payload["snapshot"]
+            if not isinstance(client_id, str) or not client_id:
+                raise ValueError("client_id must be a non-empty string")
+            if not isinstance(snapshot, dict):
+                raise ValueError("snapshot must be an object")
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return 400, _JSON, json.dumps({"error": f"bad push payload: {exc}"})
+        merged = self.record_push(client_id, snapshot)
+        return 200, _JSON, json.dumps({"ok": True, "metrics": merged})
+
+    async def _stream(self, writer: asyncio.StreamWriter, head: bool) -> None:
+        writer.write(
+            b"HTTP/1.0 200 OK\r\n"
+            b"Content-Type: " + _SSE.encode("ascii") + b"\r\n"
+            b"Cache-Control: no-cache\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        if head:
+            return
+        # Subscribe *before* building the hello view: a push landing in
+        # between is then delivered as a (redundant, idempotent) frame
+        # rather than lost.
+        broker = self._broker
+        sub = broker.subscribe()
+        try:
+            view = self.fleet_view()
+            writer.write(
+                _web.format_sse("hello", view, event_id=int(view["version"]))
+            )
+            await writer.drain()
+            while True:
+                if not sub.frames:
+                    try:
+                        await asyncio.wait_for(sub.ready.wait(), _KEEPALIVE_S)
+                    except asyncio.TimeoutError:
+                        writer.write(b": keepalive\n\n")
+                        await writer.drain()
+                        continue
+                # A flush publishes a whole coalesce window at once; it
+                # leaves as one write, so one send and one reader
+                # wake-up per window instead of per frame.
+                batch = sub.take()
+                closing = batch[-1] is None  # the broker's end sentinel
+                if closing:
+                    batch.pop()
+                writer.write(b"".join(batch))
+                await writer.drain()
+                if closing:
+                    return
+        finally:
+            broker.unsubscribe(sub)
+
+    async def _drain(self) -> None:
         if self._broker is not None:
-            self._broker.close()  # wake parked /stream readers first
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "MetricsExporter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+            self._broker.close()  # end every /stream reader cleanly first
+        await super()._drain()

@@ -10,9 +10,12 @@ registry renders two views:
 * :meth:`MetricsRegistry.snapshot` — a plain dict for tests and
   programmatic consumers.
 
-Everything is thread-safe (the TCP server handles requests from a thread
-pool) and free of randomness, so instrumented code can run inside seeded
-simulations without perturbing them.
+Everything is thread-safe and free of randomness, so instrumented code
+can run inside seeded simulations without perturbing them.  One registry
+is shared across threads: a server's event-loop thread records request
+metrics while the metrics exporter's loop thread renders the same
+registry, and the caller's own threads (a client, a study driver, a test)
+record into it too.
 """
 
 from __future__ import annotations

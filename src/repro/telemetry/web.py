@@ -32,9 +32,9 @@ seeded study.
 
 from __future__ import annotations
 
+import asyncio
 import json
-import queue
-import threading
+from collections import deque
 from collections.abc import Mapping
 from typing import Sequence
 
@@ -485,11 +485,32 @@ def format_sse(event: str, data: object, event_id: int | None = None) -> bytes:
 
 
 class _Subscription:
-    __slots__ = ("frames", "dropped")
+    """One ``/stream`` reader's bounded frame queue.
+
+    ``frames`` drops its oldest frame when full (``deque`` ``maxlen``);
+    ``ready`` is set whenever it holds something.  A ``None`` entry is
+    the broker's end-of-stream sentinel.
+    """
+
+    __slots__ = ("frames", "dropped", "ready")
 
     def __init__(self, max_queue: int):
-        self.frames: queue.Queue[bytes | None] = queue.Queue(maxsize=max_queue)
+        self.frames: deque[bytes | None] = deque(maxlen=max_queue)
         self.dropped = 0
+        self.ready = asyncio.Event()
+
+    def put(self, frame: bytes | None) -> None:
+        if len(self.frames) == self.frames.maxlen:
+            self.dropped += 1
+        self.frames.append(frame)
+        self.ready.set()
+
+    def take(self) -> list[bytes | None]:
+        """Every queued frame, oldest first; empties the queue."""
+        batch = list(self.frames)
+        self.frames.clear()
+        self.ready.clear()
+        return batch
 
 
 class StreamBroker:
@@ -498,67 +519,44 @@ class StreamBroker:
     Each subscriber owns a bounded queue; a slow reader drops its
     *oldest* frames (never a partial frame, and never anyone else's) so
     one stalled browser tab cannot wedge the push gateway.  ``close()``
-    wakes every reader with a ``None`` sentinel so exporter shutdown
-    never leaves handler threads parked on a queue.
+    ends every reader with a ``None`` sentinel so exporter shutdown
+    never leaves a handler parked on its queue.
+
+    The broker lives on the exporter's event loop: every method except
+    the ``subscribers`` count must be called from the loop thread, and
+    none of them blocks.
     """
 
     def __init__(self, max_queue: int = 256):
         self._max_queue = int(max_queue)
         self._subscribers: set[_Subscription] = set()
-        self._lock = threading.Lock()
         self._closed = False
 
     def subscribe(self) -> _Subscription:
         sub = _Subscription(self._max_queue)
-        with self._lock:
-            if self._closed:
-                sub.frames.put(None)  # reader sees an immediate clean end
-            else:
-                self._subscribers.add(sub)
+        if self._closed:
+            sub.put(None)  # reader sees an immediate clean end
+        else:
+            self._subscribers.add(sub)
         return sub
 
     def unsubscribe(self, sub: _Subscription) -> None:
-        with self._lock:
-            self._subscribers.discard(sub)
+        self._subscribers.discard(sub)
 
     @property
     def subscribers(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
+        return len(self._subscribers)
 
     def publish(self, frame: bytes) -> int:
         """Enqueue ``frame`` for every subscriber; returns receivers."""
-        with self._lock:
-            subs = list(self._subscribers)
-        for sub in subs:
-            while True:
-                try:
-                    sub.frames.put_nowait(frame)
-                    break
-                except queue.Full:
-                    try:
-                        sub.frames.get_nowait()
-                        sub.dropped += 1
-                    except queue.Empty:  # racing consumer; retry the put
-                        continue
-        return len(subs)
+        for sub in self._subscribers:
+            sub.put(frame)
+        return len(self._subscribers)
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            subs = list(self._subscribers)
-            self._subscribers.clear()
-        for sub in subs:
-            try:
-                sub.frames.put_nowait(None)
-            except queue.Full:
-                # Drop one frame to make room for the sentinel: shutdown
-                # beats a lagging reader's backlog.
-                try:
-                    sub.frames.get_nowait()
-                except queue.Empty:
-                    pass
-                try:
-                    sub.frames.put_nowait(None)
-                except queue.Full:
-                    pass
+        self._closed = True
+        for sub in self._subscribers:
+            # Shutdown beats a lagging reader's backlog: the sentinel
+            # displaces the oldest frame of a full queue.
+            sub.put(None)
+        self._subscribers.clear()

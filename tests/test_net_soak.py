@@ -5,6 +5,10 @@ exactly-once result-store contents (including deliberate lost-ack
 replays), and hold >= 256 concurrent connections in one process — the
 mostly-idle fleet shape the paper's Internet study implies at scale."""
 
+import json
+import socket
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from test_sync_idempotent import sync_payload, tc
@@ -167,3 +171,30 @@ class TestAsyncioChaosInterop:
         assert sorted(server.results.run_ids()) == sorted(expected)
         assert sum(proxy.injected.values()) > 0
         assert transport.retries > 0
+
+    def test_proxy_close_hangs_up_every_relay(self, tmp_path):
+        """close() is prompt even with idle clients attached, every
+        client reads EOF, and no proxy thread outlives it."""
+        listener = AsyncioServerTransport(make_server(tmp_path))
+        clients = []
+        try:
+            before = threading.active_count()
+            proxy = ChaosTCPProxy(listener.address, FaultPlan(), seed=1)
+            for _ in range(32):
+                clients.append(
+                    socket.create_connection(proxy.address, timeout=5.0)
+                )
+            clients[0].sendall(b'{"type": "ping", "payload": {}}\n')
+            reply = clients[0].makefile("rb").readline()
+            assert json.loads(reply)["type"] == "pong"
+            started = time.monotonic()
+            proxy.close()
+            assert time.monotonic() - started < 1.0
+            for sock in clients:
+                sock.settimeout(3.0)
+                assert sock.recv(1) == b""  # EOF, not a timeout
+            assert threading.active_count() <= before
+        finally:
+            for sock in clients:
+                sock.close()
+            listener.close()

@@ -201,23 +201,23 @@ class TestStreamBroker:
         a, b = broker.subscribe(), broker.subscribe()
         assert broker.subscribers == 2
         assert broker.publish(b"frame-1") == 2
-        assert a.frames.get(timeout=1) == b"frame-1"
-        assert b.frames.get(timeout=1) == b"frame-1"
+        assert a.ready.is_set() and b.ready.is_set()
+        assert a.take() == [b"frame-1"]
+        assert b.take() == [b"frame-1"]
+        assert not a.ready.is_set()  # drained: the reader waits again
         broker.close()
-        assert a.frames.get(timeout=1) is None  # sentinel wakes readers
+        assert a.ready.is_set()
+        assert a.take() == [None]  # sentinel ends readers
         assert broker.subscribers == 0
         late = broker.subscribe()
-        assert late.frames.get(timeout=1) is None  # closed: immediate end
+        assert late.take() == [None]  # closed: immediate end
 
     def test_slow_reader_drops_oldest_never_partials(self):
         broker = web.StreamBroker(max_queue=4)
         sub = broker.subscribe()
         for i in range(10):
             broker.publish(b"frame-%d" % i)
-        kept = []
-        while not sub.frames.empty():
-            kept.append(sub.frames.get_nowait())
-        assert kept == [b"frame-6", b"frame-7", b"frame-8", b"frame-9"]
+        assert sub.take() == [b"frame-6", b"frame-7", b"frame-8", b"frame-9"]
         assert sub.dropped == 6
 
     def test_format_sse_single_data_line(self):
@@ -610,38 +610,67 @@ class TestSchemaValidator:
         assert dashboard_smoke.validate({"a": 1, "c": [2]}, schema)  # item type
 
 
-class TestPumpShutdown:
-    """close() must never hang on a wedged SSE pump thread (satellite:
-    exporter shutdown hardening)."""
+class TestLoopShutdown:
+    """close() on the exporter's event loop: bounded by the drain even
+    with a stalled reader, prompt when idle, and no thread per reader."""
 
-    def test_close_joins_pump_promptly_by_default(self):
+    def test_stalled_reader_cannot_hold_close(self):
         exporter = MetricsExporter(MetricsRegistry())
-        pump = exporter._pump_thread
-        assert pump is not None and pump.is_alive()
+        big_task = "x" * (1 << 20)  # labels land in every fleet row
+        for i in range(8):
+            exporter.record_push(
+                f"c{i}", make_client_registry(task=big_task).snapshot()
+            )
+        # The reader asks for the stream and never reads: the ~8 MiB
+        # hello frame alone is more than the socket buffers hold.
+        reader = socket.socket()
+        reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            reader.connect(exporter.address)
+            reader.sendall(b"GET /stream HTTP/1.0\r\n\r\n")
+            deadline = time.monotonic() + 5
+            while exporter.broker.subscribers == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for i in range(8):  # and more frames queue behind it
+                exporter.record_push(
+                    f"c{i}",
+                    make_client_registry(
+                        levels=(0.5, 0.8, 1.0, 0.9), task=big_task
+                    ).snapshot(),
+                )
+            time.sleep(0.2)
+            started = time.monotonic()
+            exporter.close()
+            assert time.monotonic() - started < exporter._drain_timeout + 1.0
+        finally:
+            reader.close()
+
+    def test_stream_readers_add_no_threads(self):
+        with MetricsExporter(MetricsRegistry()) as exporter:
+            serving = threading.active_count()
+            readers = []
+            try:
+                for _ in range(64):
+                    reader = socket.create_connection(
+                        exporter.address, timeout=5
+                    )
+                    readers.append(reader)
+                    reader.sendall(b"GET /stream HTTP/1.0\r\n\r\n")
+                for reader in readers:
+                    buffer = b""
+                    while b"event: hello" not in buffer:
+                        chunk = reader.recv(65536)
+                        assert chunk, "stream closed before its hello frame"
+                        buffer += chunk
+                assert exporter.broker.subscribers == 64
+                assert threading.active_count() <= serving
+            finally:
+                for reader in readers:
+                    reader.close()
+
+    def test_idle_close_is_prompt(self):
+        exporter = MetricsExporter(MetricsRegistry())
         started = time.monotonic()
         exporter.close()
-        assert time.monotonic() - started < 2.0
-        assert not pump.is_alive()
-
-    def test_wedged_pump_abandoned_with_warning_and_counter(self, monkeypatch):
-        from repro.telemetry import exporter as exporter_mod
-
-        monkeypatch.setattr(exporter_mod, "_PUMP_JOIN_S", 0.1)
-        registry = MetricsRegistry()
-        exporter = MetricsExporter(registry)
-        # Swap in a stand-in pump that ignores the stop signal, the way
-        # a pump parked on a never-draining subscriber would.
-        wedged = threading.Thread(target=time.sleep, args=(30.0,), daemon=True)
-        wedged.start()
-        real_pump = exporter._pump_thread
-        exporter._pump_thread = wedged
-        try:
-            started = time.monotonic()
-            with pytest.warns(RuntimeWarning, match="abandoning"):
-                exporter.close()
-            assert time.monotonic() - started < 5.0  # did not wait 30s
-            assert registry.counter(
-                "uucs_exporter_pump_abandoned_total", ""
-            ).value() == 1
-        finally:
-            real_pump.join(timeout=5.0)
+        assert time.monotonic() - started < 0.1
