@@ -273,7 +273,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     shards = shard_ranges(config.n_users, n_shards)
     if checkpoint is None:
-        store.extend_batches(_study_batches(result, shards))
+        store.extend_batches([result.runs])
     _print(
         f"controlled study: {len(result.runs)} runs from "
         f"{len(result.profiles)} users -> {store.path}"
@@ -307,19 +307,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 err=True,
             )
     return 0
-
-
-def _study_batches(result, shards):
-    """Slice a study's runs back into per-shard batches for batched append."""
-    runs_per_user: dict[str, list] = {}
-    for run in result.runs:
-        runs_per_user.setdefault(run.context.user_id, []).append(run)
-    ordered_users = [p.user_id for p in result.profiles]
-    for shard in shards:
-        batch = []
-        for user_id in ordered_users[shard.start:shard.stop]:
-            batch.extend(runs_per_user.get(user_id, []))
-        yield batch
 
 
 def _cmd_harvest(args: argparse.Namespace) -> int:
@@ -613,13 +600,35 @@ def _cmd_metrics_summary(args: argparse.Namespace) -> int:
     # Lenient by design: crashed writers truncate JSONL tails, and an
     # operator asking for a summary wants whatever survives, not a stack
     # trace.  Bad lines are skipped with a stderr warning; exit stays 0.
+    # Unlike `uucs trace`, every span event counts, with or without an id.
+    from collections import Counter
+
     from repro.telemetry.events import read_events_lenient
-    from repro.telemetry.summary import summarize_events
+    from repro.telemetry.traces import SpanRecord, render_span_stats
+    from repro.util.tables import TextTable
 
     events, problems = read_events_lenient(args.path)
+    counts = Counter(event.name for event in events)
+    table = TextTable("Event counts", ["event", "count"])
+    for name in sorted(counts):
+        table.add_row(name, counts[name])
+    spans = []
+    for event in events:
+        if event.name != "span":
+            continue
+        try:
+            spans.append(SpanRecord.from_event(event))
+        except (TypeError, ValueError):
+            problems.append(
+                f"span {event.fields.get('span')!r} has non-numeric "
+                "duration/depth; skipped"
+            )
     for problem in problems:
         _print(f"warning: {problem}", err=True)
-    _print(summarize_events(events))
+    _print(table.render())
+    if spans:
+        _print("")
+        _print(render_span_stats(spans))
     return 0
 
 

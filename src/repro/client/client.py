@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
+from repro.client.scheduler import PoissonArrivals
 from repro.core.run import RunContext, TestcaseRun
 from repro.core.session import (
     FeedbackSource,
@@ -515,17 +516,17 @@ class UUCSClient:
         interactivity: InteractivityModel | None,
         task: str,
     ) -> list[TestcaseRun]:
+        arrivals = PoissonArrivals(self._config.mean_execution_interval, self._rng)
         runs: list[TestcaseRun] = []
         elapsed = 0.0
         while True:
-            gap = float(self._rng.exponential(self._config.mean_execution_interval))
+            gap = arrivals.next_delay()
             if elapsed + gap >= duration:
                 self._clock += duration - elapsed
                 return runs
             elapsed += gap
             self._clock += gap
-            ids = self.testcases.ids()
-            testcase_id = ids[int(self._rng.integers(0, len(ids)))]
+            testcase_id = arrivals.choose(self.testcases.ids())
             run = self.execute(
                 self.testcases.get(testcase_id), feedback, interactivity, task
             )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "SessionResult",
     "record_discomfort_levels",
     "record_session_metrics",
+    "record_user_session",
     "run_simulated_session",
 ]
 
@@ -99,6 +100,26 @@ def record_session_metrics(
         outcome=run.outcome.value,
         end_offset=run.end_offset,
         duration_s=elapsed_s,
+    )
+
+
+def record_user_session(
+    telemetry: Telemetry, user_id: str, runs: Sequence[TestcaseRun]
+) -> None:
+    """Count one participant's completed session and emit its
+    ``study.user_session`` event.
+
+    Shared by the per-user study driver and the batch engine.  Caller
+    guarantees ``telemetry.enabled``.
+    """
+    telemetry.metrics.counter(
+        "uucs_study_sessions_total", "Participant sessions completed."
+    ).inc()
+    telemetry.emit(
+        "study.user_session",
+        user=user_id,
+        runs=len(runs),
+        discomforts=sum(1 for r in runs if r.discomforted),
     )
 
 

@@ -25,6 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __all__ = ["RequestDispatcher"]
 
 
+def _open_connections_gauge(telemetry):
+    return telemetry.metrics.gauge(
+        "uucs_server_open_connections", "TCP connections currently open."
+    )
+
+
 class RequestDispatcher:
     """Per-line protocol core of the TCP server.
 
@@ -50,10 +56,7 @@ class RequestDispatcher:
         metrics.counter(
             "uucs_server_connections_total", "TCP connections accepted."
         ).inc()
-        metrics.gauge(
-            "uucs_server_open_connections",
-            "TCP connections currently open.",
-        ).inc()
+        _open_connections_gauge(telemetry).inc()
         telemetry.emit("server.connection_open")
 
     def connection_closed(self) -> None:
@@ -61,10 +64,7 @@ class RequestDispatcher:
         telemetry = self.server.telemetry
         if not telemetry.enabled:
             return
-        telemetry.metrics.gauge(
-            "uucs_server_open_connections",
-            "TCP connections currently open.",
-        ).dec()
+        _open_connections_gauge(telemetry).dec()
         telemetry.emit("server.connection_close")
 
     def connection_waited(self) -> None:

@@ -61,7 +61,7 @@ class AsyncioListener:
             )
         self._max_connections = max_connections
         self._drain_timeout = float(drain_timeout)
-        #: Every live connection's handler task and its writer.
+        #: Every accepted connection's handler task and its writer.
         self._writers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._limiter: asyncio.Semaphore | None = None
         self._closed = False
@@ -119,7 +119,7 @@ class AsyncioListener:
         # reuse_address lets a restarted server rebind its old port while
         # the previous incarnation's connections linger in TIME_WAIT.
         return await asyncio.start_server(
-            self._connection,
+            self._accepted,
             host,
             port,
             limit=limit,
@@ -127,11 +127,19 @@ class AsyncioListener:
             reuse_address=True,
         )
 
+    def _accepted(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # A plain callback runs inside the protocol's connection_made, so
+        # the connection is tracked before its handler task first runs:
+        # close() then ends it even if the handler never started.
+        task = self._loop.create_task(self._connection(reader, writer))
+        self._writers[task] = writer
+
     async def _connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        self._writers[task] = writer
         try:
             if self._limiter is None:
                 await self.handle(reader, writer)
@@ -144,11 +152,6 @@ class AsyncioListener:
             # A peer vanished or stalled mid-exchange (reset, half-close,
             # chaos proxy, an upstream that never answered); this
             # connection is done but the server is fine.
-            pass
-        except asyncio.CancelledError:
-            # Only the drain cancels a handler: a shutdown straggler,
-            # force-closed.  Ending normally keeps asyncio's stream
-            # callback (which calls task.exception() on 3.11) quiet.
             pass
         finally:
             del self._writers[task]
@@ -183,7 +186,19 @@ class AsyncioListener:
             self._stop_loop()
 
     async def _shutdown(self) -> None:
+        # Three loop turns reach every connection the kernel had queued
+        # when close() was called.  After the first, the loop has taken
+        # them off the listening socket.  Accepting then stops, and the
+        # second turn builds their transports while the server is still
+        # open (a transport built after the close would leak its socket
+        # until garbage collection).  The third runs connection_made,
+        # which hands each to _accepted, so the drain sees them all.
+        await asyncio.sleep(0)
+        for sock in self._aserver.sockets:
+            self._loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
         self._aserver.close()  # the port is free from here on
+        await asyncio.sleep(0)
         await self._drain()
 
     async def _drain(self) -> None:

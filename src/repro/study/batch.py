@@ -62,7 +62,7 @@ from scipy import stats as sps
 
 from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.run import RunContext, TestcaseRun, TraceView
-from repro.core.session import record_session_metrics
+from repro.core.session import record_session_metrics, record_user_session
 from repro.core.testcase import Testcase
 from repro.study.engine import CellTraces
 from repro.telemetry import get_telemetry
@@ -975,6 +975,7 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                         telemetry.metrics.histogram(
                             "uucs_study_batch_users_per_call",
                             "Users advanced per batched cell call.",
+                            unit="users",
                             buckets=_USERS_PER_CALL_BUCKETS,
                         ).observe(float(len(cell.run_ids)))
                     _emit(cell, records, delay_means, skill)
@@ -995,15 +996,9 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
         for run in records:
             record_session_metrics(telemetry, run, "batch", per_run)
         for offset in range(0, len(records), runs_per_user):
-            session = records[offset : offset + runs_per_user]
-            telemetry.metrics.counter(
-                "uucs_study_sessions_total",
-                "Participant sessions completed.",
-            ).inc()
-            telemetry.emit(
-                "study.user_session",
-                user=profiles[start + offset // runs_per_user].user_id,
-                runs=len(session),
-                discomforts=sum(1 for r in session if r.discomforted),
+            record_user_session(
+                telemetry,
+                profiles[start + offset // runs_per_user].user_id,
+                records[offset : offset + runs_per_user],
             )
     return records

@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 from repro.apps.registry import TASK_ORDER, get_task
 from repro.core.run import RunContext, TestcaseRun
+from repro.core.session import record_user_session
 from repro.core.testcase import Testcase
 from repro.errors import StudyError
 from repro.machine.machine import SimulatedMachine
@@ -244,15 +245,7 @@ def _run_user_session(
             runs.append(result.run)
             clock += testcase.duration + _INTER_TESTCASE_GAP
     if telemetry.enabled:
-        telemetry.metrics.counter(
-            "uucs_study_sessions_total", "Participant sessions completed."
-        ).inc()
-        telemetry.emit(
-            "study.user_session",
-            user=profile.user_id,
-            runs=len(runs),
-            discomforts=sum(1 for r in runs if r.discomforted),
-        )
+        record_user_session(telemetry, profile.user_id, runs)
     return runs
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.apps.registry import ALL_TASKS
 from repro.client.client import ClientConfig, UUCSClient
+from repro.client.scheduler import PoissonArrivals
 from repro.core.exercise import expexp, exppar, ramp, sawtooth, sine, step
 from repro.core.resources import CONTENTION_LIMITS, Resource
 from repro.core.run import TestcaseRun
@@ -187,10 +188,11 @@ def _simulate_client(
     client.hot_sync()
     # The user's foreground task changes between testcase executions; the
     # client syncs whenever a sync interval has elapsed.
+    arrivals = PoissonArrivals(config.mean_execution_interval, rng)
     elapsed = 0.0
     next_sync = config.sync_interval
     while True:
-        gap = float(rng.exponential(config.mean_execution_interval))
+        gap = arrivals.next_delay()
         elapsed += gap
         client.advance_clock(gap)
         if elapsed >= config.duration:
@@ -203,8 +205,7 @@ def _simulate_client(
             profile, jitter_sensitivity=task.jitter_sensitivity, seed=rng
         )
         model = machine.interactivity_model(task)
-        ids = client.testcases.ids()
-        testcase = client.testcases.get(ids[int(rng.integers(0, len(ids)))])
+        testcase = client.testcases.get(arrivals.choose(client.testcases.ids()))
         run = client.execute(testcase, user, model, task=task.name)
         elapsed += run.end_offset
     client.hot_sync()

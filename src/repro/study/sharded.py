@@ -569,6 +569,7 @@ def _shard_progress_gauge(telemetry):
     return telemetry.metrics.gauge(
         "uucs_study_shard_progress_ratio",
         "Per-shard completion (0 submitted, 1 done); shard-granular.",
+        unit="ratio",
         labelnames=("shard",),
     )
 
@@ -612,12 +613,14 @@ def _record_progress_metrics(telemetry, progress: StudyProgress) -> None:
     metrics.gauge(
         "uucs_study_progress_ratio",
         "Fraction of the study's users completed (0..1).",
+        unit="ratio",
     ).set(progress.progress_ratio)
     rate = progress.runs_per_s
     if rate is not None:
         metrics.gauge(
             "uucs_study_runs_per_second",
             "Observed study throughput in run records per wall second.",
+            unit="runs/s",
         ).set(rate)
     eta = progress.eta_s
     if eta is not None:
@@ -625,6 +628,7 @@ def _record_progress_metrics(telemetry, progress: StudyProgress) -> None:
             "uucs_study_eta_seconds",
             "Estimated wall seconds until study completion, from the "
             "observed users/second.",
+            unit="seconds",
         ).set(eta)
 
 

@@ -6,7 +6,8 @@ at scale:
 
 * :class:`RegistrySnapshot` — an immutable, JSON-safe view of a
   :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`, with
-  histogram quantile estimation (:meth:`RegistrySnapshot.quantiles`)
+  histogram quantile estimation (:meth:`RegistrySnapshot.quantiles`,
+  the bucket interpolation of :func:`repro.util.comfort.c_quantile`)
   and wire (de)serialization for the push gateway;
 * :class:`ClientRollups` — thread-safe per-client server rollups keyed
   by GUID (syncs, results, discomfort reports, bytes, pushes,
@@ -29,10 +30,10 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Mapping
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ProtocolError, SerializationError, ValidationError
-from repro.telemetry.metrics import quantile_from_buckets
+from repro.util.comfort import c_quantile
 
 __all__ = [
     "ClientRollup",
@@ -46,7 +47,7 @@ __all__ = [
     "push_snapshot",
 ]
 
-#: Quantiles the summary/dashboard surfaces by default.
+#: Quantiles ``uucs top`` surfaces by default.
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 
 #: Default per-client history ring capacity (sparkline points retained
@@ -137,7 +138,9 @@ class RegistrySnapshot:
         """Quantile estimates for histogram ``name``.
 
         Returns ``series-key -> {q: estimate}`` (``""`` keys the
-        unlabelled series); estimates are ``None`` for empty series.
+        unlabelled series), each estimate interpolated from the
+        cumulative buckets by :func:`~repro.util.comfort.c_quantile`;
+        estimates are ``None`` for empty series.
         Raises :class:`~repro.errors.ValidationError` if ``name`` is not
         a histogram in this snapshot.
         """
@@ -149,17 +152,8 @@ class RegistrySnapshot:
             if not isinstance(data, Mapping):
                 continue
             buckets = data.get("buckets", {})
-            bounds = sorted(float(b) for b in buckets)
-            cumulative = [int(buckets[b]) for b in sorted(buckets, key=float)]
             count = int(data.get("count", 0))
-            out[key] = {
-                q: (
-                    quantile_from_buckets(bounds, cumulative, count, q)
-                    if bounds
-                    else None
-                )
-                for q in qs
-            }
+            out[key] = {q: c_quantile(buckets, count, q) for q in qs}
         return out
 
     def to_json(self) -> str:
@@ -241,32 +235,6 @@ class HistorySample:
     discomforts: float
 
 
-@dataclass
-class _MutableRollup:
-    client_id: str
-    registered_at: float = 0.0
-    syncs: int = 0
-    results: int = 0
-    discomforts: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    pushes: int = 0
-    last_seen: float = 0.0
-
-    def freeze(self) -> ClientRollup:
-        return ClientRollup(
-            client_id=self.client_id,
-            registered_at=self.registered_at,
-            syncs=self.syncs,
-            results=self.results,
-            discomforts=self.discomforts,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            pushes=self.pushes,
-            last_seen=self.last_seen,
-        )
-
-
 class ClientRollups:
     """Thread-safe per-client rollups keyed by GUID.
 
@@ -288,7 +256,9 @@ class ClientRollups:
                 f"history capacity must be >= 2 (rates need deltas), "
                 f"got {history}"
             )
-        self._rollups: dict[str, _MutableRollup] = {}
+        #: ``ClientRollup.to_dict()`` fields per GUID, updated in place;
+        #: get() and rows() hand out frozen copies.
+        self._rollups: dict[str, dict[str, Any]] = {}
         self._history_capacity = int(history)
         self._history: dict[str, deque[HistorySample]] = {}
         self._lock = threading.Lock()
@@ -297,17 +267,17 @@ class ClientRollups:
     def history_capacity(self) -> int:
         return self._history_capacity
 
-    def _entry(self, client_id: str) -> _MutableRollup:
+    def _entry(self, client_id: str) -> dict[str, Any]:
         entry = self._rollups.get(client_id)
         if entry is None:
-            entry = self._rollups[client_id] = _MutableRollup(client_id)
+            entry = self._rollups[client_id] = ClientRollup(client_id).to_dict()
         return entry
 
     def record_register(self, client_id: str, now: float = 0.0) -> None:
         with self._lock:
             entry = self._entry(client_id)
-            entry.registered_at = float(now)
-            entry.last_seen = max(entry.last_seen, float(now))
+            entry["registered_at"] = float(now)
+            entry["last_seen"] = max(entry["last_seen"], float(now))
 
     def record_sync(
         self,
@@ -318,22 +288,22 @@ class ClientRollups:
     ) -> None:
         with self._lock:
             entry = self._entry(client_id)
-            entry.syncs += 1
-            entry.results += int(results)
-            entry.discomforts += int(discomforts)
-            entry.last_seen = max(entry.last_seen, float(now))
+            entry["syncs"] += 1
+            entry["results"] += int(results)
+            entry["discomforts"] += int(discomforts)
+            entry["last_seen"] = max(entry["last_seen"], float(now))
 
     def record_bytes(self, client_id: str, read: int = 0, written: int = 0) -> None:
         with self._lock:
             entry = self._entry(client_id)
-            entry.bytes_read += int(read)
-            entry.bytes_written += int(written)
+            entry["bytes_read"] += int(read)
+            entry["bytes_written"] += int(written)
 
     def record_push(self, client_id: str, now: float = 0.0) -> None:
         with self._lock:
             entry = self._entry(client_id)
-            entry.pushes += 1
-            entry.last_seen = max(entry.last_seen, float(now))
+            entry["pushes"] += 1
+            entry["last_seen"] = max(entry["last_seen"], float(now))
 
     def record_sample(
         self,
@@ -409,12 +379,14 @@ class ClientRollups:
     def get(self, client_id: str) -> ClientRollup | None:
         with self._lock:
             entry = self._rollups.get(client_id)
-            return entry.freeze() if entry is not None else None
+            return ClientRollup(**entry) if entry is not None else None
 
     def rows(self) -> list[ClientRollup]:
         """All rollups, sorted by client GUID."""
         with self._lock:
-            return [self._rollups[cid].freeze() for cid in sorted(self._rollups)]
+            return [
+                ClientRollup(**self._rollups[cid]) for cid in sorted(self._rollups)
+            ]
 
     def as_dicts(self) -> list[dict[str, object]]:
         return [row.to_dict() for row in self.rows()]

@@ -22,11 +22,11 @@ could be salvaged:
   knows the tree above them is incomplete.
 
 On top of the assembled trees sit the analysis passes ``uucs trace``
-renders: per-span-name duration statistics (:func:`span_name_stats`),
-the critical path of a trace (:meth:`Trace.critical_path` — the
-greedy longest-child walk from the root, with per-span self time), and
-Chrome trace-event JSON (:func:`to_chrome_trace`) loadable in Perfetto
-or ``chrome://tracing``.
+renders: per-span-name duration statistics (:func:`span_name_stats`,
+whose table ``uucs metrics-summary`` prints too), the critical path of
+a trace (:meth:`Trace.critical_path` — the greedy longest-child walk
+from the root, with per-span self time), and Chrome trace-event JSON
+(:func:`to_chrome_trace`) loadable in Perfetto or ``chrome://tracing``.
 
 Timestamps: a span event's ``ts`` is stamped when the span *closes*
 (default clock ``time.time``), so a span's start is derived as
@@ -42,7 +42,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.telemetry.events import read_events_lenient
+import numpy as np
+
+from repro.telemetry.events import Event, read_events_lenient
+from repro.util.comfort import quantile_from_ecdf
 from repro.util.tables import TextTable, format_float
 
 __all__ = [
@@ -64,6 +67,9 @@ __all__ = [
 _STRUCTURAL = frozenset(
     {"span", "id", "parent", "trace", "depth", "duration_s", "outcome"}
 )
+
+#: The duration quantiles :func:`span_name_stats` reports.
+_QUANTILES = (("p50_s", 0.5), ("p90_s", 0.9), ("p99_s", 0.99))
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,31 @@ class SpanRecord:
     fields: Mapping[str, object] = field(default_factory=dict)
     #: Which log file the record came from (for problem reports).
     source: str = ""
+
+    @classmethod
+    def from_event(cls, event: Event, source: str = "") -> "SpanRecord":
+        """The span one ``"span"`` event records.
+
+        An event without a string ``id`` gets ``span_id=""``.  Raises
+        ``TypeError`` or ``ValueError`` when the duration or depth is not
+        numeric.
+        """
+        fields = event.fields
+        span_id = fields.get("id")
+        parent = fields.get("parent")
+        trace = fields.get("trace")
+        return cls(
+            name=str(fields.get("span", "?")),
+            span_id=span_id if isinstance(span_id, str) else "",
+            parent_id=parent if isinstance(parent, str) and parent else None,
+            trace_id=trace if isinstance(trace, str) and trace else None,
+            end=event.ts,
+            duration_s=float(fields.get("duration_s", 0.0)),
+            outcome=str(fields.get("outcome", "ok")),
+            depth=int(fields.get("depth", 0)),
+            fields={k: v for k, v in fields.items() if k not in _STRUCTURAL},
+            source=source,
+        )
 
     @property
     def start(self) -> float:
@@ -139,35 +170,13 @@ def load_spans(
                 )
                 continue
             seen[span_id] = label
-            parent = event.fields.get("parent")
-            trace = event.fields.get("trace")
             try:
-                duration = float(event.fields.get("duration_s", 0.0))
-                depth = int(event.fields.get("depth", 0))
+                records.append(SpanRecord.from_event(event, label))
             except (TypeError, ValueError):
                 problems.append(
                     f"{label}: span {span_id!r} has non-numeric "
                     "duration/depth; skipped"
                 )
-                continue
-            records.append(
-                SpanRecord(
-                    name=str(event.fields.get("span", "?")),
-                    span_id=span_id,
-                    parent_id=parent if isinstance(parent, str) and parent else None,
-                    trace_id=trace if isinstance(trace, str) and trace else None,
-                    end=event.ts,
-                    duration_s=duration,
-                    outcome=str(event.fields.get("outcome", "ok")),
-                    depth=depth,
-                    fields={
-                        k: v
-                        for k, v in event.fields.items()
-                        if k not in _STRUCTURAL
-                    },
-                    source=label,
-                )
-            )
     return records, problems
 
 
@@ -318,32 +327,37 @@ def assemble_traces(
 def span_name_stats(
     records: Iterable[SpanRecord],
 ) -> dict[str, dict[str, float]]:
-    """Duration stats per span name: count, errors, total/mean/min/max.
+    """Duration stats per span name: count, errors, total/mean/min/max
+    and p50/p90/p99.
 
-    Quantile estimates live in :func:`repro.telemetry.summary.span_stats`
-    (bucket-interpolated); this variant works on recovered
-    :class:`SpanRecord` values and keeps exact extrema instead.
+    The quantiles are exact, not bucket estimates: each is the smallest
+    recorded duration whose empirical CDF reaches ``q``
+    (:func:`repro.util.comfort.quantile_from_ecdf`), so
+    ``min <= p50 <= p90 <= p99 <= max`` always holds.  ``uucs trace``
+    and ``uucs metrics-summary`` both render this table.
     """
-    stats: dict[str, dict[str, float]] = {}
+    durations: dict[str, list[float]] = {}
+    errors: dict[str, int] = {}
     for record in records:
-        entry = stats.setdefault(
-            record.name,
-            {
-                "count": 0,
-                "errors": 0,
-                "total_s": 0.0,
-                "min_s": record.duration_s,
-                "max_s": record.duration_s,
+        durations.setdefault(record.name, []).append(record.duration_s)
+        errors[record.name] = errors.get(record.name, 0) + (not record.ok)
+    stats: dict[str, dict[str, float]] = {}
+    for name, values in durations.items():
+        ordered = np.sort(values)
+        ecdf = np.arange(1, len(ordered) + 1) / len(ordered)
+        total = sum(values)
+        stats[name] = {
+            "count": len(values),
+            "errors": errors[name],
+            "total_s": total,
+            "mean_s": total / len(values),
+            "min_s": float(ordered[0]),
+            "max_s": float(ordered[-1]),
+            **{
+                label: quantile_from_ecdf(ordered, ecdf, q)
+                for label, q in _QUANTILES
             },
-        )
-        entry["count"] += 1
-        if not record.ok:
-            entry["errors"] += 1
-        entry["total_s"] += record.duration_s
-        entry["min_s"] = min(entry["min_s"], record.duration_s)
-        entry["max_s"] = max(entry["max_s"], record.duration_s)
-    for entry in stats.values():
-        entry["mean_s"] = entry["total_s"] / entry["count"]
+        }
     return stats
 
 
@@ -469,17 +483,21 @@ def render_span_stats(records: Iterable[SpanRecord]) -> str:
     stats = span_name_stats(records)
     table = TextTable(
         "Span durations",
-        ["span", "count", "errors", "total s", "mean s", "min s", "max s"],
+        ["span", "count", "errors", "total s", "mean s", "min s",
+         "p50 s", "p90 s", "p99 s", "max s"],
     )
     for name in sorted(stats):
         entry = stats[name]
         table.add_row(
             name,
-            int(entry["count"]),
-            int(entry["errors"]),
+            entry["count"],
+            entry["errors"],
             format_float(entry["total_s"], 4),
             format_float(entry["mean_s"], 4),
             format_float(entry["min_s"], 4),
+            format_float(entry["p50_s"], 4),
+            format_float(entry["p90_s"], 4),
+            format_float(entry["p99_s"], 4),
             format_float(entry["max_s"], 4),
         )
     return table.render()

@@ -91,28 +91,6 @@ def _gauge_value(snapshot: RegistrySnapshot, name: str) -> float | None:
     return next(iter(series.values()), None)
 
 
-def _run_totals(snapshot: RegistrySnapshot) -> tuple[float, float] | None:
-    """(total runs, discomfort runs) from whichever run counter exists.
-
-    Study-driven registries carry ``uucs_session_runs_total`` (labels
-    ``engine,outcome``); client registries that never install a process
-    hub carry only ``uucs_client_runs_total`` (label ``outcome``).  The
-    first present wins — they would double-count if summed.
-    """
-    for name, outcome_index in _RUN_COUNTERS:
-        if name not in snapshot or snapshot.kind(name) != "counter":
-            continue
-        total = 0.0
-        discomforts = 0.0
-        for key, value in _numeric_series(snapshot, name).items():
-            total += value
-            parts = key.split(",")
-            if len(parts) > outcome_index and parts[outcome_index] == "discomfort":
-                discomforts += value
-        return total, discomforts
-    return None
-
-
 def scheduler_summary(
     snapshot: RegistrySnapshot,
 ) -> tuple[float | None, float | None, float | None]:

@@ -1,5 +1,7 @@
 """Tests for the uucs CLI toolchain."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -7,6 +9,23 @@ from repro.cli import main
 
 def run_cli(*args):
     return main(list(args))
+
+
+def span_table(out):
+    """``{span: {column: cell}}`` from the span-statistics table in ``out``."""
+    lines = out.splitlines()
+    at = next(
+        i for i, line in enumerate(lines)
+        if line.startswith("span ") and " p50 s " in line
+    )
+    headers = re.split(r"\s{2,}", lines[at])
+    rows = {}
+    for line in lines[at + 2:]:
+        if line.startswith("---"):
+            break
+        cells = re.split(r"\s{2,}", line)
+        rows[cells[0]] = dict(zip(headers, cells))
+    return rows
 
 
 class TestTestcaseTools:
@@ -313,6 +332,38 @@ class TestTelemetryCommands:
         assert "warning: line 3: skipped" in captured.err
         assert "client.run" in captured.out
         assert "hot_sync" in captured.out
+
+    def test_metrics_summary_and_trace_agree_on_span_stats(
+        self, tmp_path, capsys
+    ):
+        """Both readers render one span table from the recorded durations,
+        so every quantile is a duration the span really took."""
+        log = tmp_path / "events.jsonl"
+        assert run_cli("study", "--users", "8", "--seed", "9",
+                       "--shards", "2", "--results", str(tmp_path / "res"),
+                       "--telemetry", str(log)) == 0
+        # One log holding the driver's and both shard workers' spans.
+        combined = tmp_path / "all.jsonl"
+        combined.write_text("".join(
+            path.read_text()
+            for path in [log, *sorted(tmp_path.glob("events.shard*.jsonl"))]
+        ))
+        capsys.readouterr()
+        assert run_cli("metrics-summary", str(combined)) == 0
+        summary = span_table(capsys.readouterr().out)
+        assert {"study.sharded", "study.shard_worker"} <= set(summary)
+        for name, row in summary.items():
+            ordered = [float(row[c]) for c in
+                       ("p50 s", "p90 s", "p99 s", "max s")]
+            assert ordered == sorted(ordered), (name, row)
+            assert float(row["min s"]) <= ordered[0], (name, row)
+        assert run_cli("trace", str(combined)) == 0
+        traced = span_table(capsys.readouterr().out)
+        assert traced.keys() == summary.keys()
+        for name, row in summary.items():
+            for column in ("count", "total s", "min s", "max s",
+                           "p50 s", "p90 s", "p99 s"):
+                assert row[column] == traced[name][column], (name, column)
 
     def test_serve_with_metrics_port(self, tmp_path, capsys):
         assert run_cli("serve", "--root", str(tmp_path / "srv"),

@@ -153,6 +153,28 @@ class TestExecution:
             assert run.context.task == "ie"
             assert run.context.client_id == client.client_id
 
+    def test_random_mode_draws_are_pinned(self, client, feedback):
+        """Run ids, testcases and end offsets of a seeded run, recorded
+        before the loop drew through PoissonArrivals: any change to the
+        arrival stream shows up here."""
+        client.register({})
+        client.hot_sync()
+        client.hot_sync()
+        runs = client.run_random(3000.0, feedback, task="ie")
+        assert [(r.run_id, r.testcase_id, r.end_offset) for r in runs] == [
+            ("2535d5cec0ad06783f60ec83760457a1", "ie-blank-1", 120.0),
+            ("8f02264785762462c423399232b39168", "ie-cpu-ramp", 69.5),
+            ("a5627b0c90b818268101caff5536e430", "ie-blank-1", 120.0),
+            ("bdb5404808b9586fbf8a6343304464f9", "ie-disk-step", 41.5),
+            ("78861fd80e7fa01dd0a174645397c6a0", "ie-memory-ramp", 70.0),
+            ("348bb5a93fc4900f8a8987f50f8c3b8e", "ie-cpu-step", 43.0),
+            ("bdd130e147d9d82f7c5b70102d58b85f", "ie-cpu-ramp", 65.0),
+            ("be4b4f57ff8b313a8509618b87183ce5", "ie-disk-step", 120.0),
+            ("5c8bbd04b85d34c7f36d1eb5cdc25ec5", "ie-cpu-ramp", 82.5),
+            ("0fadcc557469c96f94eb69eebb600834", "ie-blank-1", 120.0),
+            ("c02064cee95b3927060103514ace681e", "ie-cpu-ramp", 120.0),
+        ]
+
     def test_random_mode_needs_testcases(self, client, feedback):
         client.register({})
         with pytest.raises(StoreError):

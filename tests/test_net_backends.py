@@ -13,9 +13,11 @@ from repro.core.exercise import constant
 from repro.core.resources import Resource
 from repro.core.testcase import Testcase
 from repro.errors import ValidationError
+from repro.faults import ChaosTCPProxy, FaultPlan
 from repro.net import AsyncioServerTransport
 from repro.server import Message, UUCSServer
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry.exporter import MetricsExporter
 
 
 def tc(tcid):
@@ -222,6 +224,31 @@ class TestShutdown:
                 assert again.request(Message("ping", {})).type == "pong"
         finally:
             rebound.close()
+
+    @pytest.mark.parametrize("kind", ["server", "exporter", "chaos-proxy"])
+    def test_close_ends_connections_no_handler_has_taken(self, tmp_path, kind):
+        """A connection dialled just before close() may still sit between
+        the accept and its handler; close() must end it too, so the peer
+        reads EOF at once instead of waiting out its own timeout.  All
+        three servers share the listener, so all three are checked."""
+        server = make_server(tmp_path)
+        upstream = AsyncioServerTransport(server)
+        start = {
+            "server": lambda: AsyncioServerTransport(server),
+            "exporter": lambda: MetricsExporter(MetricsRegistry()),
+            "chaos-proxy": lambda: ChaosTCPProxy(
+                upstream.address, FaultPlan(), seed=1
+            ),
+        }[kind]
+        try:
+            for _ in range(30):
+                listener = start()
+                with socket.create_connection(listener.address, 5.0) as peer:
+                    listener.close()
+                    peer.settimeout(1.0)
+                    assert peer.recv(1) == b""
+        finally:
+            upstream.close()
 
     def test_close_is_idempotent(self, tmp_path):
         listener = AsyncioServerTransport(make_server(tmp_path))

@@ -22,7 +22,7 @@ from repro.telemetry import (
     use_telemetry,
 )
 from repro.telemetry.exporter import MetricsExporter
-from repro.telemetry.summary import render_summary, span_stats, summarize_events
+from repro.telemetry.traces import SpanRecord, span_name_stats
 
 
 class TestCounter:
@@ -461,6 +461,16 @@ class TestExporter:
 
 
 class TestSummary:
+    """``uucs metrics-summary``: event counts plus the span table it shares
+    with ``uucs trace``."""
+
+    @staticmethod
+    def summarize(path, capsys):
+        from repro.cli import main
+
+        assert main(["metrics-summary", str(path)]) == 0
+        return capsys.readouterr().out
+
     def test_span_stats(self):
         events = [
             Event("span", 0.0, {"span": "s", "duration_s": 1.0, "outcome": "ok"}),
@@ -468,30 +478,37 @@ class TestSummary:
                                 "outcome": "error:ValueError"}),
             Event("other", 0.0, {}),
         ]
-        stats = span_stats(events)
+        stats = span_name_stats(
+            SpanRecord.from_event(e) for e in events if e.name == "span"
+        )
         assert stats["s"]["count"] == 2
         assert stats["s"]["errors"] == 1
         assert stats["s"]["total_s"] == 4.0
         assert stats["s"]["mean_s"] == 2.0
         assert stats["s"]["max_s"] == 3.0
+        # Exact quantiles: recorded durations, never beyond min/max.
+        assert (stats["s"]["p50_s"], stats["s"]["p90_s"],
+                stats["s"]["p99_s"]) == (1.0, 3.0, 3.0)
 
-    def test_summarize_renders_tables(self):
+    def test_summarize_renders_tables(self, tmp_path, capsys):
         events = [
             Event("client.run", 0.0, {}),
             Event("span", 0.0, {"span": "hot_sync", "duration_s": 0.1}),
         ]
-        text = summarize_events(events)
+        path = tmp_path / "ev.jsonl"
+        path.write_text("".join(e.to_json() + "\n" for e in events))
+        text = self.summarize(path, capsys)
         assert "Event counts" in text
         assert "client.run" in text
-        assert "Spans" in text
+        assert "Span durations" in text
         assert "hot_sync" in text
 
-    def test_render_summary_from_path(self, tmp_path):
+    def test_render_summary_from_path(self, tmp_path, capsys):
         path = tmp_path / "ev.jsonl"
         tel = Telemetry.to_path(path)
         tel.emit("a.b")
         with tel.span("work"):
             pass
         tel.close()
-        text = render_summary(path)
+        text = self.summarize(path, capsys)
         assert "a.b" in text and "work" in text
