@@ -31,7 +31,7 @@ from repro.core.session import (
 )
 from repro.core.testcase import Testcase
 from repro.errors import ProtocolError, ReproError, StoreError, ValidationError
-from repro.server.protocol import PROTOCOL_VERSION, Message
+from repro.server.protocol import PROTOCOL_VERSION, Message, RawRecords
 from repro.stores import ResultStore, TestcaseStore
 from repro.telemetry import Telemetry, get_telemetry
 from repro.util.rng import SeedLike, ensure_rng
@@ -43,6 +43,14 @@ class Transport(Protocol):
     """Anything that can carry a request message to the server."""
 
     def request(self, message: Message) -> Message: ...
+
+
+def _count(response: Message, key: str) -> int:
+    """A ``sync_ok`` count field (0 when a v1 server omits it)."""
+    value = response.payload.get(key, 0)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProtocolError(f"'{key}' must be an integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -234,6 +242,11 @@ class UUCSClient:
         or by accepting the full count (v1).  A short acceptance count
         from a v2 server means duplicates were reconciled away, not that
         data was lost, so it no longer raises.
+
+        Queued results go out as the store's lines, checked but not
+        re-encoded (:class:`~repro.server.protocol.RawRecords`); with
+        ``share_load_traces`` off, each run is parsed and sent with an
+        empty load trace instead.
         """
         if self._transport is None:
             raise ProtocolError("client has no transport (offline)")
@@ -241,13 +254,16 @@ class UUCSClient:
             raise ProtocolError("register before syncing")
         telemetry = self.telemetry
         with telemetry.span("hot_sync", client=self.client_id) as span:
-            pending = list(self.results)
-            uploads = []
-            for run in pending:
-                record = run.to_dict()
-                if not self._config.share_load_traces:
+            uploads: RawRecords | list[dict]
+            if self._config.share_load_traces:
+                # The stored lines are already the records' wire form.
+                uploads = RawRecords(tuple(self.results.lines()))
+            else:
+                uploads = []
+                for run in self.results:
+                    record = run.to_dict()
                     record["load_trace"] = {}
-                uploads.append(record)
+                    uploads.append(record)
             sync_seq = self._acked_seq + 1
             payload: dict[str, object] = {
                 "client_id": self.client_id,
@@ -268,7 +284,8 @@ class UUCSClient:
             announced = response.payload.get("protocol")
             if isinstance(announced, int) and not isinstance(announced, bool):
                 self._server_protocol = announced
-            accepted = int(response.payload.get("accepted", 0))
+            accepted = _count(response, "accepted")
+            duplicates = _count(response, "duplicates")
             echoed = response.payload.get("sync_seq")
             acked = (
                 echoed == sync_seq
@@ -279,7 +296,6 @@ class UUCSClient:
             )
             uploaded = 0
             if acked:
-                duplicates = int(response.payload.get("duplicates", 0) or 0)
                 self.results.drain()
                 uploaded = len(uploads)
                 self._acked_seq = sync_seq
@@ -354,7 +370,7 @@ class UUCSClient:
         try:
             downloaded, uploaded = self.hot_sync()
         except ReproError as exc:
-            pending = len(self.results)
+            pending = self.results.committed()
             telemetry.emit(
                 "client.sync_failed",
                 client=self.client_id,
@@ -371,7 +387,7 @@ class UUCSClient:
             ok=True,
             downloaded=downloaded,
             uploaded=uploaded,
-            pending=len(self.results),
+            pending=self.results.committed(),
         )
 
     # -- push gateway -----------------------------------------------------------

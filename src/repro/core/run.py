@@ -416,6 +416,10 @@ class TestcaseRun:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SerializationError(f"bad run JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise SerializationError(
+                f"bad run JSON: expected an object, got {type(data).__name__}"
+            )
         return cls.from_dict(data)
 
     @staticmethod

@@ -32,6 +32,7 @@ __all__ = [
     "MAX_MESSAGE_BYTES",
     "PROTOCOL_VERSION",
     "Message",
+    "RawRecords",
     "decode_message",
     "encode_message",
 ]
@@ -56,7 +57,8 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 @dataclass(frozen=True)
 class Message:
-    """One protocol message: a type tag plus a JSON-safe payload."""
+    """One protocol message: a type tag plus a JSON-safe payload, in
+    which a value may also be :class:`RawRecords`."""
 
     type: str
     payload: Mapping[str, Any] = field(default_factory=dict)
@@ -90,11 +92,47 @@ class Message:
         return Message("error", {"reason": reason})
 
 
+@dataclass(frozen=True)
+class RawRecords:
+    """A payload value already in wire form: JSON texts, one per record.
+
+    :func:`encode_message` splices the texts in verbatim as one JSON
+    array, so a client ships its result store's lines without parsing
+    and re-encoding them.  Each text must be the canonical
+    ``json.dumps(record, sort_keys=True)`` form the store writes, so the
+    message bytes equal those of the same payload holding the parsed
+    records.  Not JSON-serializable itself: only the codec renders it.
+    """
+
+    texts: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+
+#: ``json.dumps(obj, sort_keys=True)`` builds an encoder exactly like
+#: this one for every call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _render(value: Any) -> str:
+    if isinstance(value, RawRecords):
+        return "[" + ", ".join(value.texts) + "]"
+    return _encode(value)
+
+
 def encode_message(message: Message) -> bytes:
-    """Serialize to one newline-terminated JSON line."""
-    data = json.dumps(
-        {"type": message.type, **dict(message.payload)}, sort_keys=True
-    )
+    """Serialize to one newline-terminated JSON line.
+
+    The bytes are ``json.dumps({"type": ..., **payload}, sort_keys=True)``:
+    the top-level object is rendered key by key in sorted order with the
+    same separators, which lets a :class:`RawRecords` value drop in as
+    ready-made text.
+    """
+    fields = {"type": message.type, **message.payload}
+    data = "{" + ", ".join(
+        f"{_encode(key)}: {_render(fields[key])}" for key in sorted(fields)
+    ) + "}"
     raw = data.encode()
     if len(raw) > MAX_MESSAGE_BYTES:
         raise ProtocolError(

@@ -207,7 +207,14 @@ class ResultStore:
     def __contains__(self, run_id: str) -> bool:
         return run_id in self._index()
 
-    def __iter__(self) -> Iterator[TestcaseRun]:
+    def _records(self) -> Iterator[tuple[str, TestcaseRun]]:
+        """Each stored record as its line's text and the run it parses to.
+
+        Blank lines are skipped.  A newline-terminated line that does not
+        parse raises :class:`StoreError` naming it; an unterminated one
+        can only be the final line, a crashed writer's uncommitted partial
+        record, and is ignored.
+        """
         if not self._path.exists():
             return
         with self._path.open() as fh:
@@ -217,15 +224,35 @@ class ResultStore:
                 if not line:
                     continue
                 try:
-                    yield TestcaseRun.from_json(line)
+                    run = TestcaseRun.from_json(line)
                 except SerializationError as exc:
                     if not terminated:
-                        # Unterminated == final line == a crashed writer's
-                        # uncommitted partial record; ignore it.
                         return
                     raise StoreError(
                         f"corrupt result at {self._path.name}:{line_no}: {exc}"
                     ) from exc
+                yield line, run
+
+    def __iter__(self) -> Iterator[TestcaseRun]:
+        return (run for _, run in self._records())
+
+    def lines(self) -> list[str]:
+        """The stored records' JSON text, one string per record.
+
+        Every line is checked as iteration checks it, so a corrupt one
+        raises :class:`StoreError` and nothing is returned.  The text is
+        the canonical form the store wrote, so a hot sync can ship it
+        without re-encoding.
+        """
+        return [line for line, _ in self._records()]
+
+    def committed(self) -> int:
+        """How many newline-terminated records the store holds, counted
+        without parsing them (corrupt ones included)."""
+        if not self._path.exists():
+            return 0
+        with self._path.open("rb") as fh:
+            return sum(1 for line in fh if line.endswith(b"\n") and line.strip())
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -233,10 +260,9 @@ class ResultStore:
     def run_ids(self) -> set[str]:
         return set(self._index())
 
-    def drain(self) -> list[TestcaseRun]:
-        """Read all runs and truncate the store (used at hot-sync upload)."""
-        runs = list(self)
+    def drain(self) -> None:
+        """Empty the store without reading it (the client's queue, once
+        the server acknowledges its upload)."""
         if self._path.exists():
             self._path.write_text("")
         self._ids = set()
-        return runs

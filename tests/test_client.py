@@ -1,5 +1,6 @@
 """Tests for the UUCS client (stores, registration, hot sync, modes)."""
 
+import json
 import math
 
 import pytest
@@ -7,11 +8,27 @@ import pytest
 from repro.apps import get_task
 from repro.client import ClientConfig, PoissonArrivals, UUCSClient
 from repro.core.resources import Resource
+from repro.core.run import TraceView
 from repro.errors import ProtocolError, StoreError, ValidationError
 from repro.machine import SimulatedMachine
 from repro.server import InProcessTransport, UUCSServer
+from repro.server.protocol import encode_message
+from repro.study import ControlledStudyConfig, run_controlled_study
 from repro.study.testcases import task_testcases
+from repro.telemetry import Telemetry
 from repro.users import make_user, sample_population
+
+
+class _Recording:
+    """Passes requests through, keeping each one sent."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.sent = []
+
+    def request(self, message):
+        self.sent.append(message)
+        return self._inner.request(message)
 
 
 @pytest.fixture()
@@ -115,6 +132,43 @@ class TestHotSync:
         _, uploaded = client.hot_sync()
         assert uploaded == 1
         assert len(client.results) == 0
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_request_bytes_match_json_dumps(
+        self, tmp_path, server, feedback, traced
+    ):
+        """The spliced store lines give the bytes of encoding the parsed
+        records, and the server stores exactly the client's lines."""
+        study = run_controlled_study(
+            ControlledStudyConfig(n_users=1, seed=7, engine="batch")
+        ).runs
+        shared = next(
+            r for r in study if isinstance(r.load_trace, TraceView) and r.exhausted
+        )
+        discomfort = next(r for r in study if r.feedback is not None)
+        recording = _Recording(InProcessTransport(server))
+        client = UUCSClient(
+            ClientConfig(root=tmp_path / "client", user_id="u1"),
+            recording,
+            seed=5,
+            telemetry=Telemetry.in_memory() if traced else Telemetry.disabled(),
+        )
+        client.register({})
+        client.hot_sync()
+        (own,) = client.run_script(["ie-blank-1"], feedback, task="ie")
+        assert not isinstance(own.load_trace, TraceView) and own.load_trace
+        client.results.extend([shared, discomfort])
+        queued = client.results.path.read_bytes()
+        records = [run.to_dict() for run in client.results]
+        client.hot_sync()
+        message = recording.sent[-1]
+        assert ("trace" in message.payload) == traced
+        want = json.dumps(
+            {"type": "sync", **message.payload, "results": records},
+            sort_keys=True,
+        )
+        assert encode_message(message) == (want + "\n").encode()
+        assert server.results.path.read_bytes() == queued
 
     def test_privacy_load_traces_withheld(self, tmp_path, server, feedback):
         config = ClientConfig(root=tmp_path / "c", user_id="u",

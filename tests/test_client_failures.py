@@ -128,6 +128,56 @@ class TestProtocolViolations:
         assert len(client.results) == 0
         assert len(server.results) == 1
 
+    @pytest.mark.parametrize("bad", ["{broken", "[1]"])
+    def test_corrupt_queue_degrades(self, tmp_path, server, feedback, bad):
+        """A corrupt committed line fails the sync before anything is
+        sent, and try_sync reports it with the queue left as it was."""
+        counting = FlakyTransport(InProcessTransport(server), failures=0)
+        client = UUCSClient(
+            ClientConfig(root=tmp_path / "c", user_id="u"), counting, seed=1
+        )
+        client.register({})
+        client.hot_sync()
+        client.run_script(["word-blank-1"], feedback, task="word")
+        with client.results.path.open("a") as fh:
+            fh.write(bad + "\n")
+        queued = client.results.path.read_bytes()
+        sent = counting.requests
+        outcome = client.try_sync()
+        assert not outcome.ok
+        assert "results.jsonl:2" in outcome.error
+        assert outcome.pending == 2
+        assert counting.requests == sent
+        assert client.results.path.read_bytes() == queued
+
+    @pytest.mark.parametrize("field", ["accepted", "duplicates"])
+    @pytest.mark.parametrize("bad", ["x", None, [1], True])
+    def test_non_integer_count_keeps_queue(
+        self, tmp_path, server, feedback, field, bad
+    ):
+        client = UUCSClient(
+            ClientConfig(root=tmp_path / "c", user_id="u"),
+            InProcessTransport(server),
+            seed=1,
+        )
+        client.register({})
+        client.hot_sync()
+        client.run_script(["word-blank-1"], feedback, task="word")
+        queued = client.results.path.read_bytes()
+        reply = {
+            "testcases": [],
+            "accepted": 1,
+            "duplicates": 0,
+            "sync_seq": client.acked_seq + 1,
+            field: bad,
+        }
+        client._transport = LyingServerTransport([Message("sync_ok", reply)])
+        outcome = client.try_sync()
+        assert not outcome.ok
+        assert f"'{field}'" in outcome.error
+        assert outcome.pending == 1
+        assert client.results.path.read_bytes() == queued
+
     def test_error_response_surfaced(self, tmp_path):
         lying = LyingServerTransport([Message.error("database on fire")])
         client = UUCSClient(

@@ -101,6 +101,10 @@ class TestCodec:
 )
 def test_property_codec_roundtrip(msg_type, payload):
     msg = Message(msg_type, payload)
-    restored = decode_message(encode_message(msg))
+    encoded = encode_message(msg)
+    assert encoded == (
+        json.dumps({"type": msg_type, **payload}, sort_keys=True) + "\n"
+    ).encode()
+    restored = decode_message(encoded)
     assert restored.type == msg.type
     assert restored.payload == payload

@@ -106,8 +106,15 @@ class TestResultStore:
     def test_drain_empties(self, tmp_path):
         store = ResultStore(tmp_path)
         store.extend([run_record("a"), run_record("b")])
-        drained = store.drain()
-        assert len(drained) == 2
+        store.drain()
+        assert store.path.read_bytes() == b""
+        assert len(store) == 0
+        # drain does not read the store, so a corrupt line goes too.
+        store.append(run_record("c"))
+        with store.path.open("a") as fh:
+            fh.write("{broken\n")
+        store.drain()
+        assert store.path.read_bytes() == b""
         assert len(store) == 0
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -125,6 +132,18 @@ class TestResultStore:
             fh.write("{broken\n")
         with pytest.raises(StoreError, match="results.jsonl:2"):
             list(store)
+        with pytest.raises(StoreError, match="results.jsonl:2"):
+            store.lines()
+        assert store.committed() == 2
+
+    def test_lines_are_the_stored_text(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.append(run_record("a"))
+        with store.path.open("a") as fh:
+            fh.write("\n")
+        store.append(run_record("b"))
+        assert store.lines() == [run_record("a").to_json(), run_record("b").to_json()]
+        assert store.committed() == 2
 
     def test_runs_roundtrip_exactly(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -192,6 +211,8 @@ class TestResultStoreCrashTail:
         self.crashed(tmp_path)
         reopened = ResultStore(tmp_path)
         assert [r.run_id for r in reopened] == ["a", "b"]
+        assert reopened.lines() == [r.to_json() for r in reopened]
+        assert reopened.committed() == 2
 
     def test_reopen_and_reindex_after_crash(self, tmp_path):
         self.crashed(tmp_path)
