@@ -3,12 +3,12 @@
 :func:`repro.study.engine.run_analytic_session` already collapses the
 per-sample poll loop into a closed-form numpy decision, but the study
 driver still pays Python-level costs *per run*: object construction for
-the user, threshold sampling through the ``scipy.stats`` wrappers, the
-trace slicing, the record assembly.  At fleet scale (ROADMAP: the
-million-user study) those per-run costs are the bottleneck, so this
-engine inverts the loop nesting — instead of running one user's 32
-sessions it advances **all users of one (task, testcase) cell together**,
-in three phases per block of users:
+the user, one threshold draw per resource, the trace slicing, the record
+assembly.  At fleet scale (ROADMAP: the million-user study) those
+per-run costs are the bottleneck, so this engine inverts the loop
+nesting — instead of running one user's 32 sessions it advances **all
+users of one (task, testcase) cell together**, in three phases per
+block of users:
 
 1. **Draw** — replay each user's RNG consumption in exactly the scalar
    order (testcase ``permutation``, run-ids, per-resource thresholds,
@@ -18,10 +18,10 @@ in three phases per block of users:
    (the lognormal / truncated-quantile arithmetic of
    ``ToleranceSpec.sample_threshold``, the skill shift, the tolerance
    scaling) consumes no RNG and is deferred to a vectorized
-   finalization pass; ``scipy.special.ndtri`` is the bit-identical
-   kernel behind the ``scipy.stats.norm.ppf`` wrapper the scalar path
-   calls, and one bulk draw of 32-bit words replays a user's testcase
-   orders and run ids (``_session_draws``).
+   finalization pass, which applies ``scipy.special.ndtri`` to a whole
+   column where the scalar path calls it once per draw.  One bulk draw
+   of 32-bit words replays a user's testcase orders and run ids
+   (``_session_draws``).
 2. **Decide** — vectorize ``_threshold_fire_step``'s last-false scan
    across the user axis.  Monotone level series (every ramp and step the
    study ships) get an O(users) ``searchsorted`` closed form; anything
@@ -58,7 +58,6 @@ import time
 
 import numpy as np
 from scipy import special as sp_special
-from scipy import stats as sps
 
 from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.run import RunContext, TestcaseRun, TraceView
@@ -418,15 +417,7 @@ class _ResourceDraw:
         self.p_react = spec.p_react
         self.mu = spec.mu
         self.sigma = spec.sigma
-        if spec.range_max is None:
-            self.f_max = None
-        else:
-            # Identical to the per-draw scalar computation (it only
-            # depends on the spec, so hoisting it cannot change bits).
-            z_max = (math.log(spec.range_max) - spec.mu) / max(
-                spec.sigma, 1e-12
-            )
-            self.f_max = float(sps.norm.cdf(z_max))
+        self.f_max = None if spec.range_max is None else spec.f_max
         #: Whether the reactive draw consumes a standard normal (the
         #: untruncated lognormal path) instead of a uniform (the
         #: truncated inverse-CDF path).

@@ -19,6 +19,11 @@ With ``m = ln(c_a)``, ``q = ln(c_05)``, ``z = Phi^{-1}(0.05 / p_react)``:
 
 subtracting gives ``sigma^2/2 - z*sigma - (m - q) = 0``, whose positive
 root is ``sigma = z + sqrt(z^2 + 2(m - q))``.
+
+``Phi`` and ``Phi^{-1}`` are ``scipy.special.ndtr`` and ``ndtri``, the
+kernels ``scipy.stats.norm.cdf`` and ``norm.ppf`` dispatch to (same
+bits), called without the wrappers' per-call overhead or the import
+time of ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from typing import Mapping
 
 import numpy as np
 from scipy import special as sp_special
-from scipy import stats as sps
 
 from repro import paperdata
 from repro.core.resources import Resource
@@ -75,13 +79,11 @@ class ToleranceSpec:
             raise ValidationError(f"range_max must be positive, got {self.range_max}")
 
     @cached_property
-    def _f_max(self) -> float:
+    def f_max(self) -> float:
         """Truncation mass ``F(range_max)``, a per-spec constant.
 
-        ``scipy.special.ndtr`` is the exact kernel ``sps.norm.cdf``
-        dispatches to, minus the per-call ``rv_continuous`` argument
-        machinery — threshold sampling sits on the fleet-simulation hot
-        path, where that wrapper overhead dominated the draw itself.
+        Requires ``range_max``.  The scalar draw and the batch engine's
+        vectorized replay both read this one value.
         """
         z_max = (math.log(self.range_max) - self.mu) / max(self.sigma, 1e-12)
         return float(sp_special.ndtr(z_max))
@@ -101,9 +103,8 @@ class ToleranceSpec:
         # ``uniform(0.0, f_max)`` (``0.0 + (f_max - 0.0) * random()``)
         # without its per-call argument handling, and the product the
         # batch engine's vectorized replay (study/batch.py) applies to
-        # its stored ``random()`` draws.  ndtri is norm.ppf's kernel;
-        # bit-identical, already relied on by that replay.
-        u = self._f_max * rng.random()
+        # its stored ``random()`` draws before the same ``ndtri``.
+        u = self.f_max * rng.random()
         return float(math.exp(self.mu + self.sigma * float(sp_special.ndtri(u))))
 
     def mean_threshold(self) -> float:
@@ -117,7 +118,7 @@ class ToleranceSpec:
         if self.p_react <= 0.0 or level <= 0.0:
             return 0.0
         z = (math.log(level) - self.mu) / max(self.sigma, 1e-12)
-        return float(self.p_react * sps.norm.cdf(z))
+        return float(self.p_react * sp_special.ndtr(z))
 
 
 def calibrate_lognormal(
@@ -141,7 +142,7 @@ def calibrate_lognormal(
     if c_05 is None or c_05 <= 0 or p >= p_react:
         sigma = default_sigma
         return m - sigma**2 / 2.0, sigma
-    z = float(sps.norm.ppf(p / p_react))
+    z = float(sp_special.ndtri(p / p_react))
     r = m - math.log(c_05)
     disc = z * z + 2.0 * r
     if disc <= 0:

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+
+# ``scipy.stats`` takes most of a second to import, and every ``import
+# repro`` loads this module.  ``mean_confidence_interval`` calls
+# ``stdtrit``, the kernel ``scipy.stats.t.ppf`` dispatches to (same
+# bits); only the analysis-only t-tests import ``scipy.stats``, inside
+# the function.
+from scipy import special as sp_special
 
 from repro.errors import InsufficientDataError, ValidationError
 from repro.util.comfort import quantile_from_ecdf
@@ -91,7 +97,10 @@ def mean_confidence_interval(
     """Mean of ``samples`` with a t-distribution confidence interval.
 
     Matches the paper's Figure 16 (``c_a`` with 95 % CIs).
+    ``confidence`` must lie in (0, 1).
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValidationError(f"confidence must be in (0,1), got {confidence}")
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n == 0:
@@ -100,7 +109,7 @@ def mean_confidence_interval(
     if n == 1:
         return ConfidenceInterval(mean, mean, mean, confidence, n)
     sem = float(np.std(samples, ddof=1)) / np.sqrt(n)
-    half = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1)) * sem
+    half = float(sp_special.stdtrit(n - 1, 0.5 + confidence / 2.0)) * sem
     return ConfidenceInterval(mean, mean - half, mean + half, confidence, n)
 
 
@@ -113,6 +122,8 @@ def _two_sample_t(
         raise InsufficientDataError(
             f"t-test needs >=2 samples per group (got {a.size}, {b.size})"
         )
+    from scipy import stats as sps
+
     stat, p = sps.ttest_ind(a, b, equal_var=equal_var)
     return TTestResult(
         statistic=float(stat),
@@ -148,6 +159,8 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> TTestResult:
         raise InsufficientDataError(
             f"paired t-test needs >=2 pairs, got {a.size}"
         )
+    from scipy import stats as sps
+
     stat, p = sps.ttest_rel(b, a)
     return TTestResult(
         statistic=float(stat),

@@ -85,6 +85,12 @@ class TestMean:
         assert ci.low < 2.0 < ci.high
         assert cdf.c_a() == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("confidence", [1.5, -0.2, 0.0])
+    def test_bad_confidence(self, confidence):
+        cdf = DiscomfortCDF([obs(1.0), obs(2.0), obs(3.0)])
+        with pytest.raises(ValidationError):
+            cdf.c_mean_ci(confidence)
+
     def test_censored_excluded_from_mean(self):
         cdf = DiscomfortCDF([obs(1.0), obs(3.0), obs(100.0, censored=True)])
         assert cdf.c_a() == pytest.approx(2.0)

@@ -2,6 +2,10 @@
 documented."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +65,23 @@ def test_version_consistent():
     with open("pyproject.toml", "rb") as fh:
         pyproject = tomllib.load(fh)
     assert repro.__version__ == pyproject["project"]["version"]
+
+
+def test_import_path_leaves_out_scipy_stats():
+    """``import repro.cli`` and ``import repro.scheduler`` load no
+    ``scipy.stats``: every ``uucs`` command and spawned shard worker pays
+    this import, and ``scipy.stats`` alone took most of a second of it.
+    A fresh interpreter, because this test process loads ``scipy.stats``
+    itself."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, repro.cli, repro.scheduler; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-800:]
+    assert proc.stdout.strip() == "[]"

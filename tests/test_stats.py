@@ -15,6 +15,10 @@ from repro.util.stats import (
     welch_t_test,
 )
 
+#: Confidence levels of the intervals the analysis reports (Figure 16
+#: uses 95 %), with neighbours on both sides.
+CONFIDENCES = (0.8, 0.9, 0.95, 0.975, 0.99)
+
 
 class TestEcdf:
     def test_simple(self):
@@ -87,6 +91,45 @@ class TestMeanCI:
         ci95 = mean_confidence_interval(data, 0.95)
         ci99 = mean_confidence_interval(data, 0.99)
         assert ci99.half_width > ci95.half_width
+
+    @pytest.mark.parametrize("confidence", [1.5, -0.2, 0.0, 1.0, float("nan")])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        # Unchecked, 1.5 gives NaN bounds, -0.2 gives low > high and 0 a
+        # zero-width interval.
+        with pytest.raises(ValidationError):
+            mean_confidence_interval(np.array([1.0, 2.0, 3.0]), confidence)
+        with pytest.raises(ValidationError):
+            mean_confidence_interval(np.array([5.0]), confidence)
+
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    @pytest.mark.parametrize("n", [2, 3, 5, 33, 400])
+    def test_bounds_match_t_ppf_bit_for_bit(self, confidence, n):
+        from scipy.stats import t
+
+        samples = np.random.default_rng(n).normal(1.0, 0.3, n)
+        ci = mean_confidence_interval(samples, confidence)
+        sem = float(np.std(samples, ddof=1)) / np.sqrt(n)
+        half = float(t.ppf(0.5 + confidence / 2.0, df=n - 1)) * sem
+        assert ci.low.hex() == (ci.mean - half).hex()
+        assert ci.high.hex() == (ci.mean + half).hex()
+
+
+@pytest.mark.parametrize("confidence", CONFIDENCES)
+def test_stdtrit_is_t_ppf_bit_for_bit(confidence):
+    """``mean_confidence_interval`` calls ``stdtrit``, the kernel behind
+    ``scipy.stats.t.ppf``; a scipy release where the two part would move
+    every c_a interval.  Covers df 1-399 at the quantiles the interval
+    uses, plus deep tails.  Not q = 0: there ``stdtrit`` returns +inf
+    where the wrapper returns -inf, and the (0, 1) confidence check
+    keeps q in (0.5, 1)."""
+    from scipy.special import stdtrit
+    from scipy.stats import t
+
+    for q in (0.5 + confidence / 2.0, 1.0 - (1.0 - confidence) * 1e-9, 1.0):
+        for df in range(1, 400):
+            got = float(stdtrit(df, q))
+            want = float(t.ppf(q, df=df))
+            assert got.hex() == want.hex(), (q, df)
 
 
 class TestTTests:

@@ -17,6 +17,14 @@ from repro.users.tolerance import (
     paper_calibrated_table,
 )
 
+#: Standard-normal arguments: 0 (both signs), +-1, +-inf, and deep tails
+#: where ``ndtr`` rounds to 0 or 1 or goes subnormal.
+Z_GRID = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 8.3, -8.3, 37.5,
+          -37.5, -38.5, -40.0, 1e-300, -1e-300)
+#: Probabilities: 0, 1, the median, the calibration's 0.05, and deep
+#: tails down to the smallest subnormal.
+P_GRID = (0.0, 1.0, 0.5, 0.05, 1e-16, 1.0 - 1e-16, 1e-300, 5e-324)
+
 
 class TestCalibration:
     def test_closed_form_hits_both_targets(self):
@@ -52,6 +60,42 @@ class TestCalibration:
             calibrate_lognormal(1.0, 0.5, 0.5, p=1.5)
 
 
+class TestNormalKernels:
+    """``ToleranceSpec`` and the batch engine call ``ndtr`` and ``ndtri``,
+    the kernels behind ``scipy.stats.norm.cdf`` and ``norm.ppf``; a scipy
+    release where a wrapper and its kernel part would move the golden
+    study's bytes.  Compared by ``float.hex``."""
+
+    @pytest.mark.parametrize("z", Z_GRID)
+    def test_ndtr_is_norm_cdf(self, z):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        assert float(ndtr(z)).hex() == float(norm.cdf(z)).hex()
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_ndtri_is_norm_ppf(self, p):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        assert float(ndtri(p)).hex() == float(norm.ppf(p)).hex()
+
+    def test_random_draws(self):
+        from scipy.special import ndtr, ndtri
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal(200_000) * 4.0
+        u = rng.random(200_000)
+        # Columns, as the batch engine's replay calls them.
+        assert ndtr(z).tobytes() == norm.cdf(z).tobytes()
+        assert ndtri(u).tobytes() == norm.ppf(u).tobytes()
+        # Scalars, as the per-draw path calls them.
+        for zi, ui in zip(z[:2000].tolist(), u[:2000].tolist()):
+            assert float(ndtr(zi)).hex() == float(norm.cdf(zi)).hex()
+            assert float(ndtri(ui)).hex() == float(norm.ppf(ui)).hex()
+
+
 class TestToleranceSpec:
     def test_never_react_spec(self):
         spec = ToleranceSpec("word", Resource.MEMORY, p_react=0.0, mu=0.0, sigma=1.0)
@@ -82,6 +126,14 @@ class TestToleranceSpec:
         )
         assert finite / 4000 == pytest.approx(0.3, abs=0.03)
 
+    @pytest.mark.parametrize("level", [1e-9, 0.1, 0.5, 1.0, 2.0, 10.0, 1e300])
+    def test_cdf_is_scaled_norm_cdf(self, level):
+        from scipy.stats import norm
+
+        spec = ToleranceSpec("t", Resource.CPU, p_react=0.8, mu=0.1, sigma=0.5)
+        z = (math.log(level) - spec.mu) / spec.sigma
+        assert spec.cdf(level).hex() == float(0.8 * norm.cdf(z)).hex()
+
     def test_cdf_monotone(self):
         spec = ToleranceSpec("t", Resource.CPU, p_react=0.8, mu=0.0, sigma=0.5)
         values = [spec.cdf(x) for x in (0.1, 0.5, 1.0, 2.0, 10.0)]
@@ -100,6 +152,32 @@ class TestToleranceSpec:
 
 
 class TestPaperTable:
+    def test_calibration_and_truncation_match_norm_wrappers(self):
+        """Every paper cell's (mu, sigma) and ``f_max`` equal what
+        ``norm.ppf`` and ``norm.cdf`` give, bit for bit."""
+        from scipy.stats import norm
+
+        table = paper_calibrated_table()
+        closed_form = truncated = 0
+        for task, resource in table.cells():
+            spec = table.spec(task, resource)
+            if spec.p_react <= 0.0:
+                continue
+            published = paperdata.cell(task, resource)
+            if published.c_05 is not None and 0.05 < spec.p_react:
+                z = float(norm.ppf(0.05 / spec.p_react))
+                r = math.log(published.c_a) - math.log(published.c_05)
+                sigma = z + math.sqrt(z * z + 2.0 * r)
+                mu = math.log(published.c_a) - sigma**2 / 2.0
+                assert spec.sigma.hex() == sigma.hex(), (task, resource)
+                assert spec.mu.hex() == mu.hex(), (task, resource)
+                closed_form += 1
+            if spec.range_max is not None:
+                truncated += 1
+                z_max = (math.log(spec.range_max) - spec.mu) / spec.sigma
+                assert spec.f_max.hex() == float(norm.cdf(z_max)).hex()
+        assert closed_form > 0 and truncated > 0
+
     def test_all_twelve_cells_present(self):
         table = paper_calibrated_table()
         assert len(table) == 12
