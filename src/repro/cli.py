@@ -270,10 +270,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
         else:
             _print("interrupted", err=True)
         return 130
-    elapsed = time.perf_counter() - started
-    shards = shard_ranges(config.n_users, n_shards)
     if checkpoint is None:
         store.extend_batches([result.runs])
+    # Read after the store write, which the checkpointed path's shard
+    # commits already include, so both paths time the same work.
+    elapsed = time.perf_counter() - started
+    shards = shard_ranges(config.n_users, n_shards)
     _print(
         f"controlled study: {len(result.runs)} runs from "
         f"{len(result.profiles)} users -> {store.path}"

@@ -50,22 +50,6 @@ __all__ = ["RunContext", "TestcaseRun", "TraceTable", "TraceView"]
 #: this one for every call.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
-#: Value-keyed cache for short repeated strings (user ids, tasks,
-#: outcome tags).  Keyed by the string itself, so it is always sound;
-#: the cap bounds churn from unique-per-record strings.
-_STR_CACHE_MAX = 8192
-_str_cache: dict[str, str] = {}
-
-
-def _jstr(s: str) -> str:
-    text = _str_cache.get(s)
-    if text is None:
-        if len(_str_cache) >= _STR_CACHE_MAX:
-            _str_cache.clear()
-        text = _str_cache[s] = _jstr_raw(s)
-    return text
-
-
 def _jnum(x) -> str:
     # json.dumps renders finite floats via float.__repr__; the special
     # values and any non-float number types take the generic encoder.
@@ -336,12 +320,12 @@ class TestcaseRun:
         feedback = self.feedback
         trace = self.load_trace
         return "".join((
-            '{"context": {"client_id": ', _jstr(ctx.client_id),
+            '{"context": {"client_id": ', _jstr_raw(ctx.client_id),
             ', "extra": ', _encode(dict(ctx.extra)),
-            ', "machine_id": ', _jstr(ctx.machine_id),
+            ', "machine_id": ', _jstr_raw(ctx.machine_id),
             ', "started_at": ', _jnum(ctx.started_at),
-            ', "task": ', _jstr(ctx.task),
-            ', "user_id": ', _jstr(ctx.user_id),
+            ', "task": ', _jstr_raw(ctx.task),
+            ', "user_id": ', _jstr_raw(ctx.user_id),
             '}, "end_offset": ', _jnum(self.end_offset),
             ', "feedback": ',
             "null" if feedback is None else _encode({
@@ -359,11 +343,11 @@ class TestcaseRun:
             trace.to_json() if isinstance(trace, TraceView)
             else _encode({k: list(v) for k, v in trace.items()}),
             ', "load_trace_rate": ', _jnum(self.load_trace_rate),
-            ', "outcome": ', _jstr(str(self.outcome)),
+            ', "outcome": ', _jstr_raw(str(self.outcome)),
             ', "run_id": ', _jstr_raw(self.run_id),
             ', "shapes": ', _encode({str(r): s for r, s in self.shapes.items()}),
             ', "testcase_duration": ', _jnum(self.testcase_duration),
-            ', "testcase_id": ', _jstr(self.testcase_id),
+            ', "testcase_id": ', _jstr_raw(self.testcase_id),
             "}",
         ))
 

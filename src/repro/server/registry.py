@@ -11,6 +11,9 @@ highest hot-sync sequence number it has acknowledged (``sync_acks.jsonl``,
 append-only, last-write-wins) — the server-side half of the idempotent
 sync protocol: a replayed upload after a lost ack is recognized instead of
 committed twice, even across a server restart.
+
+Both files keep the result store's crash rule: a load skips a torn final
+line and the next append cuts it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.errors import RegistrationError, StoreError
+from repro.stores.results import committed_lines, repair_tail
 
 __all__ = ["ClientRecord", "ClientRegistry"]
 
@@ -45,7 +49,7 @@ class ClientRecord:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ClientRecord":
+    def from_json(cls, text: str | bytes) -> "ClientRecord":
         try:
             data = json.loads(text)
             return cls(
@@ -78,29 +82,21 @@ class ClientRegistry:
             self._load()
 
     def _load(self) -> None:
-        if self._path is not None and self._path.exists():
-            with self._path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        record = ClientRecord.from_json(line)
-                        self._records[record.client_id] = record
-        if self._acks_path is not None and self._acks_path.exists():
-            with self._acks_path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        data = json.loads(line)
-                        client_id = str(data["client_id"])
-                        seq = int(data["sync_seq"])
-                        accepted = int(data.get("accepted", 0))
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                        # A torn tail (crashed writer) loses at most the
-                        # final ack; run-id dedupe still protects the store.
-                        continue
-                    self._acks[client_id] = (seq, accepted)
+        for _, line in committed_lines(self._path):
+            record = ClientRecord.from_json(line)
+            self._records[record.client_id] = record
+        for _, line in committed_lines(self._acks_path):
+            try:
+                data = json.loads(line)
+                client_id = str(data["client_id"])
+                seq = int(data["sync_seq"])
+                accepted = int(data.get("accepted", 0))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                # A committed line that does not parse (a torn ack that
+                # an append joined before tails were cut) loses that ack
+                # alone; run-id dedupe still protects the store.
+                continue
+            self._acks[client_id] = (seq, accepted)
 
     def register(
         self, snapshot: Mapping[str, str], now: float = 0.0
@@ -113,6 +109,7 @@ class ClientRegistry:
         )
         self._records[record.client_id] = record
         if self._path is not None:
+            repair_tail(self._path)
             with self._path.open("a") as fh:
                 fh.write(record.to_json() + "\n")
         return record
@@ -135,6 +132,7 @@ class ClientRegistry:
             return
         self._acks[client_id] = (int(sync_seq), int(accepted))
         if self._acks_path is not None:
+            repair_tail(self._acks_path)
             with self._acks_path.open("a") as fh:
                 fh.write(
                     json.dumps(

@@ -10,6 +10,10 @@ maintained incrementally afterwards) so the server can deduplicate
 replayed hot-sync uploads in O(1) per run instead of re-reading the
 whole file on every sync.
 
+Every append, a checkpointed shard commit included, goes through one
+encoder, so an append holds a few chunks of about
+``ResultStore._CHUNK_BYTES`` at a time, however many runs it writes.
+
 Crash tolerance: a writer killed mid-append leaves one unterminated
 partial line at the tail.  Readers ignore it (the record was never
 fully committed), and the next append truncates it first so fresh
@@ -25,11 +29,64 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.run import TestcaseRun
 from repro.errors import SerializationError, StoreError
 
-__all__ = ["ResultStore"]
+__all__ = ["ResultStore", "committed_lines", "repair_tail"]
+
+#: Bytes read per step while :func:`repair_tail` walks back to the last
+#: newline.
+_TAIL_BLOCK = 1 << 13
+
+
+def committed_lines(path: Path) -> Iterator[tuple[int, bytes]]:
+    """Each committed line of the JSON-lines file ``path`` -- ended by a
+    newline, not blank -- with its line number.  An unterminated final
+    line is a crashed writer's; :func:`repair_tail` cuts it before the
+    next append.  Lines stay bytes, so a caller decodes each one where
+    it can report a bad one."""
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.endswith(b"\n") and line.strip():
+                yield line_no, line
+
+
+def repair_tail(path: Path) -> bool:
+    """Cut an unterminated final line from the JSON-lines file ``path``.
+
+    Returns whether anything was removed.  Only the final line can lack
+    a newline; everything before it was fully committed and is never
+    touched.  The walk back reads fixed-size blocks, so it costs the
+    torn line's length, not the file's.
+    """
+    try:
+        fh = path.open("rb+")
+    except FileNotFoundError:
+        return False
+    with fh:
+        size = keep = fh.seek(0, os.SEEK_END)
+        while keep:
+            block_start = max(keep - _TAIL_BLOCK, 0)
+            fh.seek(block_start)
+            newline = fh.read(keep - block_start).rfind(b"\n")
+            if newline >= 0:
+                keep = block_start + newline + 1
+                break
+            keep = block_start
+        if keep == size:
+            return False
+        fh.truncate(keep)
+    return True
 
 
 class ResultStore:
     """A JSON-lines file of testcase runs."""
+
+    #: Bytes of encoded runs joined per ``write``: enough that syscalls
+    #: are few, little enough that an append's transient memory stays a
+    #: fixed size however many runs it carries.
+    _CHUNK_BYTES = 1 << 20
 
     def __init__(self, root: str | Path, filename: str = "results.jsonl"):
         self._root = Path(root)
@@ -51,35 +108,65 @@ class ResultStore:
         return self._ids
 
     def repair_tail(self) -> bool:
-        """Truncate an unterminated partial line left by a crashed writer.
+        """Truncate an unterminated partial line left by a crashed writer
+        (:func:`repair_tail`); return whether anything was removed."""
+        return repair_tail(self._path)
 
-        Returns whether anything was removed.  Only the final line can
-        lack a newline; everything before it was fully committed and is
-        never touched.
-        """
-        if not self._path.exists():
-            return False
-        size = self._path.stat().st_size
-        if size == 0:
-            return False
-        with self._path.open("rb+") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return False
-            # Walk back to the last newline (or file start) and cut there.
-            fh.seek(0)
-            data = fh.read()
-            keep = data.rfind(b"\n") + 1
-            fh.truncate(keep)
-        return True
+    def _encode(
+        self, batches: Iterable[Iterable[TestcaseRun]], dedupe: bool
+    ) -> Iterator[tuple[bytes, int]]:
+        """The store's one encoder: ``batches``' runs as canonical lines
+        in chunks of about ``_CHUNK_BYTES``, each with its run count.
+        With ``dedupe``, runs already stored or encoded are skipped; a
+        built run-id index learns every id encoded."""
+        index = self._index() if dedupe else self._ids
+        # Lines are encoded one by one, so a chunk exists as its lines
+        # and their join, never also as one long str.
+        lines: list[bytes] = []
+        size = 0
+        for batch in batches:
+            for run in batch:
+                if dedupe and run.run_id in index:  # type: ignore[operator]
+                    continue
+                line = (run.to_json() + "\n").encode()
+                lines.append(line)
+                size += len(line)
+                if index is not None:
+                    index.add(run.run_id)
+                if size >= self._CHUNK_BYTES:
+                    yield b"".join(lines), len(lines)
+                    lines.clear()
+                    size = 0
+        if lines:
+            yield b"".join(lines), len(lines)
+
+    def _write(
+        self, chunks: Iterable[tuple[bytes, int]]
+    ) -> tuple[int, int, int]:
+        """The store's one writer: append encoded ``chunks`` after
+        cutting a torn tail.  Returns the ``[start, end)`` byte span they
+        occupy and how many runs they hold."""
+        self.repair_tail()
+        runs = 0
+        try:
+            with self._path.open("ab") as fh:
+                # "a" positions at EOF lazily on some platforms; make the
+                # start offset explicit.
+                start = fh.seek(0, os.SEEK_END)
+                for chunk, n in chunks:
+                    fh.write(chunk)
+                    runs += n
+                end = fh.tell()
+        except BaseException:
+            # The index already holds ids whose lines may not have
+            # landed; rebuild it from the file if anyone asks again.
+            self._ids = None
+            raise
+        return start, end, runs
 
     def append(self, run: TestcaseRun) -> None:
         """Append one run."""
-        self.repair_tail()
-        with self._path.open("a") as fh:
-            fh.write(run.to_json() + "\n")
-        if self._ids is not None:
-            self._ids.add(run.run_id)
+        self._write(self._encode([(run,)], dedupe=False))
 
     def extend(
         self, runs: Iterable[TestcaseRun], dedupe: bool = False
@@ -90,18 +177,23 @@ class ResultStore:
         silently skipped (idempotent upload semantics: a client blindly
         resending a batch after a lost ack commits nothing twice).
         """
-        self.repair_tail()
-        index = self._index() if dedupe else self._ids
-        count = 0
-        with self._path.open("a") as fh:
-            for run in runs:
-                if dedupe and run.run_id in index:  # type: ignore[operator]
-                    continue
-                fh.write(run.to_json() + "\n")
-                if index is not None:
-                    index.add(run.run_id)
-                count += 1
-        return count
+        return self._write(self._encode([runs], dedupe))[2]
+
+    def extend_batches(
+        self,
+        batches: Iterable[Sequence[TestcaseRun]],
+        dedupe: bool = False,
+    ) -> int:
+        """Append pre-ordered batches, returning how many runs were written.
+
+        The study engines append their merged batches through here.  The
+        runs stream through the encoder a chunk of about
+        ``_CHUNK_BYTES`` at a time, so the transient memory stays a few
+        chunks whatever the batch's size.  A crash leaves only whole,
+        parseable lines behind plus at worst one partial line, which
+        :meth:`repair_tail` removes on the next append.
+        """
+        return self._write(self._encode(batches, dedupe))[2]
 
     def size(self) -> int:
         """Current byte size of the store file (0 if absent)."""
@@ -109,34 +201,6 @@ class ResultStore:
             return self._path.stat().st_size
         except FileNotFoundError:
             return 0
-
-    def append_serialized(self, blob: bytes) -> tuple[int, int]:
-        """Append pre-serialized record lines; return their byte span.
-
-        The checkpointing study driver appends each shard's batch as one
-        already-encoded buffer and records the returned
-        ``(offset_start, offset_end)`` span (plus its digest) in the
-        checkpoint manifest, so a resume can verify exactly which bytes
-        a crashed run committed.  The blob must be whole ``\\n``-terminated
-        lines; it is flushed *and* fsynced before the offsets are
-        returned, because a manifest entry pointing at bytes the OS
-        never persisted would salvage garbage after a power loss.
-        """
-        if not blob.endswith(b"\n"):
-            raise StoreError("serialized batch must end with a newline")
-        self.repair_tail()
-        with self._path.open("ab") as fh:
-            # "a" positions at EOF lazily on some platforms; make the
-            # recorded start offset explicit.
-            fh.seek(0, os.SEEK_END)
-            start = fh.tell()
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        # The blob bypassed per-run bookkeeping; rebuild the id index
-        # lazily if anyone asks again.
-        self._ids = None
-        return start, start + len(blob)
 
     def truncate(self, size: int) -> None:
         """Cut the store back to ``size`` bytes (resume salvage: drop
@@ -155,83 +219,27 @@ class ResultStore:
         self._ids = None
 
     def read_span(self, start: int, end: int) -> bytes:
-        """Read raw bytes ``[start, end)`` (checkpoint verification)."""
+        """Read raw bytes ``[start, end)`` (checkpoint salvage)."""
         with self._path.open("rb") as fh:
             fh.seek(start)
             return fh.read(end - start)
-
-    #: Lines joined per ``write`` in :meth:`extend_batches`.  Large
-    #: enough that syscall count is negligible, small enough that a
-    #: million-user batch (tens of GB of JSON) never materializes a
-    #: second time as one giant buffer next to the live records.
-    _WRITE_CHUNK_LINES = 8192
-
-    def extend_batches(
-        self,
-        batches: Iterable[Sequence[TestcaseRun]],
-        dedupe: bool = False,
-    ) -> int:
-        """Append pre-ordered batches, chunk-buffered writes.
-
-        The sharded study engine merges per-shard run batches through
-        here: serializing up to ``_WRITE_CHUNK_LINES`` records into a
-        single buffer turns thousands of tiny writes into one syscall
-        each, while bounding the transient memory — a fleet-scale batch
-        streams through in constant space instead of doubling the
-        driver's footprint.  A crash leaves only whole, parseable lines
-        behind plus at worst one partial line, which
-        :meth:`repair_tail` removes on the next append.
-        """
-        self.repair_tail()
-        index = self._index() if dedupe else self._ids
-        count = 0
-        chunk = self._WRITE_CHUNK_LINES
-        with self._path.open("a") as fh:
-            for batch in batches:
-                lines: list[str] = []
-                for run in batch:
-                    if dedupe and run.run_id in index:  # type: ignore[operator]
-                        continue
-                    lines.append(run.to_json() + "\n")
-                    if index is not None:
-                        index.add(run.run_id)
-                    if len(lines) >= chunk:
-                        fh.write("".join(lines))
-                        count += len(lines)
-                        lines.clear()
-                if lines:
-                    fh.write("".join(lines))
-                    count += len(lines)
-        return count
 
     def __contains__(self, run_id: str) -> bool:
         return run_id in self._index()
 
     def _records(self) -> Iterator[tuple[str, TestcaseRun]]:
-        """Each stored record as its line's text and the run it parses to.
-
-        Blank lines are skipped.  A newline-terminated line that does not
-        parse raises :class:`StoreError` naming it; an unterminated one
-        can only be the final line, a crashed writer's uncommitted partial
-        record, and is ignored.
-        """
-        if not self._path.exists():
-            return
-        with self._path.open() as fh:
-            for line_no, line in enumerate(fh, 1):
-                terminated = line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    run = TestcaseRun.from_json(line)
-                except SerializationError as exc:
-                    if not terminated:
-                        return
-                    raise StoreError(
-                        f"corrupt result at {self._path.name}:{line_no}: {exc}"
-                    ) from exc
-                yield line, run
+        """Each committed record (:func:`committed_lines`) as its line's
+        text and the run it parses to.  A committed line that does not
+        parse raises :class:`StoreError` naming it."""
+        for line_no, raw in committed_lines(self._path):
+            try:
+                line = raw.decode().strip()
+                run = TestcaseRun.from_json(line)
+            except (SerializationError, UnicodeDecodeError) as exc:
+                raise StoreError(
+                    f"corrupt result at {self._path.name}:{line_no}: {exc}"
+                ) from exc
+            yield line, run
 
     def __iter__(self) -> Iterator[TestcaseRun]:
         return (run for _, run in self._records())
@@ -249,10 +257,7 @@ class ResultStore:
     def committed(self) -> int:
         """How many newline-terminated records the store holds, counted
         without parsing them (corrupt ones included)."""
-        if not self._path.exists():
-            return 0
-        with self._path.open("rb") as fh:
-            return sum(1 for line in fh if line.endswith(b"\n") and line.strip())
+        return sum(1 for _ in committed_lines(self._path))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

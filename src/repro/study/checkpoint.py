@@ -35,9 +35,11 @@ including a torn tail from a mid-append crash, removed via
 study byte-identical to an uninterrupted one, which the golden
 shardcheck harness then pins.
 
-Every manifest line is flushed and fsynced before the driver moves on,
-mirroring the store's own append discipline: a manifest entry must never
-point at bytes that were not durably committed first.
+A shard commit streams its runs through the store's own encoder and
+writer, hashing each chunk as it is appended, and fsyncs the store
+before the manifest line that names the span.  Every manifest line is
+flushed and fsynced before the driver moves on: a manifest entry must
+never point at bytes that were not durably committed first.
 """
 
 from __future__ import annotations
@@ -46,22 +48,19 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.run import TestcaseRun
 from repro.errors import SerializationError, StudyError
-from repro.stores.results import ResultStore
+from repro.stores.results import ResultStore, committed_lines
 
-__all__ = ["ResumeState", "StudyCheckpoint", "serialize_batch"]
+__all__ = ["ResumeState", "StudyCheckpoint"]
 
 #: Manifest format version (bump on incompatible record changes).
 MANIFEST_VERSION = 1
 
-
-def serialize_batch(runs: Sequence[TestcaseRun]) -> bytes:
-    """A shard batch in canonical stored form — the exact bytes the
-    store receives and the manifest digests."""
-    return "".join(run.to_json() + "\n" for run in runs).encode()
+#: Bytes read per step while a resume hashes a shard's span.
+_HASH_BLOCK = 1 << 20
 
 
 class ResumeState:
@@ -113,30 +112,21 @@ class StudyCheckpoint:
     def _records(self) -> list[dict]:
         """All committed manifest records (a torn final line — a writer
         crashed mid-append — is dropped, like the store's own tail)."""
-        if not self._path.exists():
-            return []
         records: list[dict] = []
-        with self._path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                terminated = line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    if not terminated:
-                        break
-                    raise StudyError(
-                        f"corrupt checkpoint manifest at "
-                        f"{self._path.name}:{line_no}: {exc}"
-                    ) from exc
-                if not isinstance(record, dict):
-                    raise StudyError(
-                        f"corrupt checkpoint manifest at "
-                        f"{self._path.name}:{line_no}: not an object"
-                    )
-                records.append(record)
+        for line_no, line in committed_lines(self._path):
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise StudyError(
+                    f"corrupt checkpoint manifest at "
+                    f"{self._path.name}:{line_no}: {exc}"
+                ) from exc
+            if not isinstance(record, dict):
+                raise StudyError(
+                    f"corrupt checkpoint manifest at "
+                    f"{self._path.name}:{line_no}: not an object"
+                )
+            records.append(record)
         return records
 
     def _append(self, record: Mapping) -> None:
@@ -249,9 +239,25 @@ class StudyCheckpoint:
 
     def write_shard(self, shard, runs: Sequence[TestcaseRun]) -> tuple[int, int]:
         """Durably commit one shard batch: store bytes first, manifest
-        record (span + digest) second."""
-        blob = serialize_batch(runs)
-        start, end = self._store.append_serialized(blob)
+        record (span + digest) second.
+
+        The runs go through the store's one encoder and writer, as any
+        append does, and each chunk is hashed as it is written, so a
+        commit never holds the shard's JSON whole.  The store is fsynced
+        before the manifest line names its span.
+        """
+        store = self._store
+        digest = hashlib.sha256()
+
+        def hashed() -> Iterator[tuple[bytes, int]]:
+            for chunk in store._encode([runs], dedupe=False):
+                digest.update(chunk[0])
+                yield chunk
+
+        start, end, _ = store._write(hashed())
+        # fsync flushes the file's data whichever descriptor names it.
+        with store.path.open("ab") as fh:
+            os.fsync(fh.fileno())
         self._append(
             {
                 "kind": "shard",
@@ -262,7 +268,7 @@ class StudyCheckpoint:
                 "runs": len(runs),
                 "offset_start": start,
                 "offset_end": end,
-                "sha256": hashlib.sha256(blob).hexdigest(),
+                "sha256": digest.hexdigest(),
             }
         )
         return start, end
@@ -340,10 +346,12 @@ class StudyCheckpoint:
             return False
         if start != expected_offset or end < start or end > store_size:
             return False
-        blob = self._store.read_span(start, end)
-        if len(blob) != end - start:
-            return False
-        return hashlib.sha256(blob).hexdigest() == digest
+        hasher = hashlib.sha256()
+        with self._store.path.open("rb") as fh:
+            fh.seek(start)
+            for offset in range(start, end, _HASH_BLOCK):
+                hasher.update(fh.read(min(_HASH_BLOCK, end - offset)))
+        return hasher.hexdigest() == digest
 
     def _parse_span(
         self, start: int, end: int, record: dict

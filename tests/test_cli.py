@@ -1,6 +1,7 @@
 """Tests for the uucs CLI toolchain."""
 
 import re
+import time
 
 import pytest
 
@@ -99,6 +100,25 @@ class TestStudyPipeline:
         a = (tmp_path / "single" / "results.jsonl").read_bytes()
         b = (tmp_path / "sharded" / "results.jsonl").read_bytes()
         assert a == b
+
+    def test_study_wall_time_includes_store_write(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # The one-shard path's printed wall time covers its store write,
+        # as the checkpointed path's covers its shard commits.
+        from repro.stores import ResultStore
+
+        write = ResultStore.extend_batches
+
+        def slow_write(self, batches, dedupe=False):
+            time.sleep(0.2)
+            return write(self, batches, dedupe)
+
+        monkeypatch.setattr(ResultStore, "extend_batches", slow_write)
+        assert run_cli("study", "--users", "2", "--seed", "9",
+                       "--results", str(tmp_path / "r")) == 0
+        out = capsys.readouterr().out
+        assert "1 shard(s)" in out
+        assert float(re.search(r"([\d.]+)s wall", out).group(1)) >= 0.2
 
     def test_study_bad_shards_errors(self, tmp_path, capsys):
         # StudyError family exits 9.

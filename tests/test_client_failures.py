@@ -128,7 +128,7 @@ class TestProtocolViolations:
         assert len(client.results) == 0
         assert len(server.results) == 1
 
-    @pytest.mark.parametrize("bad", ["{broken", "[1]"])
+    @pytest.mark.parametrize("bad", [b"{broken", b"[1]", b"\xff\xfe"])
     def test_corrupt_queue_degrades(self, tmp_path, server, feedback, bad):
         """A corrupt committed line fails the sync before anything is
         sent, and try_sync reports it with the queue left as it was."""
@@ -139,8 +139,8 @@ class TestProtocolViolations:
         client.register({})
         client.hot_sync()
         client.run_script(["word-blank-1"], feedback, task="word")
-        with client.results.path.open("a") as fh:
-            fh.write(bad + "\n")
+        with client.results.path.open("ab") as fh:
+            fh.write(bad + b"\n")
         queued = client.results.path.read_bytes()
         sent = counting.requests
         outcome = client.try_sync()

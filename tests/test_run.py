@@ -177,19 +177,6 @@ class TestCanonicalJson:
         for run in runs:
             assert run.to_json() == _canonical(run)
 
-    def test_cache_reset_at_cap(self, monkeypatch):
-        from repro.core import run as run_mod
-
-        monkeypatch.setattr(run_mod, "_STR_CACHE_MAX", 4)
-        for i in range(20):
-            run = make_run(
-                run_id=f"r{i}",
-                testcase_id=f"tc{i}",
-                load_trace={"slowdown": (float(i),)},
-            )
-            assert run.to_json() == _canonical(run)
-        assert len(run_mod._str_cache) <= 4
-
     def test_roundtrips_through_from_json(self):
         run = make_run()
         assert TestcaseRun.from_json(run.to_json()) == run

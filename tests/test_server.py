@@ -47,6 +47,22 @@ class TestRegistry:
         assert record.client_id in second
         assert second.lookup(record.client_id).snapshot == {"os": "xp"}
 
+    def test_torn_registration_skipped_then_cut(self, tmp_path):
+        first = ClientRegistry(tmp_path)
+        a = first.register({"os": "xp"})
+        first.record_sync_ack(a.client_id, 1, 8)
+        with (tmp_path / "registrations.jsonl").open("a") as fh:
+            fh.write('{"client_id": "half-writ')  # crashed writer
+        second = ClientRegistry(tmp_path)
+        assert second.client_ids() == [a.client_id]
+        b = second.register({"os": "me"})
+        second.record_sync_ack(b.client_id, 2, 5)
+        third = ClientRegistry(tmp_path)
+        assert third.client_ids() == sorted([a.client_id, b.client_id])
+        assert third.lookup(b.client_id).snapshot == {"os": "me"}
+        assert third.last_acked(a.client_id) == (1, 8)
+        assert third.last_acked(b.client_id) == (2, 5)
+
     def test_memory_only_registry(self):
         registry = ClientRegistry()
         record = registry.register({})

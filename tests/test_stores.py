@@ -1,5 +1,9 @@
 """Tests for the text-file testcase and result stores."""
 
+import hashlib
+import json
+import tracemalloc
+
 import pytest
 
 from repro.core.exercise import constant, ramp
@@ -9,6 +13,7 @@ from repro.core.run import RunContext, TestcaseRun
 from repro.core.testcase import Testcase
 from repro.errors import StoreError
 from repro.stores import ResultStore, TestcaseStore
+from repro.stores import results as results_mod
 
 
 def tc(tcid="t1", level=1.0):
@@ -191,9 +196,24 @@ class TestResultStoreBatches:
         runs = [run_record(f"c{i}") for i in range(10)]
         flat = ResultStore(tmp_path / "flat")
         flat.extend(runs)
+        line_bytes = len(runs[0].to_json()) + 1
+        chunks = []
+        encode = ResultStore._encode
+
+        def spy(self, batches, dedupe):
+            for chunk in encode(self, batches, dedupe):
+                chunks.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(ResultStore, "_encode", spy)
+        # A chunk closes at the first line that takes it to the bound.
+        monkeypatch.setattr(ResultStore, "_CHUNK_BYTES", 2 * line_bytes + 1)
         chunked = ResultStore(tmp_path / "chunked")
-        monkeypatch.setattr(ResultStore, "_WRITE_CHUNK_LINES", 3)
         assert chunked.extend_batches([runs]) == 10
+        assert [n for _, n in chunks] == [3, 3, 3, 1]
+        assert [len(text) for text, _ in chunks] == [
+            n * line_bytes for _, n in chunks
+        ]
         assert flat.path.read_bytes() == chunked.path.read_bytes()
         assert [r.run_id for r in chunked] == [f"c{i}" for i in range(10)]
 
@@ -213,6 +233,35 @@ class TestResultStoreCrashTail:
         assert [r.run_id for r in reopened] == ["a", "b"]
         assert reopened.lines() == [r.to_json() for r in reopened]
         assert reopened.committed() == 2
+
+    def test_whole_record_without_newline_is_uncommitted(self, tmp_path):
+        # A line counts once its newline is written: readers skip what
+        # the next append's tail repair would cut.
+        store = ResultStore(tmp_path)
+        store.append(run_record("a"))
+        with store.path.open("a") as fh:
+            fh.write(run_record("b").to_json())
+        assert [r.run_id for r in ResultStore(tmp_path)] == ["a"]
+        assert store.committed() == 1
+        store.append(run_record("c"))
+        assert [r.run_id for r in ResultStore(tmp_path)] == ["a", "c"]
+
+    def test_failed_append_forgets_unwritten_ids(self, tmp_path):
+        # An append that fails part-way may have indexed ids whose lines
+        # never landed; a retry must store each run exactly once.
+        class Unencodable:
+            run_id = "boom"
+
+            def to_json(self):
+                raise RuntimeError("cannot encode")
+
+        store = ResultStore(tmp_path)
+        store.append(run_record("a"))
+        good = [run_record("b"), run_record("c")]
+        with pytest.raises(RuntimeError):
+            store.extend(good + [Unencodable()], dedupe=True)
+        store.extend(good, dedupe=True)
+        assert [r.run_id for r in store] == ["a", "b", "c"]
 
     def test_reopen_and_reindex_after_crash(self, tmp_path):
         self.crashed(tmp_path)
@@ -250,6 +299,29 @@ class TestResultStoreCrashTail:
         assert store.path.read_bytes() == b""
         assert list(store) == []
 
+    @pytest.mark.parametrize("blocks,extra", [
+        (0, 1), (1, -1), (1, 0), (1, 1), (3, 5),
+    ])
+    def test_repair_tail_walks_back_across_blocks(self, tmp_path, blocks,
+                                                  extra):
+        # The walk back reads fixed-size blocks; a torn line shorter
+        # than, exactly as long as, or several times one block is cut
+        # at the last newline, and no committed byte is touched.
+        store = ResultStore(tmp_path)
+        store.extend([run_record("a"), run_record("b")])
+        committed = store.path.read_bytes()
+        torn = b"x" * (blocks * results_mod._TAIL_BLOCK + extra)
+        with store.path.open("ab") as fh:
+            fh.write(torn)
+        assert store.repair_tail() is True
+        assert store.path.read_bytes() == committed
+
+    def test_repair_tail_long_file_without_newline(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.path.write_bytes(b"y" * (2 * results_mod._TAIL_BLOCK + 3))
+        assert store.repair_tail() is True
+        assert store.path.read_bytes() == b""
+
     def test_terminated_corruption_still_raises(self, tmp_path):
         # Leniency is only for the crash-truncated tail; a corrupt line
         # that *was* committed (newline-terminated) stays a hard error.
@@ -259,3 +331,76 @@ class TestResultStoreCrashTail:
             fh.write("{broken\n")
         with pytest.raises(StoreError, match="results.jsonl:2"):
             list(store)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated, above what was live before, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+STUDY_USERS = 16
+#: What an append may hold at its peak: a small multiple of the chunk.
+PEAK_LIMIT = 4 * ResultStore._CHUNK_BYTES
+
+
+@pytest.fixture(scope="module")
+def study_runs():
+    """A batch-engine study's records (~9.6 MiB of JSON), encoded once:
+    each trace table renders its columns on first use and keeps them,
+    and those renders belong to the records, not to a write."""
+    from repro.study import ControlledStudyConfig, run_controlled_study
+
+    runs = run_controlled_study(
+        ControlledStudyConfig(n_users=STUDY_USERS, seed=7, engine="batch")
+    ).runs
+    for run in runs:
+        run.to_json()
+    return runs
+
+
+class TestBoundedWrites:
+    """An append holds a few chunks of JSON, not its records' text."""
+
+    def test_extend_batches_peak(self, tmp_path, study_runs):
+        store = ResultStore(tmp_path)
+        peak = traced_peak(lambda: store.extend_batches([study_runs]))
+        assert store.size() > 2 * PEAK_LIMIT
+        assert peak < PEAK_LIMIT, f"{peak} bytes traced"
+
+    def test_checkpoint_commit_peak(self, tmp_path, study_runs):
+        from repro.study.checkpoint import StudyCheckpoint
+        from repro.study.sharded import shard_ranges
+
+        store = ResultStore(tmp_path)
+        checkpoint = StudyCheckpoint(store)
+        shard = shard_ranges(STUDY_USERS, 1)[0]
+        peak = traced_peak(lambda: checkpoint.write_shard(shard, study_runs))
+        assert store.size() > 2 * PEAK_LIMIT
+        assert peak < PEAK_LIMIT, f"{peak} bytes traced"
+        # The commit wrote what any append writes, and its manifest line
+        # names those bytes.
+        plain = ResultStore(tmp_path / "plain")
+        plain.extend_batches([study_runs])
+        data = store.path.read_bytes()
+        assert data == plain.path.read_bytes()
+        record = json.loads(checkpoint.path.read_text())
+        assert (record["offset_start"], record["offset_end"]) == (0, len(data))
+        assert record["sha256"] == hashlib.sha256(data).hexdigest()
+        assert record["runs"] == len(study_runs)
+
+    def test_repair_tail_peak(self, tmp_path, study_runs):
+        store = ResultStore(tmp_path)
+        store.extend_batches([study_runs])
+        committed = store.size()
+        assert committed > 2 * PEAK_LIMIT
+        with store.path.open("a") as fh:
+            fh.write(study_runs[0].to_json()[:10_000])  # no newline: torn
+        peak = traced_peak(store.repair_tail)
+        assert store.size() == committed
+        assert peak < PEAK_LIMIT, f"{peak} bytes traced"

@@ -191,6 +191,21 @@ class TestAckPersistence:
         reloaded = ClientRegistry(tmp_path)
         assert reloaded.last_acked(guid) == (1, 1)
 
+    def test_ack_after_torn_line_survives_restart(self, tmp_path):
+        # The next append cuts the torn line instead of joining it.
+        registry = ClientRegistry(tmp_path)
+        guid = registry.register({}).client_id
+        registry.record_sync_ack(guid, 1, 8)
+        with (tmp_path / "sync_acks.jsonl").open("a") as fh:
+            fh.write('{"client_id": "' + guid + '", "sync')  # crashed writer
+        reloaded = ClientRegistry(tmp_path)
+        assert reloaded.last_acked(guid) == (1, 8)
+        other = reloaded.register({"os": "me"}).client_id
+        reloaded.record_sync_ack(guid, 3, 8)
+        restarted = ClientRegistry(tmp_path)
+        assert restarted.last_acked(guid) == (3, 8)
+        assert restarted.client_ids() == sorted([guid, other])
+
     def test_server_restart_remembers_acks(self, tmp_path):
         root = tmp_path / "server"
         server = UUCSServer(root, seed=1)
