@@ -391,7 +391,7 @@ class TestcaseRun:
                 },
                 load_trace_rate=float(data.get("load_trace_rate", 1.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad run record: {exc}") from exc
 
     @classmethod

@@ -170,19 +170,10 @@ class UUCSServer:
                 "Clients currently known to the registry.",
             ).set(len(self.registry))
             self.rollups.record_register(record.client_id, now=self._clock)
-            self._touch_client(telemetry, record.client_id)
         return Message(
             "registered",
             {"client_id": record.client_id, "protocol": PROTOCOL_VERSION},
         )
-
-    def _touch_client(self, telemetry: Telemetry, client_id: str) -> None:
-        telemetry.metrics.gauge(
-            "uucs_server_client_last_seen_seconds",
-            "Server clock at each client's most recent request.",
-            unit="seconds",
-            labelnames=("client",),
-        ).set(self._clock, client=client_id)
 
     def _handle_sync(self, request: Message) -> Message:
         client_id = request.payload.get("client_id")
@@ -259,29 +250,12 @@ class UUCSServer:
                     duplicates=duplicates,
                     accepted=accepted,
                 )
-            discomforts = sum(1 for run in runs if run.discomforted)
             self.rollups.record_sync(
                 client_id,
                 results=accepted,
-                discomforts=discomforts,
+                discomforts=sum(1 for run in runs if run.discomforted),
                 now=self._clock,
             )
-            metrics.counter(
-                "uucs_server_client_syncs_total",
-                "Hot syncs served, by client GUID.",
-                labelnames=("client",),
-            ).inc(client=client_id)
-            metrics.counter(
-                "uucs_server_client_results_total",
-                "Run results accepted, by client GUID.",
-                labelnames=("client",),
-            ).inc(accepted, client=client_id)
-            metrics.counter(
-                "uucs_server_client_discomforts_total",
-                "Discomfort-terminated runs reported, by client GUID.",
-                labelnames=("client",),
-            ).inc(discomforts, client=client_id)
-            self._touch_client(telemetry, client_id)
         payload: dict[str, object] = {
             "testcases": shipped,
             "accepted": accepted,
@@ -295,24 +269,12 @@ class UUCSServer:
         return Message("sync_ok", payload)
 
     def record_client_bytes(self, client_id: str, read: int, written: int) -> None:
-        """Attribute wire bytes to a client (transport-level accounting)."""
-        telemetry = self.telemetry
-        if not telemetry.enabled or not client_id:
-            return
-        self.rollups.record_bytes(client_id, read=read, written=written)
-        metrics = telemetry.metrics
-        metrics.counter(
-            "uucs_server_client_bytes_read_total",
-            "Request bytes read, by client GUID.",
-            unit="bytes",
-            labelnames=("client",),
-        ).inc(read, client=client_id)
-        metrics.counter(
-            "uucs_server_client_bytes_written_total",
-            "Response bytes written, by client GUID.",
-            unit="bytes",
-            labelnames=("client",),
-        ).inc(written, client=client_id)
+        """Attribute wire bytes to a client (transport-level accounting).
+
+        Only GUIDs the registry issued get a rollup: a request may name
+        any string as its ``client_id``."""
+        if self.telemetry.enabled and client_id in self.registry:
+            self.rollups.record_bytes(client_id, read=read, written=written)
 
 
 class InProcessTransport:

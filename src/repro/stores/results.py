@@ -218,12 +218,6 @@ class ResultStore:
             fh.truncate(size)
         self._ids = None
 
-    def read_span(self, start: int, end: int) -> bytes:
-        """Read raw bytes ``[start, end)`` (checkpoint salvage)."""
-        with self._path.open("rb") as fh:
-            fh.seek(start)
-            return fh.read(end - start)
-
     def __contains__(self, run_id: str) -> bool:
         return run_id in self._index()
 

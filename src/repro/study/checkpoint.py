@@ -23,17 +23,22 @@ them instead of recomputing:
     bytes before *k*'s would break byte-identity forever.
 ``resume``
     stamped by :meth:`StudyCheckpoint.resume` after salvage, recording
-    how many shards were kept and where the store was truncated.
+    how many shards were kept and where the store now ends.
 ``complete``
     the study finished (possibly with quarantined shards).
 
 Resume trusts nothing: each ``done`` record is re-verified against the
 store bytes (offset contiguity from ``base_offset`` plus SHA-256), and
-the salvaged set is the longest verified prefix.  Everything after it —
-including a torn tail from a mid-append crash, removed via
-``repair_tail``/truncate — is recomputed.  That is what makes a resumed
-study byte-identical to an uninterrupted one, which the golden
-shardcheck harness then pins.
+the salvaged set is the longest verified prefix.  Each span is read
+once, line by line, hashing and parsing as it goes.  Without a
+``complete`` record, everything after the prefix — including a torn
+tail from a mid-append crash, removed via ``repair_tail``/truncate — is
+recomputed.  That is what makes a resumed study byte-identical to an
+uninterrupted one, which the golden shardcheck harness then pins.
+After ``complete``, bytes past the study's last span were appended
+later by someone else and are never cut: a study whose shards all
+verify leaves the store as it is, and one with shards still to run
+refuses to resume over such bytes.
 
 A shard commit streams its runs through the store's own encoder and
 writer, hashing each chunk as it is appended, and fsyncs the store
@@ -59,29 +64,19 @@ __all__ = ["ResumeState", "StudyCheckpoint"]
 #: Manifest format version (bump on incompatible record changes).
 MANIFEST_VERSION = 1
 
-#: Bytes read per step while a resume hashes a shard's span.
-_HASH_BLOCK = 1 << 20
-
 
 class ResumeState:
     """What a manifest salvage recovered.
 
     ``salvaged`` maps shard index to its parsed run batch for every
     verified shard (always a contiguous prefix ``0..k``); the driver
-    reruns everything else.  ``already_complete`` is True when the
-    manifest's ``complete`` record is present *and* every shard
-    verified — resuming then is a no-op returning the stored result.
+    reruns everything else.  ``truncated_to`` is the store's size after
+    the salvage.
     """
 
-    def __init__(
-        self,
-        salvaged: dict[int, list[TestcaseRun]],
-        truncated_to: int,
-        already_complete: bool,
-    ):
+    def __init__(self, salvaged: dict[int, list[TestcaseRun]], truncated_to: int):
         self.salvaged = salvaged
         self.truncated_to = truncated_to
-        self.already_complete = already_complete
 
     @property
     def runs_salvaged(self) -> int:
@@ -101,10 +96,6 @@ class StudyCheckpoint:
     @property
     def path(self) -> Path:
         return self._path
-
-    @property
-    def store(self) -> ResultStore:
-        return self._store
 
     # ------------------------------------------------------------------
     # manifest IO
@@ -183,7 +174,10 @@ class StudyCheckpoint:
 
     def resume(self, config, plan) -> ResumeState:
         """Verify the manifest against the store and salvage the longest
-        byte-verified shard prefix; truncate everything after it."""
+        byte-verified shard prefix.  The bytes after it are cut unless
+        the study had completed (see the module docstring); resuming a
+        completed study whose rerun would cut later appends raises
+        :class:`StudyError`."""
         records = self._records()
         if not records:
             raise StudyError(
@@ -209,33 +203,50 @@ class StudyCheckpoint:
         expected_offset = self._base_offset
         store_size = self._store.size()
         for expected_index, record in enumerate(done):
-            if not self._verify_shard(
+            runs = self._verify_shard(
                 record, expected_index, expected_offset, store_size, plan
-            ):
+            )
+            if runs is None:
                 break
-            start = int(record["offset_start"])
-            end = int(record["offset_end"])
-            salvaged[expected_index] = self._parse_span(start, end, record)
-            expected_offset = end
+            salvaged[expected_index] = runs
+            expected_offset = int(record["offset_end"])
 
-        # Drop unverified bytes (a torn shard append, or bytes written
-        # by hands unknown) so fresh shard commits land exactly where
-        # the uninterrupted run would have put them.
-        self._store.truncate(expected_offset)
-
-        already_complete = complete and len(salvaged) == len(plan)
-        # Rewrite the manifest to exactly what survived, then stamp the
-        # salvage so the history of this resume is itself durable.
-        self._rewrite(
-            [records[0]] + done[: len(salvaged)],
-            resume_record={
-                "kind": "resume",
-                "salvaged_shards": len(salvaged),
-                "salvaged_runs": sum(len(b) for b in salvaged.values()),
-                "truncated_to": expected_offset,
-            },
-        )
-        return ResumeState(salvaged, expected_offset, already_complete)
+        finished = complete and len(salvaged) == len(plan)
+        if complete and not finished:
+            # The study's own bytes end at its last committed span; any
+            # after that were appended once it had finished.
+            named_end = max(
+                (r["offset_end"] for r in done if isinstance(r.get("offset_end"), int)),
+                default=self._base_offset,
+            )
+            if store_size > named_end:
+                raise StudyError(
+                    f"cannot resume: {store_size - named_end} bytes were "
+                    f"appended to {self._store.path} after the study "
+                    "completed, and rerunning its missing shards would "
+                    "cut them"
+                )
+        keep = store_size if finished else expected_offset
+        resume_record = {
+            "kind": "resume",
+            "salvaged_shards": len(salvaged),
+            "salvaged_runs": sum(len(b) for b in salvaged.values()),
+            "truncated_to": keep,
+        }
+        if finished:
+            # Nothing to rerun: stamp the salvage after ``complete`` and
+            # keep every byte, later appends included.
+            self._append(resume_record)
+        else:
+            # Drop unverified bytes (a torn shard append, or the study's
+            # own spans that failed to verify) so fresh shard commits
+            # land exactly where the uninterrupted run would have put
+            # them.  Rewrite the manifest to exactly what survived, then
+            # stamp the salvage so the history of this resume is itself
+            # durable.
+            self._store.truncate(keep)
+            self._rewrite([records[0]] + done[: len(salvaged)], resume_record)
+        return ResumeState(salvaged, keep)
 
     def write_shard(self, shard, runs: Sequence[TestcaseRun]) -> tuple[int, int]:
         """Durably commit one shard batch: store bytes first, manifest
@@ -305,14 +316,7 @@ class StudyCheckpoint:
                 f"checkpoint manifest {self._path} has version "
                 f"{header.get('version')!r}, expected {MANIFEST_VERSION}"
             )
-        expected = {
-            "seed": config.seed,
-            "n_users": config.n_users,
-            "engine": config.engine,
-            "tasks": list(config.tasks),
-            "shards": [[s.index, s.start, s.stop] for s in plan],
-        }
-        for key, want in expected.items():
+        for key, want in self._header_for(config, plan).items():
             got = header.get(key)
             if got != want:
                 raise StudyError(
@@ -328,50 +332,53 @@ class StudyCheckpoint:
         expected_offset: int,
         store_size: int,
         plan,
-    ) -> bool:
+    ) -> list[TestcaseRun] | None:
+        """The runs of the span ``record`` names, or ``None`` when the
+        record does not continue the verified prefix or its bytes fail
+        their digest.  The span is read once, each line hashed and
+        parsed as it comes, so it is never held whole."""
         try:
             shard = int(record["shard"])
             start = int(record["offset_start"])
             end = int(record["offset_end"])
             digest = str(record["sha256"])
         except (KeyError, TypeError, ValueError):
-            return False
+            return None
         if shard != expected_index or shard >= len(plan):
-            return False
+            return None
         planned = plan[shard]
         if (record.get("start"), record.get("stop")) != (
             planned.start,
             planned.stop,
         ):
-            return False
+            return None
         if start != expected_offset or end < start or end > store_size:
-            return False
+            return None
         hasher = hashlib.sha256()
+        runs: list[TestcaseRun] = []
+        error: Exception | None = None
         with self._store.path.open("rb") as fh:
             fh.seek(start)
-            for offset in range(start, end, _HASH_BLOCK):
-                hasher.update(fh.read(min(_HASH_BLOCK, end - offset)))
-        return hasher.hexdigest() == digest
-
-    def _parse_span(
-        self, start: int, end: int, record: dict
-    ) -> list[TestcaseRun]:
-        blob = self._store.read_span(start, end)
-        try:
-            runs = [
-                TestcaseRun.from_json(line)
-                for line in blob.decode("utf-8").splitlines()
-                if line.strip()
-            ]
-        except SerializationError as exc:
+            for line in iter(lambda: fh.readline(end - fh.tell()), b""):
+                hasher.update(line)
+                if error is None and line.strip():
+                    try:
+                        runs.append(TestcaseRun.from_json(line.decode()))
+                    except (SerializationError, UnicodeDecodeError) as exc:
+                        # An error only if the digest vouches for the
+                        # span; a span that fails it is simply rerun.
+                        error = exc
+        if hasher.hexdigest() != digest:
+            return None
+        if error is not None:
             raise StudyError(
-                f"checkpoint shard {record.get('shard')} verified by "
-                f"digest but failed to parse: {exc}"
-            ) from exc
+                f"checkpoint shard {shard} verified by digest but failed "
+                f"to parse: {error}"
+            ) from error
         if len(runs) != int(record.get("runs", -1)):
             raise StudyError(
-                f"checkpoint shard {record.get('shard')} has "
-                f"{len(runs)} runs, manifest says {record.get('runs')}"
+                f"checkpoint shard {shard} has {len(runs)} runs, manifest "
+                f"says {record.get('runs')}"
             )
         return runs
 

@@ -645,19 +645,10 @@ def _record_shard_metrics(
         buckets=SHARD_SECONDS_BUCKETS,
     ).observe(elapsed_s, shard=str(shard.index))
     metrics.counter(
-        "uucs_study_shard_workers_total",
-        "Shard worker tasks completed.",
-    ).inc()
-    metrics.counter(
         "uucs_study_shard_runs_total",
         "Run records produced by shard workers.",
         labelnames=("shard",),
     ).inc(n_runs, shard=str(shard.index))
-    metrics.counter(
-        "uucs_study_shard_users_total",
-        "Participant sessions executed by shard workers.",
-        labelnames=("shard",),
-    ).inc(shard.n_users, shard=str(shard.index))
     telemetry.emit(
         "study.shard",
         shard=shard.index,

@@ -11,8 +11,8 @@ at scale:
   and wire (de)serialization for the push gateway;
 * :class:`ClientRollups` — thread-safe per-client server rollups keyed
   by GUID (syncs, results, discomfort reports, bytes, pushes,
-  last-seen), the data behind ``uucs clients`` and the
-  ``uucs_server_client_*`` metric families;
+  last-seen), the server's one record of per-client facts, served on
+  ``GET /clients`` and rendered by ``uucs clients`` and ``uucs top``;
 * the push-gateway HTTP helpers (:func:`push_snapshot`,
   :func:`fetch_snapshot`, :func:`fetch_clients`) that clients and the
   ``uucs top`` dashboard use to talk to a

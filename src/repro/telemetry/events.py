@@ -8,8 +8,8 @@ abstraction:
 
 * :class:`NullSink` — the default; library use stays completely silent
   and no file is ever created;
-* :class:`JsonLinesSink` — a ``logging``-backed emitter appending one
-  JSON line per event to a file;
+* :class:`JsonLinesSink` — appends one JSON line per event to a file,
+  each line one unbuffered write;
 * :class:`MemorySink` — an in-process buffer for tests and summaries.
 
 Events are *seeded-run-safe*: nothing here draws randomness, and
@@ -20,12 +20,12 @@ never perturb a seeded simulation.
 from __future__ import annotations
 
 import json
-import logging
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.errors import SerializationError, StoreError
 
@@ -127,43 +127,52 @@ class MemorySink:
 
 
 class JsonLinesSink:
-    """Appends one JSON line per event to ``path`` via :mod:`logging`.
+    """Appends one JSON line per event to ``path``.
 
-    A dedicated, non-propagating logger plus a ``FileHandler`` give the
-    emitter the stdlib's locking and crash-safety for free while keeping
-    the root logger untouched.
+    Each line is one unbuffered append made under the sink's lock, so no
+    event waits in a buffer: ``close`` has nothing to flush, and a crash
+    tears at most the line being written (readers skip a torn tail).  A
+    write that fails, on a full disk say, drops its event; the first
+    failure is reported once on stderr, so telemetry trouble never
+    raises into the program it observes.
     """
-
-    _instances = 0
-    _instances_lock = threading.Lock()
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        with JsonLinesSink._instances_lock:
-            JsonLinesSink._instances += 1
-            n = JsonLinesSink._instances
-        self._logger = logging.getLogger(f"repro.telemetry.jsonl.{n}")
-        self._logger.setLevel(logging.INFO)
-        self._logger.propagate = False
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handler = logging.FileHandler(self.path, encoding="utf-8")
+            self._file: BinaryIO | None = self.path.open("ab", buffering=0)
         except OSError as exc:
             raise StoreError(
                 f"cannot open event log {self.path}: {exc}"
             ) from exc
-        self._handler.setFormatter(logging.Formatter("%(message)s"))
-        self._logger.addHandler(self._handler)
+        self._lock = threading.Lock()
+        self._failed = False
 
     def emit(self, event: Event) -> None:
-        self._logger.info(event.to_json())
+        line = memoryview((event.to_json() + "\n").encode())
+        with self._lock:
+            if self._file is None:
+                return
+            try:
+                while line:  # a raw write may take only part of the line
+                    line = line[self._file.write(line):]
+            except OSError as exc:
+                if not self._failed:
+                    self._failed = True
+                    print(
+                        f"warning: cannot write event log {self.path}: "
+                        f"{exc}; dropping events",
+                        file=sys.stderr,
+                        flush=True,
+                    )
 
     def close(self) -> None:
-        """Flush and detach the file handler (idempotent)."""
-        if self._handler is not None:
-            self._logger.removeHandler(self._handler)
-            self._handler.close()
-            self._handler = None  # type: ignore[assignment]
+        """Close the file (idempotent); later events are dropped."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 class EventLog:
@@ -200,17 +209,20 @@ class EventLog:
         self._sink.close()
 
 
-def read_events(source: str | Path | Iterable[str]) -> list[Event]:
-    """Load a JSON-lines event log (path or iterable of lines).
-
-    Blank lines are skipped; malformed lines raise
-    :class:`~repro.errors.SerializationError` naming the line number.
-    """
+def _read(
+    source: str | Path | Iterable[str], problems: list[str] | None
+) -> list[Event]:
+    """The readers' one loop.  Blank lines are skipped.  A file that
+    cannot be read or a malformed line raises, or, given ``problems``,
+    is noted there and skipped."""
     if isinstance(source, (str, Path)):
         try:
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
-            raise StoreError(f"cannot read event log {source}: {exc}")
+            if problems is None:
+                raise StoreError(f"cannot read event log {source}: {exc}")
+            problems.append(f"cannot read event log {source}: {exc}")
+            return []
         lines: Iterable[str] = text.splitlines()
     else:
         lines = source
@@ -221,8 +233,19 @@ def read_events(source: str | Path | Iterable[str]) -> list[Event]:
         try:
             events.append(Event.from_json(line))
         except SerializationError as exc:
-            raise SerializationError(f"line {lineno}: {exc}")
+            if problems is None:
+                raise SerializationError(f"line {lineno}: {exc}")
+            problems.append(f"line {lineno}: skipped ({exc})")
     return events
+
+
+def read_events(source: str | Path | Iterable[str]) -> list[Event]:
+    """Load a JSON-lines event log (path or iterable of lines).
+
+    Blank lines are skipped; malformed lines raise
+    :class:`~repro.errors.SerializationError` naming the line number.
+    """
+    return _read(source, None)
 
 
 def read_events_lenient(
@@ -236,21 +259,5 @@ def read_events_lenient(
     ``(events, problems)`` where ``problems`` holds one human-readable
     string per skipped item, for the caller to surface as warnings.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            return [], [f"cannot read event log {source}: {exc}"]
-        lines: Iterable[str] = text.splitlines()
-    else:
-        lines = source
-    events: list[Event] = []
     problems: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(Event.from_json(line))
-        except SerializationError as exc:
-            problems.append(f"line {lineno}: skipped ({exc})")
-    return events, problems
+    return _read(source, problems), problems

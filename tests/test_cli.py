@@ -2,10 +2,12 @@
 
 import re
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.stores import ResultStore
 
 
 def run_cli(*args):
@@ -162,6 +164,34 @@ class TestStudyPipeline:
         a = (tmp_path / "plain" / "results.jsonl").read_bytes()
         b = (tmp_path / "resumed" / "results.jsonl").read_bytes()
         assert a == b
+
+    def test_resume_keeps_results_appended_after_completion(self, tmp_path,
+                                                             capsys):
+        """--resume over a completed manifest must not cut the runs a
+        later study appended to the same store."""
+        results = str(tmp_path / "r")
+        store = tmp_path / "r" / "results.jsonl"
+        assert run_cli("study", "--users", "2", "--seed", "5",
+                       "--results", results, "--shards", "2") == 0
+        assert run_cli("study", "--users", "2", "--seed", "6",
+                       "--results", results) == 0
+        appended = store.read_bytes()
+        assert run_cli("study", "--users", "2", "--seed", "5",
+                       "--results", results, "--shards", "2",
+                       "--resume") == 0
+        assert store.read_bytes() == appended
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs /dev/full")
+    def test_study_survives_a_full_event_log(self, tmp_path, capsys):
+        # Telemetry that cannot write drops its events with one warning;
+        # the study and its store carry on.
+        results = tmp_path / "r"
+        assert run_cli("study", "--users", "1", "--seed", "3",
+                       "--results", str(results),
+                       "--telemetry", "/dev/full") == 0
+        assert len(ResultStore(results)) == 32
+        assert capsys.readouterr().err.count("warning:") == 1
 
     def test_study_kill_chaos_retried_byte_identical(self, tmp_path,
                                                      capsys, monkeypatch):

@@ -6,7 +6,7 @@ declaration ``<x>.counter/.gauge/.histogram("uucs_...", ...)`` (name,
 kind, unit, label names, site) and every ``<x>.emit("<event>", ...)``.
 Private ``Histogram(...)`` objects that never join a registry are not
 metric families and are out of scope.  The doc side is the "Metric
-catalogue", "Per-client rollups" and "Event schema" tables.
+catalogue" and "Event schema" tables.
 """
 
 import ast
@@ -87,15 +87,11 @@ def _scan_doc():
     rows = _table_rows(
         _section(text, "Metric catalogue"),
         "| metric | kind | unit | labels | meaning |",
-    ) + _table_rows(
-        _section(text, "Per-client rollups"), "| metric | kind | unit | labels |"
     )
     families: dict[str, tuple] = {}
     duplicates = []
     for cells in rows:
         (name,) = _ticked(cells[0])
-        if "*" in name:
-            continue  # a pointer to another table, not a family
         if name in families:
             duplicates.append(name)
         families[name] = (cells[1], cells[2], _ticked(cells[3]))

@@ -6,13 +6,15 @@ from repro.core.exercise import constant
 from repro.core.resources import Resource
 from repro.core.testcase import Testcase
 from repro.errors import RegistrationError, ValidationError
-from repro.net import AsyncioServerTransport
+from repro.net import AsyncioServerTransport, RequestDispatcher
 from repro.server import (
     ClientRegistry,
     GrowingSampler,
     InProcessTransport,
     Message,
     UUCSServer,
+    decode_message,
+    encode_message,
 )
 
 
@@ -163,6 +165,15 @@ class TestServerCore:
                              "results": ["nope"]})
         )
         assert bad_results.is_error
+        # A nested field of the wrong type is a client mistake too, not
+        # an exception that would take the connection down.
+        mistyped = {"run_id": "r", "testcase_id": "a",
+                    "outcome": "exhausted", "end_offset": 1.0,
+                    "testcase_duration": 1.0, "shapes": []}
+        assert server.handle(
+            Message("sync", {"client_id": client_id, "have": [],
+                             "results": [mistyped]})
+        ).is_error
 
     def test_responses_never_raise_for_client_mistakes(self, tmp_path):
         server = self.make_server(tmp_path)
@@ -252,11 +263,13 @@ class TestPerClientRollups:
         assert row.discomforts == 1
         assert row.bytes_read == 64
         assert row.bytes_written == 256
-        metrics = server.telemetry.metrics
-        counter = metrics.counter(
-            "uucs_server_client_discomforts_total", labelnames=("client",)
-        )
-        assert counter.value(client=client_id) == 1
+        # The rollup is the one per-client record: no labelled family
+        # repeats it.
+        assert not [
+            metric.name
+            for metric in server.telemetry.metrics
+            if metric.name.startswith("uucs_server_client_")
+        ]
 
     def test_rollups_idle_when_telemetry_disabled(self, tmp_path):
         server = UUCSServer(tmp_path, seed=1)
@@ -267,6 +280,22 @@ class TestPerClientRollups:
             "client_id": client_id, "have": [], "results": [],
         })).expect("sync_ok")
         server.record_client_bytes(client_id, read=10, written=10)
+        assert len(server.rollups) == 0
+
+    def test_unissued_ids_get_no_rollup(self, tmp_path):
+        # A request may name any string as its client_id; only GUIDs the
+        # registry issued get per-client accounting.
+        from repro.telemetry import Telemetry
+
+        server = UUCSServer(tmp_path, seed=1, telemetry=Telemetry())
+        dispatcher = RequestDispatcher(server)
+        for i in range(1000):
+            line = encode_message(
+                Message("sync", {"client_id": f"made-up-{i}", "have": []})
+            )
+            reply = decode_message(dispatcher.dispatch_line(line))
+            assert "registered 'client_id'" in reply.payload["reason"]
+        assert len(server.registry) == 0
         assert len(server.rollups) == 0
 
     def test_tcp_transport_attributes_bytes(self, tmp_path):

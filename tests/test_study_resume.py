@@ -23,6 +23,7 @@ from repro.study import (
     SupervisorPolicy,
     run_controlled_study,
     run_sharded_study,
+    shard_ranges,
 )
 from shardcheck import (
     assert_resume_equivalence,
@@ -75,12 +76,13 @@ class TestManifestLifecycle:
         assert header["n_users"] == SMALL.n_users
         assert header["base_offset"] == 0
         offset = 0
+        stored = store.path.read_bytes()
         for shard_record in records[1:3]:
             assert shard_record["status"] == "done"
             assert shard_record["offset_start"] == offset
-            span = store.read_span(
-                shard_record["offset_start"], shard_record["offset_end"]
-            )
+            span = stored[
+                shard_record["offset_start"]:shard_record["offset_end"]
+            ]
             assert hashlib.sha256(span).hexdigest() == shard_record["sha256"]
             offset = shard_record["offset_end"]
         assert offset == len(baseline)
@@ -245,6 +247,96 @@ class TestResumeSalvage:
         )
         assert resume_record["salvaged_shards"] == 2
         assert resume_record["salvaged_runs"] == len(first.runs)
+
+
+    def _rewrite_manifest(self, checkpoint, records):
+        checkpoint.path.write_text(
+            "".join(
+                json.dumps(r, separators=(",", ":"), sort_keys=True) + "\n"
+                for r in records
+            ),
+            encoding="utf-8",
+        )
+
+    def test_span_that_verifies_but_does_not_parse_is_fatal(self, tmp_path):
+        # Shard 1's first record is damaged and the manifest digest
+        # re-pinned to the damaged bytes: the digest vouches for a span
+        # that is not run records, which resume must not paper over.
+        store = ResultStore(tmp_path)
+        run_checkpointed(store)
+        checkpoint = StudyCheckpoint(store)
+        records = manifest_records(checkpoint)
+        shard1 = records[2]
+        blob = bytearray(store.path.read_bytes())
+        blob[shard1["offset_start"]] = ord("x")
+        store.path.write_bytes(bytes(blob))
+        span = bytes(blob[shard1["offset_start"]:shard1["offset_end"]])
+        shard1["sha256"] = hashlib.sha256(span).hexdigest()
+        self._rewrite_manifest(checkpoint, records)
+        with pytest.raises(StudyError, match="verified by digest but failed"):
+            run_checkpointed(store, resume=True)
+
+    def test_run_count_mismatch_is_fatal(self, tmp_path):
+        store = ResultStore(tmp_path)
+        run_checkpointed(store)
+        checkpoint = StudyCheckpoint(store)
+        records = manifest_records(checkpoint)
+        records[1]["runs"] += 1
+        self._rewrite_manifest(checkpoint, records)
+        with pytest.raises(StudyError, match="manifest says"):
+            run_checkpointed(store, resume=True)
+
+    def test_completed_study_stays_complete_through_resume(self, tmp_path):
+        # A resume with nothing to rerun keeps the manifest complete at
+        # every instant, so a crash before the driver stamps ``complete``
+        # again cannot let the next resume cut what a later study
+        # appended.
+        store = ResultStore(tmp_path)
+        run_checkpointed(store)
+        store.extend(
+            run_controlled_study(
+                ControlledStudyConfig(n_users=1, seed=6, tasks=("word",))
+            ).runs
+        )
+        appended = store.path.read_bytes()
+        checkpoint = StudyCheckpoint(store)
+        state = checkpoint.resume(SMALL, shard_ranges(SMALL.n_users, 2))
+        assert len(state.salvaged) == 2
+        assert not checkpoint.unfinished()  # the driver dies here
+        run_checkpointed(store, resume=True)
+        assert store.path.read_bytes() == appended
+
+    def test_resume_after_quarantine_never_cuts_later_appends(
+        self, tmp_path
+    ):
+        # Shard 1 is quarantined and the study completes; another study
+        # then appends.  Rerunning shard 1 would cut those runs, so
+        # resume refuses, naming the bytes, and leaves the store alone.
+        store = ResultStore(tmp_path)
+        partial = run_checkpointed(
+            store,
+            chaos=ShardFaultPlan(corrupt=0.5, seed=3),
+            supervisor=fast_policy(max_attempts=1, quarantine=True),
+        )
+        assert partial.quarantined == (1,)
+        study_end = store.size()
+        store.extend(
+            run_controlled_study(
+                ControlledStudyConfig(n_users=1, seed=6, tasks=("word",))
+            ).runs
+        )
+        appended = store.path.read_bytes()
+        with pytest.raises(
+            StudyError, match=f" {len(appended) - study_end} bytes "
+        ):
+            run_checkpointed(store, resume=True)
+        assert store.path.read_bytes() == appended
+        # Once those bytes are gone, the quarantined shard reruns.
+        store.truncate(study_end)
+        run_checkpointed(store, resume=True)
+        assert store.path.read_bytes() == b"".join(
+            serialized_records(run_controlled_study(SMALL))
+        )
 
 
 class TestGoldenResumeSoak:

@@ -1,10 +1,17 @@
 """Unit tests for repro.telemetry: metrics, events, spans, exporter."""
 
+import ast
+import hashlib
 import json
+import logging
+import os
 import socket
 import threading
+from pathlib import Path
 
 import pytest
+
+import repro.telemetry
 
 from repro.errors import SerializationError, StoreError, ValidationError
 from repro.telemetry import (
@@ -198,6 +205,98 @@ class TestEvents:
         circular["self"] = circular
         with pytest.raises(SerializationError):
             Event("bad", 0.0, {"x": circular}).to_json()
+
+
+class TestJsonLinesSink:
+    #: sha256 of the log the fixed sequence below produced when the sink
+    #: wrote through ``logging``; the direct writer keeps every byte.
+    PINNED = "d44a99c6944f75de10d41a0f0df643b0cb8dddf6a4f4c0c02ba700fef131d1f3"
+
+    def test_bytes_match_pinned_log(self, tmp_path):
+        path = tmp_path / "ev.jsonl"
+        ticks = iter(range(1000))
+        log = EventLog(
+            JsonLinesSink(path), clock=lambda: 1_086_000_000 + next(ticks) / 8
+        )
+        for i in range(1000):
+            log.emit(
+                "span" if i % 3 else "study.shard",
+                shard=i,
+                ratio=i / 7,
+                tiny=1e-300 * i,
+                big=-1.5e300,
+                none=None,
+                done=bool(i % 2),
+                text='naïve "quoted" \\ back\nslash\ttab — ☃ 𝄞 é',
+                path=Path("out") / f"s{i}.jsonl",
+                levels={"cpu": i * 0.1, "disk": None},
+                tasks=["word", "ie"],
+            )
+        log.close()
+        blob = path.read_bytes()
+        assert blob.count(b"\n") == 1000
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED
+
+    def test_short_raw_writes_still_land_whole_lines(self, tmp_path):
+        # A raw write may take only part of its buffer; the sink writes
+        # the rest, so lines are never torn or interleaved.
+        whole, trickled = tmp_path / "whole.jsonl", tmp_path / "trickled.jsonl"
+        sink = JsonLinesSink(trickled)
+        raw = sink._file
+
+        class Trickle:
+            def write(self, data):
+                return raw.write(data[:7])
+
+            def close(self):
+                raw.close()
+
+        sink._file = Trickle()
+        for path_sink in (JsonLinesSink(whole), sink):
+            log = EventLog(path_sink, clock=lambda: 1.0)
+            for i in range(5):
+                log.emit("span", i=i, text="x" * 40)
+            log.close()
+        assert trickled.read_bytes() == whole.read_bytes()
+        assert len(read_events(trickled)) == 5
+
+    def test_no_logger_per_hub(self):
+        for _ in range(100):
+            Telemetry.to_path(os.devnull).close()
+        leaked = [
+            name
+            for name in logging.Logger.manager.loggerDict
+            if name.startswith("repro.telemetry.jsonl")
+        ]
+        assert not leaked
+        package = Path(repro.telemetry.__file__).parent
+        for module in package.glob("*.py"):
+            tree = ast.parse(module.read_text(encoding="utf-8"))
+            imported = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names
+            } | {
+                node.module
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+            }
+            assert "logging" not in imported, module.name
+
+    @pytest.mark.skipif(
+        not Path("/dev/full").exists(), reason="needs /dev/full"
+    )
+    def test_full_disk_drops_events_with_one_warning(self, capsys):
+        log = EventLog(JsonLinesSink("/dev/full"))
+        for i in range(20):
+            log.emit("span", i=i)
+        log.close()
+        log.emit("after.close")  # dropped, not an error
+        log.close()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: cannot write event log /dev/full")
 
 
 class TestTracing:
