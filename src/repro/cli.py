@@ -62,7 +62,7 @@ from repro.errors import (
 )
 from repro.faults.shardchaos import ShardFaultPlan
 from repro.net import AsyncioServerTransport
-from repro.server.server import UUCSServer
+from repro.server.server import TCPClientTransport, UUCSServer
 from repro.stores import ResultStore, TestcaseStore
 from repro.study.checkpoint import StudyCheckpoint
 from repro.study.controlled import ENGINES, ControlledStudyConfig
@@ -426,7 +426,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
     from repro.faults import (
         FaultInjectingTransport,
         FaultPlan,
-        ReconnectingTCPTransport,
         RetryingTransport,
         RetryPolicy,
     )
@@ -450,11 +449,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
         push_to = _parse_hostport(args.push_gateway, "--push-gateway")
         if telemetry is None:
             telemetry = Telemetry()  # pushing implies collecting metrics
-    # Resilient transport stack, innermost first: redial dropped
-    # connections, optionally inject chaos, then retry around the lot.
-    transport = ReconnectingTCPTransport(
-        args.host, args.port, telemetry=telemetry
-    )
+    # Resilient transport stack, innermost first: a TCP client that
+    # redials dropped connections, optionally chaos, then retries.
+    transport = TCPClientTransport(args.host, args.port, telemetry=telemetry)
     if args.chaos:
         transport = FaultInjectingTransport(
             transport,

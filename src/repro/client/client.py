@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from repro.client.scheduler import PoissonArrivals
 from repro.core.run import RunContext, TestcaseRun
@@ -31,18 +31,12 @@ from repro.core.session import (
 )
 from repro.core.testcase import Testcase
 from repro.errors import ProtocolError, ReproError, StoreError, ValidationError
-from repro.server.protocol import PROTOCOL_VERSION, Message, RawRecords
+from repro.server.protocol import PROTOCOL_VERSION, Message, RawRecords, Transport
 from repro.stores import ResultStore, TestcaseStore
 from repro.telemetry import Telemetry, get_telemetry
 from repro.util.rng import SeedLike, ensure_rng
 
-__all__ = ["ClientConfig", "SyncOutcome", "Transport", "UUCSClient"]
-
-
-class Transport(Protocol):
-    """Anything that can carry a request message to the server."""
-
-    def request(self, message: Message) -> Message: ...
+__all__ = ["ClientConfig", "SyncOutcome", "UUCSClient"]
 
 
 def _count(response: Message, key: str) -> int:

@@ -6,8 +6,6 @@ reproduction survive that environment and *prove* it:
 
 * :class:`RetryingTransport` — per-request deadlines, capped exponential
   backoff with seeded jitter, and a lifetime retry budget;
-* :class:`ReconnectingTCPTransport` — re-dials dropped TCP connections
-  on the next request;
 * :class:`FaultPlan` / :class:`FaultInjectingTransport` — seeded
   probabilistic fault injection at the transport seam (drop, delay,
   duplicate, truncate, corrupt, disconnect);
@@ -17,9 +15,14 @@ reproduction survive that environment and *prove* it:
   (worker kill/hang/corrupt-batch, driver SIGINT), exercising the shard
   supervisor's retry/watchdog/quarantine and checkpoint/resume paths.
 
+Each job is done once: :class:`~repro.server.TCPClientTransport` dials
+and redials, :class:`~repro.faults.injection.ChaosPlan` parses and
+range-checks both plans' specs, and :class:`~repro.faults.injection.FaultDice`
+rolls and records both injectors' faults (``fault.injected``).
+
 Layering convention, innermost first::
 
-    ReconnectingTCPTransport (dial/redial)
+    TCPClientTransport (dial/redial)
       -> FaultInjectingTransport (chaos, tests/demos only)
         -> RetryingTransport (resend policy)
 
@@ -29,7 +32,6 @@ with ``sync_seq`` and the server dedupes uploads by ``run_id``.
 
 from repro.faults.injection import FaultInjectingTransport, FaultPlan
 from repro.faults.proxy import ChaosTCPProxy
-from repro.faults.reconnect import ReconnectingTCPTransport
 from repro.faults.retry import RetryingTransport, RetryPolicy
 from repro.faults.shardchaos import ShardAttemptFaults, ShardFaultPlan
 
@@ -37,7 +39,6 @@ __all__ = [
     "ChaosTCPProxy",
     "FaultInjectingTransport",
     "FaultPlan",
-    "ReconnectingTCPTransport",
     "RetryPolicy",
     "RetryingTransport",
     "ShardAttemptFaults",

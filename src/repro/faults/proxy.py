@@ -11,20 +11,20 @@ can only approximate, and it works against any client (``uucs client
 
 The proxy is an :class:`~repro.net.listener.AsyncioListener`: every
 relay is a coroutine on one event-loop thread, so ``close()`` ends them
-all, and the one seeded RNG they share needs no lock.  A single
-sequential client sees a deterministic fault schedule — the basis of
-the seeded soak tests.
+all, and the one seeded :class:`~repro.faults.injection.FaultDice` they
+share needs no lock.  A single sequential client sees a deterministic
+fault schedule — the basis of the seeded soak tests.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.faults.injection import FaultPlan
+from repro.faults.injection import FaultDice, FaultPlan
 from repro.net.listener import AsyncioListener
 from repro.server.protocol import MAX_MESSAGE_BYTES
-from repro.telemetry import Telemetry, get_telemetry
-from repro.util.rng import SeedLike, ensure_rng
+from repro.telemetry import Telemetry
+from repro.util.rng import SeedLike
 
 __all__ = ["ChaosTCPProxy"]
 
@@ -46,34 +46,16 @@ class ChaosTCPProxy(AsyncioListener):
     ):
         self._upstream = (upstream[0], int(upstream[1]))
         self._plan = plan
-        self._rng = ensure_rng(seed)
-        self._telemetry = telemetry
+        self._dice = FaultDice(seed, telemetry)
         #: Injected-fault counts by kind (observable).
-        self.injected: dict[str, int] = {}
+        self.injected = self._dice.injected
         super().__init__(host, port, limit=MAX_MESSAGE_BYTES)
-
-    @property
-    def telemetry(self) -> Telemetry:
-        return self._telemetry if self._telemetry is not None else get_telemetry()
-
-    def _hit(self, probability: float) -> bool:
-        return float(self._rng.random()) < probability
-
-    def _note(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.counter(
-                "uucs_chaos_faults_total",
-                "Faults injected by the chaos proxy, by kind.",
-                labelnames=("kind",),
-            ).inc(kind=kind)
-            telemetry.emit("chaos.injected", kind=kind)
 
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         plan = self._plan
+        roll = self._dice.roll
         server, upstream = await asyncio.wait_for(
             asyncio.open_connection(*self._upstream, limit=MAX_MESSAGE_BYTES),
             _CONNECT_TIMEOUT_S,
@@ -85,19 +67,16 @@ class ChaosTCPProxy(AsyncioListener):
                     return  # the client hung up
                 if not line.strip():
                     continue
-                if self._hit(plan.drop_request):
+                if roll(plan.drop_request, "drop_request"):
                     # The request evaporates; killing the connection
                     # makes the loss visible to the client immediately
                     # instead of stalling it on a read timeout.
-                    self._note("drop_request")
                     return
-                if self._hit(plan.disconnect):
-                    self._note("disconnect")
+                if roll(plan.disconnect, "disconnect"):
                     return
-                if self._hit(plan.duplicate):
+                if roll(plan.duplicate, "duplicate"):
                     # Deliver twice; swallow the first response so the
                     # client sees exactly one (the server saw two).
-                    self._note("duplicate")
                     upstream.write(line)
                     if not await server.readline():
                         return
@@ -105,19 +84,15 @@ class ChaosTCPProxy(AsyncioListener):
                 response = await server.readline()
                 if not response:
                     return  # upstream died; drop the client too
-                if self._hit(plan.drop_response):
+                if roll(plan.drop_response, "drop_response"):
                     # The server has committed; the ack dies here.
-                    self._note("drop_response")
                     return
-                if self._hit(plan.truncate):
-                    self._note("truncate")
+                if roll(plan.truncate, "truncate"):
                     writer.write(response[: max(1, len(response) // 2)])
                     return
-                if self._hit(plan.corrupt):
-                    self._note("corrupt")
+                if roll(plan.corrupt, "corrupt"):
                     response = b"\x00garbage\xff" + response[9:-1] + b"\n"
-                if self._hit(plan.delay) and plan.delay_s > 0.0:
-                    self._note("delay")
+                if roll(plan.delay, "delay") and plan.delay_s > 0.0:
                     await asyncio.sleep(plan.delay_s)
                 writer.write(response)
                 await writer.drain()

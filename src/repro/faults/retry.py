@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.errors import TransportError, ValidationError
-from repro.server.protocol import Message
+from repro.server.protocol import Message, Transport
 from repro.telemetry import Telemetry, get_telemetry
 from repro.util.rng import SeedLike, ensure_rng
 
 __all__ = ["RetryPolicy", "RetryingTransport"]
-
-
-class _Transport(Protocol):
-    def request(self, message: Message) -> Message: ...
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class RetryingTransport:
 
     def __init__(
         self,
-        inner: _Transport,
+        inner: Transport,
         policy: RetryPolicy | None = None,
         seed: SeedLike = None,
         telemetry: Telemetry | None = None,

@@ -9,8 +9,10 @@ modes that define volunteer/harvesting fleets (hosts churn, jobs are
 preempted), and the supervisor's retry/watchdog/checkpoint machinery
 exists to absorb exactly them.
 
-Determinism follows the :class:`~repro.faults.injection.FaultPlan`
-idiom: every trigger is decided by dice drawn from
+The plan shares its spec grammar and range check with the transport's
+:class:`~repro.faults.injection.FaultPlan` (both subclass
+:class:`~repro.faults.injection.ChaosPlan`), and its determinism follows
+the same idiom: every trigger is decided by dice drawn from
 ``derive_rng(seed, "shard-chaos", shard, attempt)`` (worker side) or
 ``derive_rng(seed, "driver-sigint", completions)`` (driver side), in a
 fixed roll order, so a given seed always produces the same failure
@@ -37,9 +39,9 @@ Fault kinds and what they model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.faults.injection import ChaosPlan
 from repro.util.rng import derive_rng
 
 __all__ = ["ShardAttemptFaults", "ShardFaultPlan"]
@@ -47,21 +49,6 @@ __all__ = ["ShardAttemptFaults", "ShardFaultPlan"]
 #: Marker injected into a corrupted batch in place of real run records;
 #: the supervisor's batch validation rejects it and schedules a retry.
 CORRUPT_MARKER = "__uucs_corrupt_batch__"
-
-#: Spec aliases accepted by :meth:`ShardFaultPlan.parse`.
-_SPEC_KEYS = {
-    "kill": "kill",
-    "kill_after_runs": "kill_after_runs",
-    "kill-after-runs": "kill_after_runs",
-    "hang": "hang",
-    "hang_s": "hang_s",
-    "corrupt": "corrupt",
-    "sigint": "sigint",
-    "all": "all",
-}
-
-#: The probability knobs ``all=P`` fans out to.
-_PROBABILITY_KNOBS = ("kill", "hang", "corrupt", "sigint")
 
 
 @dataclass(frozen=True)
@@ -87,8 +74,15 @@ class ShardAttemptFaults:
 
 
 @dataclass(frozen=True)
-class ShardFaultPlan:
-    """Per-attempt shard fault probabilities (all default to 0)."""
+class ShardFaultPlan(ChaosPlan):
+    """Per-attempt shard fault probabilities (all default to 0).
+
+    ``ShardFaultPlan.parse(spec, seed=N)`` sets the schedule's seed.
+    """
+
+    PROBABILITIES = ("kill", "hang", "corrupt", "sigint")
+    AMOUNTS = ("kill_after_runs", "hang_s")
+    ALIASES = {"kill-after-runs": "kill_after_runs"}
 
     #: P(worker is SIGKILLed mid-shard) per attempt.
     kill: float = 0.0
@@ -104,69 +98,6 @@ class ShardFaultPlan:
     sigint: float = 0.0
     #: Seed for the fault schedule (``UUCS_CHAOS_SEED`` in CI).
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "kill_after_runs":
-                if value < 0:
-                    raise ValidationError(
-                        f"kill_after_runs must be >= 0, got {value}"
-                    )
-            elif f.name == "hang_s":
-                if value < 0:
-                    raise ValidationError(f"hang_s must be >= 0, got {value}")
-            elif f.name == "seed":
-                continue
-            elif not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"fault probability {f.name} must be in [0, 1], got {value}"
-                )
-
-    @property
-    def active(self) -> bool:
-        """Whether any knob is turned up at all."""
-        return any(getattr(self, knob) > 0.0 for knob in _PROBABILITY_KNOBS)
-
-    @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "ShardFaultPlan":
-        """Build a plan from a CLI spec like ``"kill=1.0,kill_after_runs=4"``.
-
-        Keys: ``kill`` (+ ``kill_after_runs``), ``hang`` (+ ``hang_s``),
-        ``corrupt``, ``sigint``, or ``all=P`` to set every probability
-        knob at once.  Same grammar as the transport chaos spec.
-        """
-        values: dict[str, float | int] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            key = key.strip().lower()
-            if not sep:
-                raise ValidationError(
-                    f"shard chaos spec entries need KEY=VALUE, got {part!r}"
-                )
-            if key not in _SPEC_KEYS:
-                raise ValidationError(
-                    f"unknown shard chaos knob {key!r} "
-                    f"(valid: {', '.join(sorted(set(_SPEC_KEYS)))})"
-                )
-            try:
-                value = float(raw)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"shard chaos knob {key!r} needs a number, got {raw!r}"
-                ) from exc
-            name = _SPEC_KEYS[key]
-            if name == "all":
-                for knob in _PROBABILITY_KNOBS:
-                    values[knob] = value
-            elif name == "kill_after_runs":
-                values[name] = int(value)
-            else:
-                values[name] = value
-        return cls(seed=seed, **values)
 
     def worker_faults(self, shard: int, attempt: int) -> ShardAttemptFaults:
         """Roll the worker-side dice for ``(shard, attempt)``.

@@ -89,5 +89,6 @@ class AsyncioServerTransport(AsyncioListener):
             self._dispatcher.connection_closed()
 
     def connect(self) -> TCPClientTransport:
-        """A blocking client transport dialled at this server."""
+        """A blocking client transport for this server (it dials on its
+        first request and redials after a drop)."""
         return TCPClientTransport(*self._address)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Protocol
 
 from repro.errors import ProtocolError
 
@@ -33,6 +33,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "Message",
     "RawRecords",
+    "Transport",
     "decode_message",
     "encode_message",
 ]
@@ -90,6 +91,12 @@ class Message:
     @staticmethod
     def error(reason: str) -> "Message":
         return Message("error", {"reason": reason})
+
+
+class Transport(Protocol):
+    """Anything that can carry a request message to the server."""
+
+    def request(self, message: Message) -> Message: ...
 
 
 @dataclass(frozen=True)

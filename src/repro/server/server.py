@@ -15,6 +15,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Iterable
 
@@ -152,6 +153,14 @@ class UUCSServer:
             # validation of uploaded records — becomes an error *response*;
             # a client mistake must never take down the server.
             return Message.error(str(exc))
+        except Exception as exc:
+            # So does any other handler failure (a full disk, a bug): a
+            # hang-up would read as a lost connection and be resent.
+            traceback.print_exc()
+            return Message.error(
+                f"server failed handling {request.type!r}: "
+                f"{type(exc).__name__}: {exc}"
+            )
 
     def _handle_register(self, request: Message) -> Message:
         snapshot = request.payload.get("snapshot")
@@ -296,41 +305,87 @@ class InProcessTransport:
 class TCPClientTransport:
     """Newline-delimited JSON request/response over a TCP connection.
 
+    Holds the server's *address*, not one socket: it dials on the first
+    request, drops the connection on any transport failure, and dials
+    again on the next request.  It never resends anything itself.
+
     All carrier-level failures — connect, send, a dropped or half-written
     response — surface as :class:`~repro.errors.TransportError`, the
     retryable subset of :class:`ProtocolError` that
     :class:`~repro.faults.RetryingTransport` resends on.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 10.0):
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float = 10.0,
+        telemetry: Telemetry | None = None,
+    ):
+        self._address = (host, int(port))
+        self._timeout = timeout
+        self._telemetry = telemetry
+        self._sock: socket.socket | None = None
+        self._dials = 0
+        #: Successful dials beyond the first (observable).
+        self.reconnects = 0
+
+    @property
+    def telemetry(self) -> Telemetry:
+        return self._telemetry if self._telemetry is not None else get_telemetry()
+
+    def _dial(self) -> None:
+        host, port = self._address
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
+            self._sock = socket.create_connection(self._address, self._timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
         self._file = self._sock.makefile("rb")
+        self._dials += 1
+        if self._dials > 1:
+            self.reconnects += 1
+            telemetry = self.telemetry
+            if telemetry.enabled:
+                telemetry.metrics.counter(
+                    "uucs_client_reconnects_total",
+                    "TCP connections re-dialed after a drop.",
+                ).inc()
+                telemetry.emit(
+                    "client.reconnect", server=f"{host}:{port}", dials=self._dials
+                )
+
+    def _broken(self, reason: str) -> TransportError:
+        """Drop the suspect connection; the next request dials afresh."""
+        self.close()
+        return TransportError(reason)
 
     def request(self, message: Message) -> Message:
+        if self._sock is None:
+            self._dial()
         try:
             self._sock.sendall(encode_message(message))
             line = self._file.readline()
         except OSError as exc:
-            raise TransportError(f"transport failure: {exc}") from exc
+            raise self._broken(f"transport failure: {exc}") from exc
         if not line:
-            raise TransportError("server closed the connection")
+            raise self._broken("server closed the connection")
         if not line.endswith(b"\n"):
-            raise TransportError("connection lost mid-response (truncated line)")
+            raise self._broken("connection lost mid-response (truncated line)")
         try:
             return decode_message(line)
         except ProtocolError as exc:
             # An undecodable response means the line was damaged in
             # flight; under idempotent sync a blind resend is safe, so
             # classify it as transient.
-            raise TransportError(f"undecodable response: {exc}") from exc
+            raise self._broken(f"undecodable response: {exc}") from exc
 
     def close(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
         try:
             self._file.close()
-            self._sock.close()
+            sock.close()
         except OSError:
             pass
 

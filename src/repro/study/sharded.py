@@ -178,6 +178,7 @@ def _run_shard(
     start: int,
     stop: int,
     trace: tuple[str, dict | None, int] | None = None,
+    kill_after_runs: int | None = None,
 ) -> list[TestcaseRun]:
     """Worker entry point: users ``[start, stop)`` of ``config``.
 
@@ -195,9 +196,12 @@ def _run_shard(
     so a pooled worker process serving several shards still yields
     distinct per-shard id namespaces.  When ``trace`` is None the
     worker inherits whatever hub fork gave it (silent under spawn).
+
+    ``kill_after_runs`` (shard chaos) SIGKILLs the worker once it has
+    made that many run records, under the same hub as any attempt.
     """
     if trace is None:
-        return run_user_range(config, start, stop, study_fixtures(config))
+        return _run_users(config, start, stop, kill_after_runs)
     path, parent_wire, shard_index = trace
     hub = Telemetry.to_path(path, tracer_guid=f"{process_guid()}.s{shard_index}")
     with use_telemetry(hub) as telemetry:
@@ -209,9 +213,26 @@ def _run_shard(
             users_stop=stop,
             engine=config.engine,
         ) as span:
-            runs = run_user_range(config, start, stop, study_fixtures(config))
+            runs = _run_users(config, start, stop, kill_after_runs)
             span.annotate(runs=len(runs))
         return runs
+
+
+def _run_users(
+    config: ControlledStudyConfig,
+    start: int,
+    stop: int,
+    kill_after_runs: int | None,
+) -> list[TestcaseRun]:
+    fixtures = study_fixtures(config)
+    if kill_after_runs is None:
+        return run_user_range(config, start, stop, fixtures)
+    done = 0
+    for index in range(start, stop):
+        done += len(run_user_range(config, index, index + 1, fixtures))
+        if done >= kill_after_runs:
+            break
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def merge_shard_batches(
@@ -262,14 +283,6 @@ def _supervised_shard(
     faults = chaos.worker_faults(shard.index, attempt)
     if faults.hang_s is not None:
         time.sleep(faults.hang_s)
-    if faults.kill_after_runs is not None:
-        fixtures = study_fixtures(config)
-        done = 0
-        for index in range(shard.start, shard.stop):
-            done += len(run_user_range(config, index, index + 1, fixtures))
-            if done >= faults.kill_after_runs:
-                break
-        os.kill(os.getpid(), signal.SIGKILL)
     trace = None
     if worker_telemetry is not None:
         trace = (
@@ -277,7 +290,9 @@ def _supervised_shard(
             parent_wire,
             shard.index,
         )
-    runs = _run_shard(config, shard.start, shard.stop, trace)
+    runs = _run_shard(
+        config, shard.start, shard.stop, trace, faults.kill_after_runs
+    )
     return list(runs[:-1]) + [CORRUPT_MARKER] if faults.corrupt else runs
 
 

@@ -58,6 +58,7 @@ from repro.errors import ValidationError
 from repro.net.listener import AsyncioListener
 from repro.telemetry import web as _web
 from repro.telemetry.aggregate import ClientRollups, RegistrySnapshot
+from repro.telemetry.metrics import MetricsRegistry, Shape, check_snapshot
 from repro.telemetry.webpage import render_page
 
 __all__ = ["MetricsExporter"]
@@ -162,6 +163,9 @@ class MetricsExporter(AsyncioListener):
         self._pushed: dict[str, dict[str, object]] = {}
         self._snapshots: dict[str, RegistrySnapshot] = {}
         self._push_at: dict[str, float] = {}
+        #: Known family shapes: the local registry's, else the first
+        #: accepted push's (see _admit).
+        self._shapes: dict[str, Shape] = {}
         self._version = 0
         self._events: deque[dict[str, object]] = deque(maxlen=_FEED_CAPACITY)
         # HTTP pushes all run on the loop thread, but record_push and the
@@ -216,12 +220,16 @@ class MetricsExporter(AsyncioListener):
         recomputing headroom client-side from the unchanged per-cell
         ``c_q``.  The full fleet merge is never rebuilt here.  Safe to
         call from any thread.
+
+        Raises :class:`~repro.errors.ValidationError`, storing nothing,
+        when :meth:`_admit` rejects the snapshot.
         """
         now = self._clock()
         at = round(now - self._started, 3)
         stored = dict(snapshot)
         if not self._web:
             with self._pushed_lock:
+                self._admit(stored)
                 self._pushed[client_id] = stored  # replace, don't accumulate
                 self._push_at[client_id] = now
                 self._version += 1
@@ -232,6 +240,7 @@ class MetricsExporter(AsyncioListener):
         # dirty mark in version order even when pushes arrive off the
         # loop; SSE readers assert monotonic ids.
         with self._pushed_lock:
+            self._admit(stored)
             previous = self._snapshots.get(client_id)
             self._pushed[client_id] = stored
             self._snapshots[client_id] = snap
@@ -273,6 +282,23 @@ class MetricsExporter(AsyncioListener):
                     entry[4] = discomforts
                     entry[5].extend(events)
         return len(snapshot)
+
+    def _admit(self, snapshot: Mapping[str, object]) -> None:
+        """Check a push by :func:`check_snapshot` against the known family
+        shapes, then record the new ones (call under ``_pushed_lock``)."""
+        shapes = self._shapes
+        for name, family in check_snapshot(snapshot, self._shape).items():
+            known = shapes.get(name)
+            if known is None or known[2] is None and family[2] is not None:
+                shapes[name] = family[:3]
+
+    def _shape(self, name: str) -> Shape | None:
+        shape = self._shapes.get(name)
+        if shape is None:
+            shape = self._registry.shape(name)
+            if shape is not None:  # registered shapes never change
+                self._shapes[name] = shape
+        return shape
 
     def _flush(self) -> None:
         """Builds and publishes one coalesce window's SSE frames.
@@ -368,8 +394,6 @@ class MetricsExporter(AsyncioListener):
         local snapshot and each non-evicted client's latest snapshot,
         in sorted-GUID order.
         """
-        from repro.telemetry.metrics import MetricsRegistry
-
         now = self._clock()
         liveness = self._liveness(now)
         with self._pushed_lock:
@@ -516,9 +540,10 @@ class MetricsExporter(AsyncioListener):
                 raise ValueError("client_id must be a non-empty string")
             if not isinstance(snapshot, dict):
                 raise ValueError("snapshot must be an object")
+            merged = self.record_push(client_id, snapshot)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            # (ValidationError, from record_push, is a ValueError.)
             return 400, _JSON, json.dumps({"error": f"bad push payload: {exc}"})
-        merged = self.record_push(client_id, snapshot)
         return 200, _JSON, json.dumps({"ok": True, "metrics": merged})
 
     async def _stream(self, writer: asyncio.StreamWriter, head: bool) -> None:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ValidationError
 from repro.util.comfort import quantile_from_buckets
@@ -33,6 +34,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Shape",
+    "check_snapshot",
     "quantile_from_buckets",
 ]
 
@@ -74,6 +77,14 @@ def _format_labels(labelnames: Sequence[str], labelvalues: Sequence[str]) -> str
     return "{" + pairs + "}"
 
 
+def _check_names(name: str, labelnames: Sequence[str]) -> None:
+    if not name or not name.replace("_", "").replace(":", "").isalnum():
+        raise ValidationError(f"invalid metric name {name!r}")
+    for label in labelnames:
+        if not label or not label.replace("_", "").isalnum():
+            raise ValidationError(f"invalid label name {label!r}")
+
+
 class _Metric:
     """Shared name/description/unit/label plumbing for all metric types."""
 
@@ -86,11 +97,7 @@ class _Metric:
         unit: str = "",
         labelnames: Sequence[str] = (),
     ):
-        if not name or not name.replace("_", "").replace(":", "").isalnum():
-            raise ValidationError(f"invalid metric name {name!r}")
-        for label in labelnames:
-            if not label or not label.replace("_", "").isalnum():
-                raise ValidationError(f"invalid label name {label!r}")
+        _check_names(name, labelnames)
         self.name = name
         self.description = description
         self.unit = unit
@@ -456,7 +463,14 @@ class MetricsRegistry:
             for metric in metrics
         }
 
-    def merge(self, snapshot: Mapping[str, Mapping[str, object]]) -> int:
+    def shape(self, name: str) -> Shape | None:
+        """The registered ``name``'s :data:`Shape`; None if unregistered."""
+        metric = self.get(name)
+        if metric is None:
+            return None
+        return metric.kind, metric.labelnames, getattr(metric, "buckets", None)
+
+    def merge(self, snapshot: Mapping[str, object]) -> int:
         """Fold a :meth:`snapshot` dict into this registry.
 
         Federation semantics: **counter-sum** (counts add), **gauge-last**
@@ -467,96 +481,160 @@ class MetricsRegistry:
         counters and histograms as one registry that observed them all.
 
         Returns the number of metrics merged.  Raises
-        :class:`~repro.errors.ValidationError` on kind, label, or
-        bucket-bound mismatches.  Caveat: label values containing commas
-        are ambiguous in snapshot form and are rejected here.
+        :class:`~repro.errors.ValidationError`, before changing
+        anything, when :func:`check_snapshot` rejects the snapshot
+        against this registry.
         """
         merged = 0
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            kind = str(entry.get("kind", ""))
-            labelnames = tuple(str(label) for label in entry.get("labels", ()))
-            description = str(entry.get("description", ""))
-            unit = str(entry.get("unit", ""))
-            value = entry.get("value")
+        for name, family in check_snapshot(snapshot, self.shape).items():
+            kind, labelnames, bounds, description, unit, series = family
+            args = (name, description, unit, labelnames)
             if kind == "counter":
-                counter = self.counter(name, description, unit, labelnames)
-                for labelvalues, amount in _scalar_series(name, labelnames, value):
-                    counter.inc(float(amount), **dict(zip(labelnames, labelvalues)))
+                counter = self.counter(*args)
+                for labelvalues, amount in series:
+                    counter.inc(amount, **dict(zip(labelnames, labelvalues)))
             elif kind == "gauge":
-                gauge = self.gauge(name, description, unit, labelnames)
-                for labelvalues, amount in _scalar_series(name, labelnames, value):
-                    gauge.set(float(amount), **dict(zip(labelnames, labelvalues)))
-            elif kind == "histogram":
-                series = _histogram_series(name, labelnames, value)
-                if not series:
-                    continue  # no observations -> no bounds to recover
-                bounds = sorted(float(b) for b in series[0][1].get("buckets", {}))
-                existing = self.get(name)
-                if existing is not None and (
-                    type(existing) is not Histogram
-                    or tuple(bounds) != existing.buckets
-                ):
-                    raise ValidationError(
-                        f"cannot merge histogram {name!r}: bucket bounds or "
-                        f"kind differ from the registered metric"
-                    )
-                histogram = self.histogram(
-                    name, description, unit, labelnames, buckets=bounds
-                )
-                for labelvalues, data in series:
-                    buckets = data.get("buckets", {})
+                gauge = self.gauge(*args)
+                for labelvalues, amount in series:
+                    gauge.set(amount, **dict(zip(labelnames, labelvalues)))
+            elif bounds is None:
+                continue  # no observations -> no bounds to recover
+            else:
+                histogram = self.histogram(*args, buckets=bounds)
+                for labelvalues, (count, total, cumulative) in series:
                     histogram.add_raw(
-                        int(data.get("count", 0)),
-                        float(data.get("sum", 0.0)),
-                        [int(buckets.get(_format_value(b), 0)) for b in bounds],
+                        count, total, cumulative,
                         **dict(zip(labelnames, labelvalues)),
                     )
-            else:
-                raise ValidationError(
-                    f"cannot merge metric {name!r} of unknown kind {kind!r}"
-                )
             merged += 1
         return merged
 
 
-def _split_series_key(
-    name: str, labelnames: Sequence[str], key: str
-) -> tuple[str, ...]:
-    labelvalues = tuple(key.split(","))
-    if len(labelvalues) != len(labelnames):
+#: What all snapshots of one metric family must agree on: kind, label
+#: names, and bucket bounds (None for a histogram never observed).
+Shape = tuple[str, tuple[str, ...], tuple[float, ...] | None]
+
+
+#: One snapshot entry, checked and parsed: its :data:`Shape`'s three
+#: fields, then description, unit, and its series, ``(label values,
+#: value)`` pairs whose value is a float for counters and gauges and
+#: ``(count, sum, cumulative bucket counts)`` for histograms.
+_Family = tuple[
+    str, tuple[str, ...], tuple[float, ...] | None, str, str,
+    list[tuple[tuple[str, ...], Any]],
+]
+
+
+def check_snapshot(
+    snapshot: object, shape_of: Callable[[str], Shape | None]
+) -> dict[str, _Family]:
+    """The rules a :meth:`MetricsRegistry.snapshot` dict must pass to be
+    merged; returns its families, parsed, in name order.
+
+    Raises :class:`~repro.errors.ValidationError` for a snapshot that is
+    malformed on its own (see :func:`_parse_family`), or that gives a
+    family other kind, label names or bucket bounds than
+    ``shape_of(name)``.
+    """
+    if type(snapshot) is not dict:
+        raise ValidationError("a metrics snapshot must be an object")
+    return {
+        name: _parse_family(name, snapshot[name], shape_of(name))
+        for name in sorted(snapshot)
+    }
+
+
+#: The value types a snapshot may hold; ``bool`` is not a number here.
+_NUMBER_TYPES = (int, float)
+
+
+def _parse_family(name: str, entry: object, known: Shape | None) -> _Family:
+    """Rejects an entry that is not an object, an unknown kind, a bad
+    name or label list, a value of the wrong type, a negative counter, a
+    series key that does not split into the label values (a comma in a
+    value), histogram series with missing or differing bounds, and any
+    shape unlike ``known``.  A known shape's names are valid already."""
+    if type(entry) is not dict:
+        raise ValidationError(f"snapshot entry {name!r} must be an object")
+    kind, labels = entry.get("kind"), entry.get("labels", [])
+    description, unit = entry.get("description", ""), entry.get("unit", "")
+    if not (type(labels) is list and type(description) is type(unit) is str):
+        raise ValidationError(f"metric {name!r} has malformed labels or help")
+    labelnames = tuple(labels)
+    if known is None:
+        if kind not in ("counter", "gauge", "histogram") or labelnames and (
+            not set(map(type, labelnames)) <= {str}
+            or len(set(labelnames)) != len(labelnames)
+        ):
+            raise ValidationError(f"metric {name!r} has a bad kind or labels")
+        _check_names(name, labelnames)
+    elif (kind, labelnames) != known[:2]:
         raise ValidationError(
-            f"snapshot series {key!r} of metric {name!r} does not match "
-            f"labels {tuple(labelnames)} (comma in a label value?)"
+            f"metric {name!r} is a {known[0]} with labels {known[1]}, "
+            f"not a {kind} with labels {labelnames}"
         )
-    return labelvalues
-
-
-def _scalar_series(
-    name: str, labelnames: Sequence[str], value: object
-) -> list[tuple[tuple[str, ...], float]]:
-    """Counter/gauge snapshot value -> [(labelvalues, value)]."""
+    value = entry.get("value")
     if not labelnames:
-        return [((), float(value))]  # type: ignore[arg-type]
-    if not isinstance(value, Mapping):
+        items = [((), value)]
+    elif type(value) is dict:
+        items = sorted(
+            zip([tuple(str(key).split(",")) for key in value], value.values()),
+            key=itemgetter(0),
+        )
+        if any(len(labelvalues) != len(labelnames) for labelvalues, _ in items):
+            raise ValidationError(
+                f"a series key of metric {name!r} does not match labels "
+                f"{labelnames} (comma in a label value?)"
+            )
+    else:
         raise ValidationError(f"labelled metric {name!r} needs a series mapping")
-    return [
-        (_split_series_key(name, labelnames, str(key)), float(amount))  # type: ignore[arg-type]
-        for key, amount in sorted(value.items())
-    ]
-
-
-def _histogram_series(
-    name: str, labelnames: Sequence[str], value: object
-) -> list[tuple[tuple[str, ...], Mapping[str, object]]]:
-    """Histogram snapshot value -> [(labelvalues, {count, sum, buckets})]."""
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"histogram {name!r} needs a mapping value")
-    if not labelnames:
-        return [((), value)] if value.get("count", 0) else []
-    out = []
-    for key, data in sorted(value.items()):
-        if not isinstance(data, Mapping):
-            raise ValidationError(f"histogram {name!r} series {key!r} malformed")
-        out.append((_split_series_key(name, labelnames, str(key)), data))
-    return out
+    if kind != "histogram":
+        for _, data in items:
+            if type(data) not in _NUMBER_TYPES or (kind == "counter" and data < 0):
+                raise ValidationError(f"{kind} {name!r} has value {data!r}")
+        series = [(labelvalues, float(data)) for labelvalues, data in items]
+        return kind, labelnames, None, description, unit, series
+    series = []
+    bounds, expected = None, known[2] if known is not None else None
+    for labelvalues, data in items:
+        if type(data) is not dict:
+            raise ValidationError(f"histogram {name!r} series malformed")
+        count, total = data.get("count", 0), data.get("sum", 0.0)
+        buckets = data.get("buckets", {})
+        if (
+            type(count) is not int
+            or count < 0
+            or type(total) not in _NUMBER_TYPES
+            or type(buckets) is not dict
+        ):
+            raise ValidationError(f"histogram {name!r} series malformed")
+        if not labelnames and not count:
+            continue  # never observed: nothing to merge
+        cumulative = list(buckets.values())
+        try:
+            keys = tuple(map(float, buckets))
+        except (TypeError, ValueError):
+            keys = ()
+        if keys != expected:  # else the bounds were checked before
+            if (
+                not keys
+                or not all(map(math.isfinite, keys))
+                or len(set(keys)) != len(keys)
+            ):
+                raise ValidationError(f"histogram {name!r} has bad buckets")
+            if keys != tuple(sorted(keys)):
+                pairs = sorted(zip(keys, cumulative))
+                keys = tuple(key for key, _ in pairs)
+                cumulative = [cum for _, cum in pairs]
+            if expected is not None and keys != expected:
+                raise ValidationError(
+                    f"histogram {name!r} has buckets {keys}, not {expected}"
+                )
+        if not set(map(type, cumulative)) <= {int} or min(cumulative) < 0:
+            raise ValidationError(f"histogram {name!r} has bad bucket counts")
+        if bounds is None:
+            bounds = keys
+        elif keys != bounds:
+            raise ValidationError(f"histogram {name!r} needs one set of bounds")
+        series.append((labelvalues, (count, float(total), cumulative)))
+    return kind, labelnames, bounds, description, unit, series

@@ -157,6 +157,34 @@ class TestRegistryMerge:
         with pytest.raises(ValidationError):
             merged.merge(a.snapshot())
 
+    @pytest.mark.parametrize("entry", [
+        "not an object",
+        {"kind": "summary", "value": 1.0},
+        {"kind": "counter", "value": "3"},
+        {"kind": "counter", "value": True},
+        {"kind": "counter", "value": -1.0},
+        {"kind": "gauge", "labels": "type", "value": {"sync": 1.0}},
+        {"kind": "counter", "labels": ["type"], "value": {"a,b": 1.0}},
+        {"kind": "histogram", "value": "x"},
+        {"kind": "histogram",
+         "value": {"count": 1, "sum": 0.5, "buckets": {"1": "one"}}},
+        {"kind": "histogram",
+         "value": {"count": 1, "sum": 0.5, "buckets": {"inf": 1}}},
+        {"kind": "histogram", "labels": ["task"], "value": {
+            "a": {"count": 1, "sum": 0.5, "buckets": {"1": 1}},
+            "b": {"count": 1, "sum": 0.5, "buckets": {"2": 1}},
+        }},
+    ])
+    def test_malformed_snapshot_rejected_before_any_change(self, entry):
+        # One place holds the rules: merge raises ValidationError (never
+        # a TypeError or a half-merged registry), and the push gateway
+        # answers 400 by the same check.
+        merged = MetricsRegistry()
+        with pytest.raises(ValidationError):
+            merged.merge({"a_total": {"kind": "counter", "value": 1.0},
+                          "z_bad": entry})
+        assert len(merged) == 0
+
     def test_empty_histogram_skipped(self):
         a, merged = MetricsRegistry(), MetricsRegistry()
         a.histogram("lat", buckets=(0.1,))

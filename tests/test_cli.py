@@ -1,5 +1,6 @@
 """Tests for the uucs CLI toolchain."""
 
+import json
 import re
 import time
 from pathlib import Path
@@ -211,6 +212,30 @@ class TestStudyPipeline:
         a = (tmp_path / "plain" / "results.jsonl").read_bytes()
         b = (tmp_path / "chaos" / "results.jsonl").read_bytes()
         assert a == b
+
+    def test_killed_shard_attempts_log_to_their_shard(self, tmp_path,
+                                                      capsys):
+        """A killed attempt runs under its shard's telemetry hub, like
+        every other attempt: its session events land in
+        ``<prefix>.shard<i>.jsonl``, and the driver, which runs no
+        sessions, logs none."""
+        log = tmp_path / "ev.jsonl"
+        assert run_cli("study", "--users", "4", "--seed", "9",
+                       "--results", str(tmp_path / "r"), "--shards", "2",
+                       "--chaos", "kill=0.5,kill_after_runs=2",
+                       "--chaos-seed", "3", "--telemetry", str(log)) == 0
+
+        def session_events(path):
+            names = [json.loads(line)["event"]
+                     for line in path.read_text().splitlines()]
+            return sum(name in ("session.run", "study.user_session")
+                       for name in names)
+
+        assert session_events(log) == 0
+        # Shard 1's attempts are all killed (it ends quarantined), yet
+        # each one's events are in its shard log.
+        assert "quarantined" in capsys.readouterr().err
+        assert session_events(tmp_path / "ev.shard1.jsonl") == 99
 
     def test_study_bad_chaos_spec_errors(self, tmp_path, capsys):
         # ValidationError family exits 3.

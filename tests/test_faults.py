@@ -240,6 +240,25 @@ class TestFaultInjectingTransport:
         assert run(11) == run(11)
         assert run(11) != run(12)
 
+    def test_zero_knob_still_draws(self):
+        """A knob at zero still rolls its die, so turning ``duplicate``
+        off leaves the ``drop_response`` schedule where it was."""
+
+        def drops(plan):
+            transport = FaultInjectingTransport(EchoTransport(), plan, seed=5)
+            outcomes = []
+            for _ in range(60):
+                try:
+                    transport.request(Message("ping", {}))
+                    outcomes.append(False)
+                except TransportError:
+                    outcomes.append(True)
+            return outcomes
+
+        both = drops(FaultPlan(drop_response=0.3, duplicate=0.5))
+        assert any(both) and not all(both)
+        assert drops(FaultPlan(drop_response=0.3)) == both
+
     def test_drop_response_commits_server_side(self, tmp_path, server):
         """The canonical lost-ack: the sync landed, the ack did not."""
         inner = InProcessTransport(server)

@@ -16,12 +16,11 @@ from test_sync_idempotent import sync_payload, tc
 from repro.faults import (
     ChaosTCPProxy,
     FaultPlan,
-    ReconnectingTCPTransport,
     RetryingTransport,
     RetryPolicy,
 )
 from repro.net import AsyncioServerTransport
-from repro.server import Message, UUCSServer
+from repro.server import Message, TCPClientTransport, UUCSServer
 from repro.telemetry import Telemetry
 
 
@@ -147,7 +146,7 @@ class TestAsyncioChaosInterop:
         )
         host, port = proxy.address
         transport = RetryingTransport(
-            ReconnectingTCPTransport(host, port, timeout=5.0),
+            TCPClientTransport(host, port, timeout=5.0),
             RetryPolicy(max_attempts=12, base_delay=0.001, max_delay=0.01,
                         retry_budget=100_000),
             seed=7,

@@ -3,6 +3,7 @@ responses, server restarts, and the seeded chaos-proxy soak, all against
 the asyncio TCP server."""
 
 import contextlib
+import errno
 import json
 import os
 import socket
@@ -17,13 +18,14 @@ from repro.core.testcase import Testcase
 from repro.errors import TransportError
 from repro.faults import (
     ChaosTCPProxy,
+    FaultInjectingTransport,
     FaultPlan,
-    ReconnectingTCPTransport,
     RetryingTransport,
     RetryPolicy,
 )
 from repro.net import AsyncioServerTransport
-from repro.server import Message, UUCSServer
+from repro.server import Message, TCPClientTransport, UUCSServer
+from repro.telemetry import Telemetry
 from repro.users import make_user, sample_population
 
 
@@ -89,21 +91,108 @@ class TestMalformedInput:
             assert json.loads(lines.readline())["type"] == "pong"
 
 
+class TestHandlerFailures:
+    @pytest.mark.parametrize("error", [
+        OSError(errno.ENOSPC, "No space left on device"),
+        AttributeError("'list' object has no attribute 'get'"),
+    ], ids=["full-disk", "bug"])
+    def test_handler_failure_is_one_error_reply(
+        self, tmp_path, served, monkeypatch, error
+    ):
+        """A handler that raises something other than a library error
+        (the store's disk is full, a bug) still gets one error reply
+        naming the exception: the client does not resend, keeps its
+        queue, and the connection keeps serving."""
+        server, listener = served
+        inner = listener.connect()
+        transport = RetryingTransport(
+            inner,
+            RetryPolicy(max_attempts=4, base_delay=0.001, max_delay=0.01),
+            seed=1,
+        )
+        client = UUCSClient(
+            ClientConfig(root=tmp_path / "client", user_id="u"),
+            transport,
+            seed=2,
+        )
+        client.register({})
+        client.hot_sync()
+        feedback = make_user(sample_population(1, seed=3)[0], seed=4)
+        client.run_script(["a"], feedback, task="word")
+        appends = []
+
+        def failing_extend(*args, **kwargs):
+            appends.append(args)
+            raise error
+
+        monkeypatch.setattr(server.results, "extend", failing_extend)
+        outcome = client.try_sync()
+        assert not outcome.ok
+        assert type(error).__name__ in outcome.error
+        assert len(appends) == 1  # one request, one reply: no resend
+        assert transport.retries == 0
+        assert len(client.results) == 1  # still queued for the next sync
+        assert inner.request(Message("ping", {})).type == "pong"
+        assert inner.reconnects == 0  # the same connection answered
+
+
+class TestFaultRecord:
+    def test_both_injectors_count_into_one_family(self, served):
+        """The in-process injector and the chaos proxy record an injected
+        fault the same way: ``uucs_faults_injected_total{kind}`` and a
+        ``fault.injected`` event (with the message type where the
+        injector sees it)."""
+        _, listener = served
+        telemetry = Telemetry.in_memory()
+        with FaultInjectingTransport(
+            listener.connect(), FaultPlan(duplicate=1.0), seed=1,
+            telemetry=telemetry,
+        ) as chaotic:
+            assert chaotic.request(Message("ping", {})).type == "pong"
+        proxy = ChaosTCPProxy(
+            listener.address, FaultPlan(drop_response=1.0), seed=1,
+            telemetry=telemetry,
+        )
+        try:
+            with TCPClientTransport(*proxy.address, timeout=5.0) as client:
+                with pytest.raises(TransportError):
+                    client.request(Message("ping", {}))
+        finally:
+            proxy.close()
+        assert chaotic.injected == {"duplicate": 1}
+        assert proxy.injected == {"drop_response": 1}
+        family = telemetry.metrics.get("uucs_faults_injected_total")
+        assert family.value(kind="duplicate") == 1
+        assert family.value(kind="drop_response") == 1
+        assert "uucs_chaos_faults_total" not in telemetry.metrics
+        events = [
+            dict(e.fields) for e in telemetry.events.sink.events
+            if e.name == "fault.injected"
+        ]
+        assert events == [
+            {"kind": "duplicate", "type": "ping"},
+            {"kind": "drop_response"},
+        ]
+
+
 class TestConnectionFailures:
     def test_connect_refused_is_transport_error(self):
         with socket.create_server(("127.0.0.1", 0)) as probe:
             port = probe.getsockname()[1]
         # The listener above is closed: nothing is bound to `port` now.
-        from repro.server import TCPClientTransport
-
-        with pytest.raises(TransportError):
-            TCPClientTransport("127.0.0.1", port, timeout=0.5)
+        # The transport dials on its first request, so that is where
+        # the refusal surfaces.
+        client = TCPClientTransport("127.0.0.1", port, timeout=0.5)
+        with pytest.raises(TransportError, match="cannot connect"):
+            client.request(Message("ping", {}))
+        client.close()
 
     def test_mid_request_disconnect_is_transport_error(self, served):
         _, transport = served
         client = transport.connect()
+        assert client.request(Message("ping", {})).type == "pong"
         transport.close()  # server goes away under the client's feet
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError, match="closed|failure"):
             client.request(Message("ping", {}))
         client.close()
 
@@ -118,8 +207,6 @@ class TestConnectionFailures:
 
         listener = socket.create_server(("127.0.0.1", 0))
         threading.Thread(target=serve, args=(listener,), daemon=True).start()
-        from repro.server import TCPClientTransport
-
         client = TCPClientTransport(*listener.getsockname()[:2], timeout=5.0)
         with pytest.raises(TransportError, match="truncated|closed"):
             client.request(Message("ping", {}))
@@ -128,18 +215,21 @@ class TestConnectionFailures:
 
 
 class TestServerRestart:
-    def test_restart_between_register_and_sync(self, tmp_path):
+    @staticmethod
+    def _sync_across_restart(tmp_path, dial):
         """The client registers, the server dies and is reborn on the SAME
-        port from the same stores; a reconnecting+retrying client then
-        syncs as if nothing happened."""
+        port from the same stores; a retrying client over ``dial``'s
+        transport then syncs as if nothing happened.  Returns that
+        transport."""
         root = tmp_path / "server"
         server = UUCSServer(root, seed=1)
         server.add_testcases([tc("a"), tc("b")])
         first = AsyncioServerTransport(server)
         host, port = first.address
 
+        inner = dial(first)
         transport = RetryingTransport(
-            ReconnectingTCPTransport(host, port, timeout=5.0),
+            inner,
             RetryPolicy(max_attempts=6, base_delay=0.01, max_delay=0.05),
             seed=7,
         )
@@ -165,6 +255,28 @@ class TestServerRestart:
         finally:
             second.close()
             transport.close()
+        return inner
+
+    def test_restart_between_register_and_sync(self, tmp_path):
+        telemetry = Telemetry.in_memory()
+        inner = self._sync_across_restart(
+            tmp_path,
+            lambda listener: TCPClientTransport(
+                *listener.address, timeout=5.0, telemetry=telemetry
+            ),
+        )
+        assert inner.reconnects == 1
+        names = [e.name for e in telemetry.events.sink.events]
+        assert names.count("client.reconnect") == 1
+
+    def test_listener_connect_survives_restart(self, tmp_path):
+        """``listener.connect()`` hands out the same redialing transport,
+        so a retry after the restart dials the reborn server instead of
+        resending into the dead socket."""
+        inner = self._sync_across_restart(
+            tmp_path, lambda listener: listener.connect()
+        )
+        assert inner.reconnects == 1
 
 
 class TestChaosProxySoak:
@@ -201,7 +313,7 @@ class TestChaosProxySoak:
         )
         host, port = proxy.address
         transport = RetryingTransport(
-            ReconnectingTCPTransport(host, port, timeout=5.0),
+            TCPClientTransport(host, port, timeout=5.0),
             RetryPolicy(
                 max_attempts=12,
                 base_delay=0.001,

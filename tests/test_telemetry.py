@@ -509,9 +509,15 @@ class TestExporter:
         assert json.loads(reply.split("\r\n\r\n", 1)[1]) == []
 
     def test_push_bad_payloads_are_400(self):
+        # A snapshot the fleet merge cannot read: a histogram whose
+        # value is a string.
+        malformed = json.dumps({"client_id": "c1", "snapshot": {
+            "lat_seconds": {"kind": "histogram", "labels": [], "value": "x"},
+        }}).encode()
         with MetricsExporter(MetricsRegistry()) as exporter:
             host, port = exporter.address
-            for body in (b"{nope", b'{"snapshot": {}}', b'{"client_id": ""}'):
+            for body in (b"{nope", b'{"snapshot": {}}', b'{"client_id": ""}',
+                         malformed):
                 request = (
                     b"POST /push HTTP/1.0\r\n"
                     + f"Content-Length: {len(body)}\r\n\r\n".encode()
@@ -522,6 +528,50 @@ class TestExporter:
             # no Content-Length at all
             reply = self._scrape(exporter.address, b"POST /push HTTP/1.0\r\n\r\n")
             assert reply.startswith("HTTP/1.0 400")
+            # Nothing was stored, so the fleet view still renders.
+            assert exporter.pushed_clients() == []
+            reply = self._scrape(
+                exporter.address, b"GET /metrics HTTP/1.0\r\n\r\n"
+            )
+            assert reply.startswith("HTTP/1.0 200"), reply
+
+    def test_push_conflicting_with_the_fleet_view_is_400(self):
+        """Client A pushes ``foo_total`` as a counter, client B as a
+        gauge: B's push is refused, and every fleet route still serves
+        A's counter."""
+        from repro.telemetry import push_snapshot
+
+        local = MetricsRegistry()
+        local.histogram("lat_seconds", buckets=(0.1, 1.0)).observe(0.5)
+        with MetricsExporter(local) as exporter:
+            host, port = exporter.address
+            a = MetricsRegistry()
+            a.counter("foo_total", "Foos.").inc(3)
+            assert push_snapshot(host, port, "guid-a", a.snapshot())["ok"]
+            b = MetricsRegistry()
+            b.gauge("foo_total", "Foos.").set(1.0)
+            c = MetricsRegistry()  # bounds unlike the local registry's
+            c.histogram("lat_seconds", buckets=(0.5,)).observe(0.2)
+            for guid, registry in (("guid-b", b), ("guid-c", c)):
+                body = json.dumps(
+                    {"client_id": guid, "snapshot": registry.snapshot()}
+                ).encode()
+                reply = self._scrape(
+                    exporter.address,
+                    b"POST /push HTTP/1.0\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body,
+                )
+                assert reply.startswith("HTTP/1.0 400"), reply
+            assert exporter.pushed_clients() == ["guid-a"]
+            for path in (b"/metrics", b"/snapshot", b"/fleet"):
+                reply = self._scrape(
+                    exporter.address, b"GET " + path + b" HTTP/1.0\r\n\r\n"
+                )
+                assert reply.startswith("HTTP/1.0 200"), (path, reply)
+            assert "foo_total 3" in self._scrape(
+                exporter.address, b"GET /metrics HTTP/1.0\r\n\r\n"
+            )
 
     def test_push_federates_into_fleet_view(self):
         from repro.telemetry import ClientRollups, push_snapshot
