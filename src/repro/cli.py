@@ -245,18 +245,17 @@ def _cmd_study(args: argparse.Namespace) -> int:
     )
     try:
         if hub is not None:
-            # Shard workers get sibling logs named <telemetry stem>.shardN.jsonl
+            # Supervised shards run in worker processes, which get sibling
+            # logs named <telemetry stem>.shardN.jsonl (at any shard count)
             # so `uucs trace <telemetry> <stem>.shard*.jsonl` reassembles the
             # full study tree across the driver and every worker process.
             worker_prefix = None
-            if args.telemetry:
+            if args.telemetry and supervised:
                 tpath = Path(args.telemetry)
                 worker_prefix = tpath.with_suffix("") if tpath.suffix else tpath
             with use_telemetry(hub):
                 result = run_sharded_study(
-                    config,
-                    worker_telemetry=worker_prefix if n_shards > 1 else None,
-                    **study_kwargs,
+                    config, worker_telemetry=worker_prefix, **study_kwargs
                 )
         else:
             result = run_sharded_study(config, **study_kwargs)
@@ -295,7 +294,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         )
     if args.telemetry:
         _print(f"telemetry event log -> {args.telemetry}")
-        if n_shards > 1:
+        if worker_prefix is not None:
             _print(f"shard worker logs -> {worker_prefix}.shard*.jsonl")
     if push_to is not None and on_progress is not None:
         # Final push so the dashboard shows the completed study even when

@@ -178,7 +178,7 @@ class UUCSServer:
                 "uucs_server_clients",
                 "Clients currently known to the registry.",
             ).set(len(self.registry))
-            self.rollups.record_register(record.client_id, now=self._clock)
+            self.rollups.record_register(record.client_id)
         return Message(
             "registered",
             {"client_id": record.client_id, "protocol": PROTOCOL_VERSION},
@@ -263,7 +263,6 @@ class UUCSServer:
                 client_id,
                 results=accepted,
                 discomforts=sum(1 for run in runs if run.discomforted),
-                now=self._clock,
             )
         payload: dict[str, object] = {
             "testcases": shipped,

@@ -40,7 +40,6 @@ from repro.telemetry.aggregate import (
     ClientRollup,
     ClientRollups,
     HistorySample,
-    RegistrySnapshot,
     fetch_clients,
     fetch_fleet,
     fetch_history,
@@ -60,9 +59,11 @@ from repro.telemetry.events import (
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
+    check_snapshot,
     quantile_from_buckets,
 )
 from repro.telemetry.tracing import Span, TraceContext, Tracer, process_guid
@@ -75,6 +76,7 @@ __all__ = [
     "Event",
     "EventLog",
     "EventSink",
+    "Family",
     "Gauge",
     "Histogram",
     "HistorySample",
@@ -82,11 +84,11 @@ __all__ = [
     "MemorySink",
     "MetricsRegistry",
     "NullSink",
-    "RegistrySnapshot",
     "Span",
     "Telemetry",
     "TraceContext",
     "Tracer",
+    "check_snapshot",
     "fetch_clients",
     "fetch_fleet",
     "fetch_history",

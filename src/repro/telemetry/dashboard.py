@@ -3,30 +3,45 @@
 Polls an exporter's ``/snapshot`` and ``/clients`` endpoints and
 renders refreshing plain-text tables: counters with deltas and rates,
 gauges, histogram quantiles (p50/p90/p99), and per-client rollups.
-The fetchers, clock, sleeper, and output stream are all injectable so
-the dashboard is fully testable without a terminal or a network.
+A snapshot arrives as the :class:`~repro.telemetry.metrics.Family`
+records :func:`~repro.telemetry.aggregate.fetch_snapshot` parsed it
+into.  The fetchers, clock, sleeper, and output stream are all
+injectable so the dashboard is fully testable without a terminal or a
+network.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
 
 from repro.errors import ReproError
 from repro.telemetry.aggregate import (
     ClientRollup,
-    RegistrySnapshot,
     fetch_clients,
     fetch_fleet,
     fetch_snapshot,
 )
+from repro.telemetry.metrics import Family
+from repro.util.comfort import quantile_from_buckets
 from repro.util.tables import TextTable, format_float
 
 __all__ = ["TopDashboard"]
 
 #: ANSI "clear screen, cursor home" prefix used between refreshes.
 _CLEAR = "\x1b[2J\x1b[H"
+
+
+def _rows(
+    families: Mapping[str, Family], kind: str
+) -> Iterator[tuple[str, str, Any]]:
+    """``(metric, series key, value)`` for every series of every ``kind``
+    family, metrics in name order and series in series-key order."""
+    for name, family in families.items():
+        if family.kind == kind:
+            for labelvalues, value in family.series:
+                yield name, ",".join(labelvalues), value
 
 
 def _format_bytes(n: float) -> str:
@@ -45,7 +60,7 @@ class TopDashboard:
         host: str,
         port: int,
         interval: float = 2.0,
-        fetch_snapshot: Callable[..., RegistrySnapshot] = fetch_snapshot,
+        fetch_snapshot: Callable[..., Mapping[str, Family]] = fetch_snapshot,
         fetch_clients: Callable[..., list[ClientRollup]] = fetch_clients,
         fetch_fleet: Callable[..., Mapping[str, object]] | None = fetch_fleet,
         clock: Callable[[], float] = time.monotonic,
@@ -65,7 +80,9 @@ class TopDashboard:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self) -> tuple[RegistrySnapshot, list[ClientRollup], float]:
+    def sample(
+        self,
+    ) -> tuple[Mapping[str, Family], list[ClientRollup], float]:
         """Fetch one (snapshot, clients, dt) sample from the exporter."""
         now = self._clock()
         dt = now - self._prev_at if self._prev_at is not None else 0.0
@@ -103,20 +120,16 @@ class TopDashboard:
 
     @staticmethod
     def _counter_values(
-        snapshot: RegistrySnapshot,
+        snapshot: Mapping[str, Family],
     ) -> dict[tuple[str, str], float]:
-        values: dict[tuple[str, str], float] = {}
-        for name in snapshot:
-            if snapshot.kind(name) != "counter":
-                continue
-            for key, value in snapshot.series(name).items():
-                if isinstance(value, (int, float)):
-                    values[(name, key)] = float(value)
-        return values
+        return {
+            (name, key): value
+            for name, key, value in _rows(snapshot, "counter")
+        }
 
     def render(
         self,
-        snapshot: RegistrySnapshot,
+        snapshot: Mapping[str, Family],
         clients: Sequence[ClientRollup],
         dt: float,
         fleet: Mapping[str, object] | None = None,
@@ -142,67 +155,55 @@ class TopDashboard:
             parts.append(self._render_clients(clients, dt))
         return "\n\n".join(parts)
 
-    def _render_counters(self, snapshot: RegistrySnapshot, dt: float) -> str:
+    def _render_counters(self, snapshot: Mapping[str, Family], dt: float) -> str:
         table = TextTable("Counters", ["metric", "series", "value", "Δ", "rate/s"])
-        rows = 0
-        for name in snapshot:
-            if snapshot.kind(name) != "counter":
-                continue
-            for key, value in sorted(snapshot.series(name).items()):
-                if not isinstance(value, (int, float)):
-                    continue
-                prev = self._prev_counters.get((name, key))
-                delta = float(value) - prev if prev is not None else None
-                rate = delta / dt if delta is not None and dt > 0 else None
-                table.add_row(
-                    name,
-                    key,
-                    format_float(float(value), 0),
-                    format_float(delta, 0),
-                    format_float(rate, 2),
-                )
-                rows += 1
-        return table.render() if rows else ""
+        for name, key, value in _rows(snapshot, "counter"):
+            prev = self._prev_counters.get((name, key))
+            delta = value - prev if prev is not None else None
+            rate = delta / dt if delta is not None and dt > 0 else None
+            table.add_row(
+                name,
+                key,
+                format_float(value, 0),
+                format_float(delta, 0),
+                format_float(rate, 2),
+            )
+        return table.render() if table.rows else ""
 
-    def _render_gauges(self, snapshot: RegistrySnapshot) -> str:
+    def _render_gauges(self, snapshot: Mapping[str, Family]) -> str:
         table = TextTable("Gauges", ["metric", "series", "value"])
-        rows = 0
-        for name in snapshot:
-            if snapshot.kind(name) != "gauge":
-                continue
-            for key, value in sorted(snapshot.series(name).items()):
-                if isinstance(value, (int, float)):
-                    table.add_row(name, key, format_float(float(value), 3))
-                    rows += 1
-        return table.render() if rows else ""
+        for name, key, value in _rows(snapshot, "gauge"):
+            table.add_row(name, key, format_float(value, 3))
+        return table.render() if table.rows else ""
 
-    def _render_histograms(self, snapshot: RegistrySnapshot) -> str:
+    def _render_histograms(self, snapshot: Mapping[str, Family]) -> str:
         table = TextTable(
             "Histograms",
             ["metric", "series", "count", "mean", "p50", "p90", "p99"],
         )
-        rows = 0
-        for name in snapshot:
-            if snapshot.kind(name) != "histogram":
+        for name, family in snapshot.items():
+            if family.kind != "histogram":
                 continue
-            quantiles = snapshot.quantiles(name)
-            for key, data in sorted(snapshot.series(name).items()):
-                if not isinstance(data, Mapping):
-                    continue
-                count = int(data.get("count", 0))
-                total = float(data.get("sum", 0.0))
-                series_q = quantiles.get(key, {})
+            series = family.series
+            if not family.labelnames and not series:
+                series = [((), (0, 0.0, []))]  # never observed: a bare row
+            for labelvalues, (count, total, cumulative) in series:
                 table.add_row(
                     name,
-                    key,
+                    ",".join(labelvalues),
                     count,
                     format_float(total / count if count else None, 4),
-                    format_float(series_q.get(0.5), 4),
-                    format_float(series_q.get(0.9), 4),
-                    format_float(series_q.get(0.99), 4),
+                    *(
+                        format_float(
+                            quantile_from_buckets(
+                                family.bounds, cumulative, count, q
+                            ),
+                            4,
+                        )
+                        for q in (0.5, 0.9, 0.99)
+                    ),
                 )
-                rows += 1
-        return table.render() if rows else ""
+        return table.render() if table.rows else ""
 
     @staticmethod
     def _render_fleet(fleet: Mapping[str, object]) -> str:

@@ -57,8 +57,8 @@ from typing import Mapping
 from repro.errors import ValidationError
 from repro.net.listener import AsyncioListener
 from repro.telemetry import web as _web
-from repro.telemetry.aggregate import ClientRollups, RegistrySnapshot
-from repro.telemetry.metrics import MetricsRegistry, Shape, check_snapshot
+from repro.telemetry.aggregate import ClientRollups
+from repro.telemetry.metrics import Family, MetricsRegistry, Shape, check_snapshot
 from repro.telemetry.webpage import render_page
 
 __all__ = ["MetricsExporter"]
@@ -121,9 +121,11 @@ class MetricsExporter(AsyncioListener):
     """Serves a metrics registry's fleet view on ``host:port``.
 
     ``rollups`` backs ``GET /clients`` and the ``/history`` ring
-    buffers (one is created when not supplied); pushed client snapshots
-    are retained per GUID (latest wins) and federated into every
-    ``/metrics`` and ``/snapshot`` response until evicted.
+    buffers (one on ``clock`` is created when not supplied); each pushed
+    client snapshot is checked and parsed once, by
+    :func:`~repro.telemetry.metrics.check_snapshot`, retained per GUID as
+    its families (latest wins) and folded into every ``/metrics`` and
+    ``/snapshot`` response until evicted.
 
     ``web=False`` strips the dashboard surface entirely — ``/``
     reverts to the plain exposition, ``/fleet``/``/history``/``/stream``
@@ -154,14 +156,15 @@ class MetricsExporter(AsyncioListener):
                 f"({stale_after}); eviction implies staleness"
             )
         self._registry = registry
-        self._rollups = rollups if rollups is not None else ClientRollups()
+        self._rollups = (
+            rollups if rollups is not None else ClientRollups(clock=clock)
+        )
         self._web = bool(web)
         self._stale_after = float(stale_after)
         self._evict_after = float(evict_after) if evict_after is not None else None
         self._clock = clock
         self._started = clock()
-        self._pushed: dict[str, dict[str, object]] = {}
-        self._snapshots: dict[str, RegistrySnapshot] = {}
+        self._pushed: dict[str, dict[str, Family]] = {}
         self._push_at: dict[str, float] = {}
         #: Known family shapes: the local registry's, else the first
         #: accepted push's (see _admit).
@@ -210,87 +213,72 @@ class MetricsExporter(AsyncioListener):
     def record_push(self, client_id: str, snapshot: Mapping[str, object]) -> int:
         """Store ``client_id``'s latest snapshot; returns its metric count.
 
-        Per push this does O(one client) work — snapshot store, history
-        sample, discomfort-event diff, and (only while ``/stream``
-        readers are attached) an O(1) dirty mark; the actual SSE frame
-        is built off this path (see :meth:`_flush`).  A frame carries
-        the full fleet row only when the client is new to the stream or
-        its discomfort CDF grew; otherwise it is a light delta (runs,
-        borrow, discomfort count) the page applies to the row it holds,
-        recomputing headroom client-side from the unchanged per-cell
-        ``c_q``.  The full fleet merge is never rebuilt here.  Safe to
-        call from any thread.
+        Per push this does O(one client) work — check and parse the
+        snapshot and store its families; with the web layer on, also a
+        history sample, the discomfort-event diff and (only while
+        ``/stream`` readers are attached) an O(1) dirty mark; the actual
+        SSE frame is built off this path (see :meth:`_flush`).  A frame
+        carries the full fleet row only when the client is new to the
+        stream or its discomfort CDF grew; otherwise it is a light delta
+        (runs, borrow, discomfort count) the page applies to the row it
+        holds, recomputing headroom client-side from the unchanged
+        per-cell ``c_q``.  The full fleet merge is never rebuilt here.
+        Safe to call from any thread.
 
         Raises :class:`~repro.errors.ValidationError`, storing nothing,
         when :meth:`_admit` rejects the snapshot.
         """
         now = self._clock()
         at = round(now - self._started, 3)
-        stored = dict(snapshot)
-        if not self._web:
-            with self._pushed_lock:
-                self._admit(stored)
-                self._pushed[client_id] = stored  # replace, don't accumulate
-                self._push_at[client_id] = now
-                self._version += 1
-            self._rollups.record_push(client_id, now=at)
-            return len(snapshot)
-        snap = RegistrySnapshot.adopt(stored)
         # One critical section per push keeps the event diff and the
         # dirty mark in version order even when pushes arrive off the
         # loop; SSE readers assert monotonic ids.
         with self._pushed_lock:
-            self._admit(stored)
-            previous = self._snapshots.get(client_id)
-            self._pushed[client_id] = stored
-            self._snapshots[client_id] = snap
+            families = self._admit(snapshot)
+            previous = self._pushed.get(client_id)
+            self._pushed[client_id] = families  # replace, don't accumulate
             self._push_at[client_id] = now
             self._version += 1
-            version = self._version
-            events = _web.discomfort_events(client_id, previous, snap, at)
-            if events:
+            self._rollups.record_push(client_id)
+            if self._web:
+                events = _web.discomfort_events(
+                    client_id, previous, families, at
+                )
                 self._events.extend(events)
-            self._rollups.record_push(client_id, now=at)
-            runs, borrow, discomforts = _web.snapshot_sample(snap)
-            self._rollups.record_sample(
-                client_id,
-                at=now,
-                runs=runs,
-                borrow_level=borrow if borrow is not None else 0.0,
-                discomforts=discomforts,
-            )
-            broker = self._broker
-            if broker is not None and broker.subscribers:
-                # Mark dirty; frames are built by _flush, off the push
-                # path, at most once per coalesce window per client
-                # (events accumulate so none are lost).  The window's
-                # first mark schedules its flush.
-                if not self._dirty:
-                    self._loop.call_soon_threadsafe(
-                        self._loop.call_later, _COALESCE_S, self._flush
-                    )
-                entry = self._dirty.get(client_id)
-                if entry is None:
-                    self._dirty[client_id] = [
-                        version, at, runs, borrow, discomforts, list(events)
-                    ]
-                else:
-                    entry[0] = version
-                    entry[1] = at
-                    entry[2] = runs
-                    entry[3] = borrow
-                    entry[4] = discomforts
+                runs, borrow, discomforts = _web.snapshot_sample(families)
+                self._rollups.record_sample(
+                    client_id,
+                    at=now,
+                    runs=runs,
+                    borrow_level=borrow if borrow is not None else 0.0,
+                    discomforts=discomforts,
+                )
+                if self._broker.subscribers:
+                    # Mark dirty; frames are built by _flush, off the push
+                    # path, at most once per coalesce window per client
+                    # (events accumulate so none are lost).  The window's
+                    # first mark schedules its flush.
+                    if not self._dirty:
+                        self._loop.call_soon_threadsafe(
+                            self._loop.call_later, _COALESCE_S, self._flush
+                        )
+                    state = [self._version, at, runs, borrow, discomforts]
+                    entry = self._dirty.setdefault(client_id, state + [[]])
+                    entry[:5] = state
                     entry[5].extend(events)
-        return len(snapshot)
+        return len(families)
 
-    def _admit(self, snapshot: Mapping[str, object]) -> None:
-        """Check a push by :func:`check_snapshot` against the known family
-        shapes, then record the new ones (call under ``_pushed_lock``)."""
+    def _admit(self, snapshot: Mapping[str, object]) -> dict[str, Family]:
+        """Check and parse a push by :func:`check_snapshot` against the
+        known family shapes, then record the new ones (call under
+        ``_pushed_lock``); returns its families."""
+        families = check_snapshot(snapshot, self._shape)
         shapes = self._shapes
-        for name, family in check_snapshot(snapshot, self._shape).items():
+        for name, family in families.items():
             known = shapes.get(name)
-            if known is None or known[2] is None and family[2] is not None:
+            if known is None or known[2] is None and family.bounds is not None:
                 shapes[name] = family[:3]
+        return families
 
     def _shape(self, name: str) -> Shape | None:
         shape = self._shapes.get(name)
@@ -321,8 +309,8 @@ class MetricsExporter(AsyncioListener):
         frames = []
         for client_id, entry in dirty.items():
             version, at, runs, borrow, discomforts, events = entry
-            snap = self._snapshots[client_id]  # never removed once pushed
-            rate = self._client_rate(client_id)
+            families = self._pushed[client_id]  # never removed once pushed
+            rate = self._rollups.runs_per_s(client_id)
             payload: dict[str, object] = {
                 "version": version,
                 "at": at,
@@ -339,18 +327,18 @@ class MetricsExporter(AsyncioListener):
             # columns stale; such clients always get a full row.
             # They push at shard-completion cadence, so this stays
             # off the per-client hot path.
-            sched = any(key.startswith("uucs_sched_") for key in snap)
+            sched = any(name.startswith("uucs_sched_") for name in families)
             if events or sched or client_id not in self._row_sent:
                 payload["row"] = _web.client_fleet_row(
                     client_id,
-                    snap,
+                    families,
                     age_s=0.0,
                     runs_per_s=rate,
                     sample=(runs, borrow, discomforts),
                 )
                 self._row_sent.add(client_id)
-            if "uucs_study_progress_ratio" in snap:
-                study = _web.study_progress(snap)
+            if "uucs_study_progress_ratio" in families:
+                study = _web.study_progress(families)
                 if study is not None:
                     payload["study"] = study
             frames.append(
@@ -359,17 +347,6 @@ class MetricsExporter(AsyncioListener):
         frames.sort()
         for _, frame in frames:
             broker.publish(frame)
-
-    def _client_rate(self, client_id: str) -> float | None:
-        """Latest runs/s for ``client_id`` from its history ring."""
-        samples = self._rollups.last_samples(client_id)
-        if samples is None:
-            return None
-        prev, last = samples
-        dt = last.at - prev.at
-        if dt <= 0:
-            return None
-        return max(0.0, last.runs - prev.runs) / dt
 
     def _liveness(self, now: float) -> dict[str, tuple[float, bool, bool]]:
         """client_id -> (age_s, stale, evicted) for every pushed client."""
@@ -391,15 +368,15 @@ class MetricsExporter(AsyncioListener):
 
         With no (live) pushes this is the local registry itself
         (zero-copy); otherwise a fresh registry built by merging the
-        local snapshot and each non-evicted client's latest snapshot,
-        in sorted-GUID order.
+        local snapshot, then folding in each non-evicted client's latest
+        families, parsed once when pushed, in sorted-GUID order.
         """
         now = self._clock()
         liveness = self._liveness(now)
         with self._pushed_lock:
             pushed = {
-                cid: dict(snap)
-                for cid, snap in self._pushed.items()
+                cid: families
+                for cid, families in self._pushed.items()
                 if not liveness.get(cid, (0.0, False, False))[2]
             }
         if not pushed:
@@ -407,7 +384,7 @@ class MetricsExporter(AsyncioListener):
         fleet = MetricsRegistry()
         fleet.merge(self._registry.snapshot())
         for client_id in sorted(pushed):
-            fleet.merge(pushed[client_id])
+            fleet.fold(pushed[client_id])
         fleet.gauge(
             "uucs_pushed_clients", "Clients with a pushed metrics snapshot."
         ).set(len(pushed))
@@ -439,23 +416,33 @@ class MetricsExporter(AsyncioListener):
         now = self._clock()
         liveness = self._liveness(now)
         with self._pushed_lock:
-            snapshots = dict(self._snapshots)
+            pushed = dict(self._pushed)
             version = self._version
             events = list(self._events)
         rows = []
-        for client_id in sorted(snapshots):
+        for client_id in sorted(pushed):
             age, stale, evicted = liveness.get(client_id, (0.0, False, False))
             rows.append(
                 _web.client_fleet_row(
                     client_id,
-                    snapshots[client_id],
+                    pushed[client_id],
                     age_s=age,
                     stale=stale,
                     evicted=evicted,
-                    runs_per_s=self._client_rate(client_id),
+                    runs_per_s=self._rollups.runs_per_s(client_id),
                 )
             )
-        study = _web.study_progress(RegistrySnapshot(self.fleet_snapshot()))
+        # Only the study families: the local registry's other label
+        # values come from requests and are never checked for commas.
+        fleet = self.fleet_registry()
+        study = _web.study_progress(check_snapshot(
+            {
+                name: entry
+                for name, entry in fleet.snapshot().items()
+                if name.startswith("uucs_study_")
+            },
+            fleet.shape,
+        ))
         return {
             "version": version,
             "at": round(now - self._started, 3),
@@ -538,8 +525,6 @@ class MetricsExporter(AsyncioListener):
             snapshot = payload["snapshot"]
             if not isinstance(client_id, str) or not client_id:
                 raise ValueError("client_id must be a non-empty string")
-            if not isinstance(snapshot, dict):
-                raise ValueError("snapshot must be an object")
             merged = self.record_push(client_id, snapshot)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             # (ValidationError, from record_push, is a ValueError.)

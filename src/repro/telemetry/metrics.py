@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import ValidationError
 from repro.util.comfort import quantile_from_buckets
@@ -31,6 +30,7 @@ from repro.util.comfort import quantile_from_buckets
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -485,8 +485,26 @@ class MetricsRegistry:
         anything, when :func:`check_snapshot` rejects the snapshot
         against this registry.
         """
+        return self.fold(check_snapshot(snapshot, self.shape))
+
+    def fold(self, families: Mapping[str, Family]) -> int:
+        """Fold families :func:`check_snapshot` parsed into this registry,
+        with :meth:`merge`'s semantics; returns the number folded.
+
+        Raises :class:`~repro.errors.ValidationError`, before changing
+        anything, when a family's kind, label names or bucket bounds
+        differ from those this registry holds under its name.
+        """
+        for name, family in families.items():
+            known = self.shape(name)
+            if known is not None and (
+                family[:2] != known[:2] or family.bounds not in (None, known[2])
+            ):
+                raise ValidationError(
+                    f"metric {name!r} is {known}, cannot fold {family[:3]}"
+                )
         merged = 0
-        for name, family in check_snapshot(snapshot, self.shape).items():
+        for name, family in families.items():
             kind, labelnames, bounds, description, unit, series = family
             args = (name, description, unit, labelnames)
             if kind == "counter":
@@ -515,21 +533,32 @@ class MetricsRegistry:
 Shape = tuple[str, tuple[str, ...], tuple[float, ...] | None]
 
 
-#: One snapshot entry, checked and parsed: its :data:`Shape`'s three
-#: fields, then description, unit, and its series, ``(label values,
-#: value)`` pairs whose value is a float for counters and gauges and
-#: ``(count, sum, cumulative bucket counts)`` for histograms.
-_Family = tuple[
-    str, tuple[str, ...], tuple[float, ...] | None, str, str,
-    list[tuple[tuple[str, ...], Any]],
-]
+class Family(NamedTuple):
+    """One snapshot entry, checked and parsed by :func:`check_snapshot`.
+
+    The first three fields are its :data:`Shape`.  ``series`` holds
+    ``(label values, value)`` pairs in the order of their snapshot
+    series keys (the comma-joined label values); a value is a float for
+    counters and gauges and ``(count, sum, cumulative bucket counts)``
+    for histograms, the counts aligned with ``bounds``.  An unlabelled
+    histogram never observed has no series and no bounds.
+    """
+
+    kind: str
+    labelnames: tuple[str, ...]
+    bounds: tuple[float, ...] | None
+    description: str
+    unit: str
+    series: list[tuple[tuple[str, ...], Any]]
 
 
 def check_snapshot(
     snapshot: object, shape_of: Callable[[str], Shape | None]
-) -> dict[str, _Family]:
+) -> dict[str, Family]:
     """The rules a :meth:`MetricsRegistry.snapshot` dict must pass to be
-    merged; returns its families, parsed, in name order.
+    merged; returns its families, parsed, in name order.  The push
+    gateway, the fleet view and ``uucs top`` read snapshots only
+    through this.
 
     Raises :class:`~repro.errors.ValidationError` for a snapshot that is
     malformed on its own (see :func:`_parse_family`), or that gives a
@@ -548,7 +577,7 @@ def check_snapshot(
 _NUMBER_TYPES = (int, float)
 
 
-def _parse_family(name: str, entry: object, known: Shape | None) -> _Family:
+def _parse_family(name: str, entry: object, known: Shape | None) -> Family:
     """Rejects an entry that is not an object, an unknown kind, a bad
     name or label list, a value of the wrong type, a negative counter, a
     series key that does not split into the label values (a comma in a
@@ -577,10 +606,10 @@ def _parse_family(name: str, entry: object, known: Shape | None) -> _Family:
     if not labelnames:
         items = [((), value)]
     elif type(value) is dict:
-        items = sorted(
-            zip([tuple(str(key).split(",")) for key in value], value.values()),
-            key=itemgetter(0),
-        )
+        items = [
+            (tuple(str(key).split(",")), value[key])
+            for key in sorted(value, key=str)
+        ]
         if any(len(labelvalues) != len(labelnames) for labelvalues, _ in items):
             raise ValidationError(
                 f"a series key of metric {name!r} does not match labels "
@@ -593,7 +622,7 @@ def _parse_family(name: str, entry: object, known: Shape | None) -> _Family:
             if type(data) not in _NUMBER_TYPES or (kind == "counter" and data < 0):
                 raise ValidationError(f"{kind} {name!r} has value {data!r}")
         series = [(labelvalues, float(data)) for labelvalues, data in items]
-        return kind, labelnames, None, description, unit, series
+        return Family(kind, labelnames, None, description, unit, series)
     series = []
     bounds, expected = None, known[2] if known is not None else None
     for labelvalues, data in items:
@@ -637,4 +666,4 @@ def _parse_family(name: str, entry: object, known: Shape | None) -> _Family:
         elif keys != bounds:
             raise ValidationError(f"histogram {name!r} needs one set of bounds")
         series.append((labelvalues, (count, float(total), cumulative)))
-    return kind, labelnames, bounds, description, unit, series
+    return Family(kind, labelnames, bounds, description, unit, series)

@@ -25,9 +25,12 @@ JSON over ``/fleet`` instead of recomputing it):
 * :class:`StreamBroker` / :func:`format_sse` — fan-out of pre-serialized
   Server-Sent-Events frames to attached ``/stream`` readers.
 
-Nothing here draws randomness or touches process-wide state; every
-function is pure over snapshots, so the web layer can never perturb a
-seeded study.
+Every function reads a snapshot as the :class:`~repro.telemetry.metrics.Family`
+records :func:`~repro.telemetry.metrics.check_snapshot` parsed it into,
+so each value already has the type its family's kind promises.  Nothing
+here draws randomness or touches process-wide state; every function is
+pure over those families, so the web layer can never perturb a seeded
+study.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from collections import deque
 from collections.abc import Mapping
 from typing import Sequence
 
-from repro.telemetry.aggregate import RegistrySnapshot
-from repro.util.comfort import c_quantile
+from repro.telemetry.metrics import Family
+from repro.util.comfort import quantile_from_buckets
 
 __all__ = [
     "HEADROOM_QUANTILE",
@@ -66,33 +69,42 @@ _SCHED_HARVESTED = "uucs_sched_harvested_resource_seconds_total"
 _SCHED_DENIALS = "uucs_sched_admission_denials_total"
 _SCHED_CEILING = "uucs_sched_ceiling"
 _RUN_COUNTERS = (
-    # (metric, index of the "outcome" label in the series key)
+    # (metric, index of the "outcome" label in its label values)
     ("uucs_session_runs_total", 1),
     ("uucs_client_runs_total", 0),
 )
 
-
-def _numeric_series(snapshot: RegistrySnapshot, name: str) -> dict[str, float]:
-    if name not in snapshot:
-        return {}
-    return {
-        key: float(value)
-        for key, value in snapshot.series(name).items()
-        if isinstance(value, (int, float))
-    }
+#: Parsed snapshot families by name, as check_snapshot returns them.
+Families = Mapping[str, Family]
 
 
-def _gauge_value(snapshot: RegistrySnapshot, name: str) -> float | None:
-    if name not in snapshot or snapshot.kind(name) != "gauge":
+def _scalars(families: Families, name: str) -> list[tuple[tuple[str, ...], float]]:
+    """Counter or gauge ``name``'s series; none when it is absent or a
+    histogram."""
+    family = families.get(name)
+    if family is None or family.kind == "histogram":
+        return []
+    return family.series
+
+
+def _gauge(families: Families, name: str) -> float | None:
+    """Gauge ``name``'s value, its first series' when labelled."""
+    family = families.get(name)
+    if family is None or family.kind != "gauge" or not family.series:
         return None
-    series = _numeric_series(snapshot, name)
-    if "" in series:
-        return series[""]
-    return next(iter(series.values()), None)
+    return family.series[0][1]
+
+
+def _cdf(families: Families) -> Family | None:
+    """The discomfort histogram, when it has its (task, resource) labels."""
+    family = families.get(_DISCOMFORT_HISTOGRAM)
+    if family is None or family.kind != "histogram" or len(family.labelnames) != 2:
+        return None
+    return family
 
 
 def scheduler_summary(
-    snapshot: RegistrySnapshot,
+    families: Families,
 ) -> tuple[float | None, float | None, float | None]:
     """``(harvested_s, denials, mean ceiling)`` from scheduler families.
 
@@ -101,66 +113,48 @@ def scheduler_summary(
     columns cluttering in as zeros.
     """
     if (
-        _SCHED_HARVESTED not in snapshot
-        and _SCHED_DENIALS not in snapshot
-        and _SCHED_CEILING not in snapshot
+        _SCHED_HARVESTED not in families
+        and _SCHED_DENIALS not in families
+        and _SCHED_CEILING not in families
     ):
         return None, None, None
-    harvested = sum(_numeric_series(snapshot, _SCHED_HARVESTED).values())
-    denials = sum(_numeric_series(snapshot, _SCHED_DENIALS).values())
-    ceilings = list(_numeric_series(snapshot, _SCHED_CEILING).values())
+    harvested = sum(value for _, value in _scalars(families, _SCHED_HARVESTED))
+    denials = sum(value for _, value in _scalars(families, _SCHED_DENIALS))
+    ceilings = [value for _, value in _scalars(families, _SCHED_CEILING)]
     mean_ceiling = (
         round(sum(ceilings) / len(ceilings), 4) if ceilings else None
     )
     return round(harvested, 3), denials, mean_ceiling
 
 
-def snapshot_sample(
-    snapshot: RegistrySnapshot,
-) -> tuple[float, float | None, float]:
+def snapshot_sample(families: Families) -> tuple[float, float | None, float]:
     """The (runs, borrow_level, discomforts) triple of one snapshot.
 
     ``borrow_level`` is ``None`` when the client reports no borrow
     gauge (history rings coerce that to 0.0; fleet rows keep the
-    distinction).  Runs on every ``/push``, so it reads the snapshot's
-    raw entries instead of taking :meth:`RegistrySnapshot.series`
-    copies.
+    distinction).
     """
     runs = discomforts = 0.0
     for name, outcome_index in _RUN_COUNTERS:
-        entry = snapshot.raw(name)
-        if entry is None or entry.get("kind") != "counter":
+        family = families.get(name)
+        if family is None or family.kind != "counter":
             continue
-        value = entry.get("value")
-        if entry.get("labels"):
-            items = value.items() if isinstance(value, Mapping) else ()
-        else:
-            items = (("", value),)
-        for key, item in items:
-            if not isinstance(item, (int, float)):
-                continue
-            runs += item
-            parts = key.split(",")
-            if len(parts) > outcome_index and parts[outcome_index] == "discomfort":
-                discomforts += item
+        for labelvalues, value in family.series:
+            runs += value
+            if (
+                len(labelvalues) > outcome_index
+                and labelvalues[outcome_index] == "discomfort"
+            ):
+                discomforts += value
         break  # first present wins; summing both would double-count
-    borrow: float | None = None
-    gauge = snapshot.raw(_BORROW_GAUGE)
-    if gauge is not None and gauge.get("kind") == "gauge":
-        value = gauge.get("value")
-        if gauge.get("labels"):
-            if isinstance(value, Mapping):
-                value = next(iter(value.values()), None)
-        if isinstance(value, (int, float)):
-            borrow = float(value)
-    return float(runs), borrow, float(discomforts)
+    return runs, _gauge(families, _BORROW_GAUGE), discomforts
 
 
 _UNSET = object()
 
 
 def comfort_cells(
-    snapshot: RegistrySnapshot,
+    families: Families,
     quantile: float = HEADROOM_QUANTILE,
     borrow: object = _UNSET,
 ) -> list[dict[str, object]]:
@@ -173,29 +167,19 @@ def comfort_cells(
     reports no borrow gauge).  ``borrow`` lets the per-push hot path
     hand in the already-read gauge instead of re-reading it.
     """
-    if (
-        _DISCOMFORT_HISTOGRAM not in snapshot
-        or snapshot.kind(_DISCOMFORT_HISTOGRAM) != "histogram"
-    ):
+    family = _cdf(families)
+    if family is None:
         return []
     if borrow is _UNSET:
-        borrow = _gauge_value(snapshot, _BORROW_GAUGE)
+        borrow = _gauge(families, _BORROW_GAUGE)
     cells: list[dict[str, object]] = []
-    for key, data in sorted(snapshot.series(_DISCOMFORT_HISTOGRAM).items()):
-        if not isinstance(data, Mapping):
-            continue
-        parts = key.split(",")
-        if len(parts) != 2:
-            continue  # labels are (task, resource); anything else is noise
-        task, resource = parts
-        c_q = c_quantile(
-            data.get("buckets", {}), int(data.get("count", 0)), quantile
-        )
+    for (task, resource), (count, _, cumulative) in family.series:
+        c_q = quantile_from_buckets(family.bounds, cumulative, count, quantile)
         cells.append(
             {
                 "task": task,
                 "resource": resource,
-                "discomforts": int(data.get("count", 0)),
+                "discomforts": count,
                 "c_q": round(c_q, 4) if c_q is not None else None,
                 "headroom": (
                     round(c_q - borrow, 4)
@@ -209,7 +193,7 @@ def comfort_cells(
 
 def client_fleet_row(
     client_id: str,
-    snapshot: RegistrySnapshot,
+    families: Families,
     age_s: float | None = None,
     stale: bool = False,
     evicted: bool = False,
@@ -223,12 +207,12 @@ def client_fleet_row(
     (the push path records one for the history ring anyway).
     """
     if sample is None:
-        sample = snapshot_sample(snapshot)
+        sample = snapshot_sample(families)
     runs, borrow_gauge, discomforts = sample
-    cells = comfort_cells(snapshot, quantile, borrow=borrow_gauge)
+    cells = comfort_cells(families, quantile, borrow=borrow_gauge)
     headrooms = [c["headroom"] for c in cells if c["headroom"] is not None]
     c_qs = [c["c_q"] for c in cells if c["c_q"] is not None]
-    sched_harvested, sched_denials, sched_ceiling = scheduler_summary(snapshot)
+    sched_harvested, sched_denials, sched_ceiling = scheduler_summary(families)
     return {
         "client_id": client_id,
         "age_s": round(age_s, 3) if age_s is not None else None,
@@ -294,150 +278,95 @@ def fleet_totals(rows: Sequence[Mapping[str, object]]) -> dict[str, object]:
     }
 
 
-def study_progress(snapshot: RegistrySnapshot) -> dict[str, object] | None:
+def study_progress(families: Families) -> dict[str, object] | None:
     """Live sharded-study progress from the fleet registry's gauges.
 
     Returns ``None`` unless a study driver has pushed (or locally
     recorded) its ``uucs_study_progress_ratio`` gauge; see
     :func:`repro.study.sharded.run_sharded_study`.
     """
-    ratio = _gauge_value(snapshot, "uucs_study_progress_ratio")
+    ratio = _gauge(families, "uucs_study_progress_ratio")
     if ratio is None:
         return None
-    shard_ratio = _numeric_series(snapshot, "uucs_study_shard_progress_ratio")
-    shard_runs = _numeric_series(snapshot, "uucs_study_shard_runs_total")
-    shards = [
-        {
-            "shard": key,
-            "progress_ratio": value,
-            "runs": shard_runs.get(key, 0.0),
-        }
-        for key, value in sorted(
-            shard_ratio.items(), key=lambda kv: (len(kv[0]), kv[0])
-        )
-    ]
-    eta = _gauge_value(snapshot, "uucs_study_eta_seconds")
-    rate = _gauge_value(snapshot, "uucs_study_runs_per_second")
+    shard_runs = dict(_scalars(families, "uucs_study_shard_runs_total"))
+    shards = sorted(
+        (
+            {
+                "shard": ",".join(labelvalues),
+                "progress_ratio": value,
+                "runs": shard_runs.get(labelvalues, 0.0),
+            }
+            for labelvalues, value in _scalars(
+                families, "uucs_study_shard_progress_ratio"
+            )
+        ),
+        key=lambda shard: (len(shard["shard"]), shard["shard"]),
+    )
     # Supervisor health: total retries across every (shard, reason)
     # series, plus the quarantine/checkpoint-frontier gauges.  All are
     # optional — studies predating the supervisor (or healthy runs with
     # no checkpoint) simply lack the families.
-    retries = None
-    if (
-        "uucs_study_shard_retries_total" in snapshot
-        and snapshot.kind("uucs_study_shard_retries_total") == "counter"
-    ):
-        retries = sum(
-            _numeric_series(snapshot, "uucs_study_shard_retries_total").values()
-        )
+    retried = families.get("uucs_study_shard_retries_total")
+    retries = (
+        sum(value for _, value in retried.series)
+        if retried is not None and retried.kind == "counter"
+        else None
+    )
     return {
         "progress_ratio": ratio,
-        "users": _gauge_value(snapshot, "uucs_study_users"),
-        "users_done": _gauge_value(snapshot, "uucs_study_users_done"),
-        "runs_per_s": rate,
-        "eta_s": eta,
+        "users": _gauge(families, "uucs_study_users"),
+        "users_done": _gauge(families, "uucs_study_users_done"),
+        "runs_per_s": _gauge(families, "uucs_study_runs_per_second"),
+        "eta_s": _gauge(families, "uucs_study_eta_seconds"),
         "shards": shards,
         "retries": retries,
-        "quarantined": _gauge_value(snapshot, "uucs_study_shards_quarantined"),
-        "checkpointed": _gauge_value(
-            snapshot, "uucs_study_shards_checkpointed"
-        ),
+        "quarantined": _gauge(families, "uucs_study_shards_quarantined"),
+        "checkpointed": _gauge(families, "uucs_study_shards_checkpointed"),
     }
-
-
-def _cdf_unchanged(prev_entry, curr_entry) -> bool:
-    """Whether two pushes carry the same discomfort CDF.
-
-    Histogram counts are cumulative — an observation can only grow a
-    series' ``count`` — so per-series count equality proves no new
-    observations without comparing every bucket.  Runs on every push;
-    ``False`` on any shape surprise just falls through to the full diff.
-    """
-    if prev_entry is curr_entry:
-        return True
-    if prev_entry is None:
-        return False
-    prev_value = prev_entry.get("value")
-    curr_value = curr_entry.get("value")
-    if prev_value is curr_value:
-        return True
-    try:
-        if "count" in curr_value:  # unlabelled: one {count, sum, buckets}
-            return curr_value["count"] == prev_value.get("count")
-        if len(curr_value) != len(prev_value):
-            return False
-        for key, series in curr_value.items():
-            prev_series = prev_value.get(key)
-            if prev_series is None or series["count"] != prev_series["count"]:
-                return False
-    except (AttributeError, KeyError, TypeError):
-        return False
-    return True
 
 
 def discomfort_events(
     client_id: str,
-    previous: RegistrySnapshot | None,
-    current: RegistrySnapshot,
+    previous: Families | None,
+    current: Families,
     at: float,
 ) -> list[dict[str, object]]:
     """New discomfort events implied by one push (the ``/fleet`` feed).
 
     Diffs the per-(task, resource) discomfort-histogram counts of a
-    client's consecutive pushes.  ``level_le`` is the tightest bucket
-    bound that covers every new observation — the finest statement the
-    cumulative buckets support about *where* the user hit discomfort.
+    client's consecutive pushes, one event per cell whose count grew.
+    ``level_le`` is the lowest bucket bound whose cumulative count grew:
+    the lowest new observation lies at or below it (new observations at
+    0.5 and 0.8 give 0.6), but others may lie above it.
     """
-    entry = current.raw(_DISCOMFORT_HISTOGRAM)
-    if entry is None or entry.get("kind") != "histogram":
+    family = _cdf(current)
+    if family is None:
         return []
-    if previous is not None and _cdf_unchanged(
-        previous.raw(_DISCOMFORT_HISTOGRAM), entry
-    ):
-        return []  # unchanged CDF: the common push, settled by counts alone
-    curr_series = current.series(_DISCOMFORT_HISTOGRAM)
-    prev_series = (
-        previous.series(_DISCOMFORT_HISTOGRAM)
-        if previous is not None and _DISCOMFORT_HISTOGRAM in previous
-        else {}
-    )
+    before = previous.get(_DISCOMFORT_HISTOGRAM) if previous is not None else None
+    seen = dict(before.series) if before is not None else {}
     events: list[dict[str, object]] = []
-    for key, data in sorted(curr_series.items()):
-        if not isinstance(data, Mapping):
-            continue
-        parts = key.split(",")
-        if len(parts) != 2:
-            continue
-        prev_data = prev_series.get(key)
-        prev_count = (
-            int(prev_data.get("count", 0))
-            if isinstance(prev_data, Mapping)
-            else 0
+    for (task, resource), (count, _, cumulative) in family.series:
+        prev_count, _, prev_cumulative = seen.get(
+            (task, resource), (0, 0.0, [0] * len(cumulative))
         )
-        count = int(data.get("count", 0))
         if count <= prev_count:
             continue
-        buckets = data.get("buckets", {})
-        prev_buckets = (
-            prev_data.get("buckets", {}) if isinstance(prev_data, Mapping) else {}
-        )
-        level_le = None
-        if isinstance(buckets, Mapping):
-            for bound in sorted(buckets, key=float):
-                grew = int(buckets[bound]) > int(
-                    prev_buckets.get(bound, 0)
-                    if isinstance(prev_buckets, Mapping)
-                    else 0
+        level_le = next(
+            (
+                bound
+                for bound, cum, prev in zip(
+                    family.bounds, cumulative, prev_cumulative
                 )
-                if grew:
-                    level_le = float(bound)
-                    break
+                if cum > prev
+            ),
+            None,
+        )
         events.append(
             {
                 "at": round(at, 3),
                 "client_id": client_id,
-                "task": parts[0],
-                "resource": parts[1],
+                "task": task,
+                "resource": resource,
                 "count": count - prev_count,
                 "level_le": level_le,
             }

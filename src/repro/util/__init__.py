@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG plumbing, statistics, tables, time series."""
 
-from repro.util.comfort import c_quantile, quantile_from_buckets
+from repro.util.comfort import quantile_from_buckets
 from repro.util.rng import derive_rng, ensure_rng, spawn_child
 from repro.util.stats import (
     ConfidenceInterval,
@@ -20,7 +20,6 @@ __all__ = [
     "SampledSeries",
     "TTestResult",
     "TextTable",
-    "c_quantile",
     "derive_rng",
     "ecdf",
     "ensure_rng",

@@ -19,23 +19,22 @@ re-exported from their historical homes (``repro.util.stats`` and
   requires);
 * :func:`quantile_from_buckets` — interpolated quantile of cumulative
   histogram buckets (returns ``None`` without data, as the streaming
-  telemetry path requires);
-* :func:`c_quantile` — the bucket estimator over a raw ``bound ->
-  cumulative count`` mapping, exactly as histogram snapshots carry it.
+  telemetry path requires).  A histogram snapshot's string-keyed
+  buckets reach it parsed and sorted by
+  :func:`repro.telemetry.metrics.check_snapshot`.
 
 Pure functions over numbers; nothing here draws randomness.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import InsufficientDataError, ValidationError
 
-__all__ = ["c_quantile", "quantile_from_buckets", "quantile_from_ecdf"]
+__all__ = ["quantile_from_buckets", "quantile_from_ecdf"]
 
 
 def quantile_from_buckets(
@@ -91,25 +90,3 @@ def quantile_from_ecdf(
         )
     idx = int(np.searchsorted(f, q, side="left"))
     return float(x[idx])
-
-
-def c_quantile(
-    buckets: Mapping[object, object], total: int, a: float = 0.05
-) -> float | None:
-    """``c_a`` from a histogram snapshot's ``bound -> count`` mapping.
-
-    Accepts the raw cumulative bucket mapping exactly as
-    :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` serializes
-    it (bounds may be strings after a JSON round trip, ordering is not
-    guaranteed) and returns the interpolated ``a``-quantile, or ``None``
-    when the mapping is empty or records no observations.
-    """
-    if not isinstance(buckets, Mapping) or not buckets:
-        return None
-    pairs = sorted((float(bound), int(count)) for bound, count in buckets.items())
-    return quantile_from_buckets(
-        [bound for bound, _ in pairs],
-        [count for _, count in pairs],
-        int(total),
-        a,
-    )

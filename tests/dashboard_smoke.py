@@ -10,7 +10,10 @@ exactly as a browser would:
   ``tests/schemas/fleet.schema.json``;
 * ``GET /history`` must return the ring-buffer series for both clients;
 * ``GET /stream`` must deliver the ``hello`` frame and one live ``push``
-  frame (triggered by a third snapshot) over SSE.
+  frame (triggered by a third snapshot) over SSE;
+* ``uucs top --iterations 1 --no-clear`` and ``uucs clients`` must exit
+  0 against the exporter, top's Fleet table must list every pushed
+  client, and every ``/clients`` row must carry a ``last_seen`` stamp.
 
 Stdlib only — the schema check is a deliberately small validator
 covering the subset the schema file uses (type, required, properties,
@@ -23,10 +26,12 @@ success, 1 with a diagnostic on the first failure.
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import sys
 import urllib.request
+from contextlib import redirect_stdout
 from pathlib import Path
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -140,6 +145,28 @@ def check(condition, message):
         raise AssertionError(message)
 
 
+def run_cli(*args):
+    """``uucs ARGS`` in this process; returns (exit code, stdout)."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(args))
+    return code, out.getvalue()
+
+
+def table_rows(text, title):
+    """The first cells of the rows of the table titled ``title``."""
+    lines = text.splitlines()
+    check(title in lines, f"no {title!r} table in:\n{text}")
+    rows = []
+    for line in lines[lines.index(title) + 4:]:
+        if line.startswith("---"):
+            break
+        rows.append(line.split()[0])
+    return rows
+
+
 def read_sse_frame(sock, buffer, want_event):
     """Read from ``sock`` until a non-comment frame of ``want_event``
     arrives; returns (fields, remaining_buffer)."""
@@ -219,6 +246,26 @@ def main():
             check(len(series["runs"]) == 1,
                   f"{client_id}: expected 1 history point")
         print(f"ok GET /history capacity {history['capacity']}")
+
+        code, out = run_cli("top", "--port", str(port), "--iterations", "1",
+                            "--interval", "0", "--no-clear")
+        check(code == 0, f"uucs top exited {code}")
+        fleet_rows = table_rows(out, "Fleet")
+        check(sorted(fleet_rows) == ["smoke-a", "smoke-b"],
+              f"top's Fleet table lists {fleet_rows}")
+        code, out = run_cli("clients", "--port", str(port))
+        check(code == 0, f"uucs clients exited {code}")
+        check("smoke-a" in out and "smoke-b" in out,
+              f"uucs clients missed a client:\n{out}")
+        status, _, body = fetch(base + "/clients")
+        check(status == 200, f"GET /clients -> {status}")
+        rows = json.loads(body)
+        check(sorted(row["client_id"] for row in rows) == ["smoke-a", "smoke-b"],
+              f"/clients rows {rows}")
+        check(all(row["last_seen"] > 0 for row in rows),
+              f"/clients row never stamped: {rows}")
+        print("ok uucs top    Fleet table lists every pushed client")
+        print(f"ok uucs clients {len(rows)} rows, every one stamped")
 
         with socket.create_connection((host, port), timeout=10) as stream:
             stream.sendall(b"GET /stream HTTP/1.0\r\n\r\n")

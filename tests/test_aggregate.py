@@ -12,7 +12,7 @@ from repro.telemetry import (
     ClientRollup,
     ClientRollups,
     MetricsRegistry,
-    RegistrySnapshot,
+    check_snapshot,
     quantile_from_buckets,
 )
 
@@ -185,6 +185,44 @@ class TestRegistryMerge:
                           "z_bad": entry})
         assert len(merged) == 0
 
+    def test_fold_refuses_other_bounds_of_the_same_length(self):
+        # Same number of buckets, other bounds: add_raw alone would add
+        # the counts into the wrong buckets.  The fold refuses the whole
+        # set of families before changing anything.
+        a, merged = MetricsRegistry(), MetricsRegistry()
+        a.counter("a_total").inc(2)
+        a.histogram("lat", buckets=(0.2, 2.0)).observe(0.5)
+        merged.histogram("lat", buckets=(0.1, 1.0)).observe(0.5)
+        before = merged.snapshot()
+        families = check_snapshot(a.snapshot(), lambda name: None)
+        with pytest.raises(ValidationError):
+            merged.fold(families)
+        assert merged.snapshot() == before
+
+    @pytest.mark.parametrize("other", ["gauge", "labels"])
+    def test_fold_refuses_other_kind_or_labels(self, other):
+        a, merged = MetricsRegistry(), MetricsRegistry()
+        a.counter("x_total", labelnames=("type",)).inc(type="sync")
+        if other == "gauge":
+            merged.gauge("x_total", labelnames=("type",)).set(1, type="sync")
+        else:
+            merged.counter("x_total").inc()
+        before = merged.snapshot()
+        with pytest.raises(ValidationError):
+            merged.fold(check_snapshot(a.snapshot(), lambda name: None))
+        assert merged.snapshot() == before
+
+    def test_fold_equals_merge(self):
+        a = MetricsRegistry()
+        a.counter("x_total", labelnames=("type",)).inc(3, type="sync")
+        a.gauge("g").set(0.5)
+        a.histogram("lat", buckets=(0.5, 1.0)).observe(0.7)
+        a.histogram("idle", buckets=(1.0,))  # never observed: skipped
+        merged, folded = MetricsRegistry(), MetricsRegistry()
+        assert merged.merge(a.snapshot()) == 3
+        assert folded.fold(check_snapshot(a.snapshot(), folded.shape)) == 3
+        assert folded.snapshot() == merged.snapshot()
+
     def test_empty_histogram_skipped(self):
         a, merged = MetricsRegistry(), MetricsRegistry()
         a.histogram("lat", buckets=(0.1,))
@@ -237,6 +275,8 @@ class TestRegistryMerge:
 
 
 class TestRegistrySnapshot:
+    """A registry's snapshot dict, read the one way: :func:`check_snapshot`."""
+
     def _registry(self):
         reg = MetricsRegistry()
         reg.counter("syncs_total", "S.").inc(4)
@@ -246,45 +286,102 @@ class TestRegistrySnapshot:
         return reg
 
     def test_accessors(self):
-        snap = RegistrySnapshot.of(self._registry())
-        assert snap.names() == ["lat", "syncs_total"]
-        assert "lat" in snap and len(snap) == 2
-        assert snap.kind("lat") == "histogram"
-        assert snap.series("syncs_total") == {"": 4.0}
-        assert list(snap) == ["lat", "syncs_total"]
+        reg = self._registry()
+        families = check_snapshot(reg.snapshot(), reg.shape)
+        assert list(families) == ["lat", "syncs_total"]
+        lat, syncs = families["lat"], families["syncs_total"]
+        assert (lat.kind, lat.labelnames, lat.bounds) == (
+            "histogram", ("type",), (0.5, 1.0)
+        )
+        assert lat.description == "L." and lat.unit == ""
+        assert lat.series == [(("sync",), (2, 1.0, [1, 2]))]
+        assert syncs[:3] == ("counter", (), None)
+        assert syncs.series == [((), 4.0)]
+
+    def test_series_in_snapshot_key_order(self):
+        # A snapshot keys series by their comma-joined label values; the
+        # families keep that order ("word processor,cpu" sorts before
+        # "word,cpu"), not the order of the label tuples.
+        reg = MetricsRegistry()
+        c = reg.counter("runs_total", labelnames=("task", "resource"))
+        c.inc(task="word", resource="cpu")
+        c.inc(task="word processor", resource="cpu")
+        (family,) = check_snapshot(reg.snapshot(), reg.shape).values()
+        assert [labels for labels, _ in family.series] == [
+            ("word processor", "cpu"), ("word", "cpu"),
+        ]
 
     def test_quantiles(self):
-        snap = RegistrySnapshot.of(self._registry())
-        q = snap.quantiles("lat", qs=(0.5,))
-        assert q["sync"][0.5] == pytest.approx(0.5, abs=0.5)
+        reg = self._registry()
+        lat = check_snapshot(reg.snapshot(), reg.shape)["lat"]
+        ((_, (count, _, cumulative)),) = lat.series
+        estimate = quantile_from_buckets(lat.bounds, cumulative, count, 0.5)
+        assert estimate == pytest.approx(0.5, abs=0.5)
+        assert estimate == reg.get("lat").quantile(0.5, type="sync")
 
     def test_quantiles_rejects_non_histograms(self):
-        snap = RegistrySnapshot.of(self._registry())
-        with pytest.raises(ValidationError):
-            snap.quantiles("syncs_total")
-        with pytest.raises(ValidationError):
-            snap.quantiles("absent")
+        # Only a histogram family carries bounds to estimate from, and the
+        # c_q reader estimates nothing from a family of another kind.
+        from repro.telemetry.web import comfort_cells
+
+        reg = self._registry()
+        assert check_snapshot(reg.snapshot(), reg.shape)["syncs_total"].bounds is None
+        reg.counter(
+            "uucs_discomfort_level", labelnames=("task", "resource")
+        ).inc(task="word", resource="cpu")
+        assert comfort_cells(check_snapshot(reg.snapshot(), reg.shape)) == []
 
     def test_json_round_trip(self):
-        snap = RegistrySnapshot.of(self._registry())
-        back = RegistrySnapshot.from_json(snap.to_json())
-        assert back.data == snap.data
+        # The push wire format: string bucket bounds, parsed back into
+        # the same families.
+        reg = self._registry()
+        wire = json.loads(json.dumps(reg.snapshot(), sort_keys=True))
+        assert check_snapshot(wire, lambda name: None) == check_snapshot(
+            reg.snapshot(), reg.shape
+        )
+
+    def test_unordered_string_bounds_are_sorted(self):
+        snapshot = {"lat": {"kind": "histogram", "value": {
+            "count": 8, "sum": 6.0, "buckets": {"2.0": 8, "0.5": 2, "1.0": 4},
+        }}}
+        (family,) = check_snapshot(snapshot, lambda name: None).values()
+        assert family.bounds == (0.5, 1.0, 2.0)
+        assert family.series == [((), (8, 6.0, [2, 4, 8]))]
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(SerializationError):
-            RegistrySnapshot.from_json("{nope")
-        with pytest.raises(SerializationError):
-            RegistrySnapshot.from_json("[1, 2]")
+        # (A body that is not JSON at all is fetch_snapshot's to refuse;
+        # see test_dashboard.TestMalformedSnapshot.)
+        for text in ("[1, 2]", '{"lat": {"kind": "histogram", "value": '
+                     '{"count": "x", "sum": 0.5, "buckets": {"1": 1}}}}'):
+            with pytest.raises(ValidationError):
+                check_snapshot(json.loads(text), lambda name: None)
+
+
+class ScriptedClock:
+    def __init__(self, now):
+        self.now = now
+
+    def __call__(self):
+        return self.now
 
 
 class TestClientRollups:
     def test_lifecycle(self):
-        rollups = ClientRollups()
-        rollups.record_register("abc", now=1.0)
-        rollups.record_sync("abc", results=3, discomforts=1, now=5.0)
-        rollups.record_sync("abc", results=0, discomforts=0, now=9.0)
+        # Every stamp is seconds since the rollups were created, on their
+        # one clock; byte accounting stamps nothing.
+        clock = ScriptedClock(100.0)
+        rollups = ClientRollups(clock=clock)
+        clock.now = 101.0
+        rollups.record_register("abc")
+        clock.now = 105.0
+        rollups.record_sync("abc", results=3, discomforts=1)
+        clock.now = 109.0
+        rollups.record_sync("abc", results=0, discomforts=0)
+        clock.now = 110.0
         rollups.record_bytes("abc", read=100, written=900)
-        rollups.record_push("abc", now=11.0)
+        assert rollups.get("abc").last_seen == 9.0
+        clock.now = 111.0
+        rollups.record_push("abc")
         row = rollups.get("abc")
         assert row == ClientRollup(
             client_id="abc",
@@ -298,6 +395,13 @@ class TestClientRollups:
             last_seen=11.0,
         )
 
+    def test_default_clock_is_monotonic_since_creation(self):
+        rollups = ClientRollups()
+        rollups.record_sync("abc")
+        first = rollups.get("abc").last_seen
+        rollups.record_push("abc")
+        assert 0.0 <= first <= rollups.get("abc").last_seen < 60.0
+
     def test_rows_sorted_by_guid(self):
         rollups = ClientRollups()
         rollups.record_sync("zzz")
@@ -309,7 +413,7 @@ class TestClientRollups:
 
     def test_dict_round_trip(self):
         rollups = ClientRollups()
-        rollups.record_sync("abc", results=2, discomforts=1, now=3.0)
+        rollups.record_sync("abc", results=2, discomforts=1)
         (data,) = rollups.as_dicts()
         assert ClientRollup.from_dict(data) == rollups.get("abc")
 

@@ -237,6 +237,32 @@ class TestStudyPipeline:
         assert "quarantined" in capsys.readouterr().err
         assert session_events(tmp_path / "ev.shard1.jsonl") == 99
 
+    def test_one_shard_supervised_worker_logs_to_its_shard(self, tmp_path,
+                                                           capsys):
+        """A supervised study runs its one shard in a worker process too;
+        that worker logs to ``<prefix>.shard0.jsonl``, not through the
+        driver's inherited log, and its spans join the driver's trace."""
+        log = tmp_path / "ev.jsonl"
+        assert run_cli("study", "--users", "2", "--seed", "9",
+                       "--results", str(tmp_path / "r"), "--shards", "1",
+                       "--chaos", "kill=0.5,kill_after_runs=2",
+                       "--chaos-seed", "3", "--telemetry", str(log)) == 0
+        out = capsys.readouterr().out
+        assert f"shard worker logs -> {tmp_path / 'ev'}.shard*.jsonl" in out
+
+        def names(path):
+            return [json.loads(line)["event"]
+                    for line in path.read_text().splitlines()]
+
+        shard_log = tmp_path / "ev.shard0.jsonl"
+        assert "session.run" not in names(log)
+        assert names(shard_log).count("session.run") == 64
+        assert run_cli("trace", str(log), str(shard_log)) == 0
+        tree = capsys.readouterr().out.split("\n\n")[2]
+        root, child = tree.splitlines()[1:3]
+        assert root.startswith("  - study.sharded ")
+        assert child.startswith("    - study.shard_worker ")
+
     def test_study_bad_chaos_spec_errors(self, tmp_path, capsys):
         # ValidationError family exits 3.
         assert run_cli("study", "--users", "2",
@@ -484,11 +510,42 @@ class TestTelemetryCommands:
                            "--root", str(tmp_path / "c"),
                            "--duration", "900", "--interval", "400") == 0
             snapshot = fetch_snapshot(mhost, int(mport))
-            assert "uucs_server_clients" in snapshot.names()
-            assert snapshot.series("uucs_server_clients") == {"": 1.0}
+            assert snapshot["uucs_server_clients"].series == [((), 1.0)]
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    def test_served_rollups_count_seconds_since_start(self, tmp_path):
+        """``uucs serve`` stamps ``/clients`` rows in seconds since it
+        started, not from the simulated server clock nothing advances."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.telemetry.aggregate import fetch_clients
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--root", str(tmp_path / "srv"), "--library", "1",
+             "--timeout", "10", "--metrics-port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        try:
+            lines = iter(proc.stdout)
+            sport = next(lines).split()[3].rpartition(":")[2]
+            mhost, _, mport = next(lines).split()[-1].partition(":")
+            assert run_cli("client", "--port", sport,
+                           "--root", str(tmp_path / "c"),
+                           "--duration", "900", "--interval", "400") == 0
+            (row,) = fetch_clients(mhost, int(mport))
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+        assert row.syncs >= 2
+        assert 0.0 < row.registered_at < row.last_seen < 60.0
 
 
 class TestDashboardCLI:

@@ -12,11 +12,8 @@ import pytest
 
 from repro.core.session import DISCOMFORT_LEVEL_BUCKETS
 from repro.errors import InsufficientDataError, ValidationError
-from repro.util.comfort import (
-    c_quantile,
-    quantile_from_buckets,
-    quantile_from_ecdf,
-)
+from repro.telemetry.metrics import check_snapshot
+from repro.util.comfort import quantile_from_buckets, quantile_from_ecdf
 
 
 def ecdf_of(samples):
@@ -102,15 +99,28 @@ class TestEstimatorsAgree:
         assert abs(approx - exact) <= width
 
 
-class TestSnapshotMapping:
-    def test_c_quantile_handles_json_round_trip(self):
-        # Snapshot bucket mappings may carry string bounds, unordered.
-        buckets = {"2.0": 8, "0.5": 2, "1.0": 4}
-        assert c_quantile(buckets, 8, 0.25) == pytest.approx(0.5)
+def parsed_series(buckets, count):
+    """One unlabelled histogram snapshot entry, as check_snapshot reads it."""
+    families = check_snapshot({"h": {"kind": "histogram", "value": {
+        "count": count, "sum": 0.0, "buckets": buckets,
+    }}}, lambda name: None)
+    return families["h"]
 
-    def test_c_quantile_empty_is_none(self):
-        assert c_quantile({}, 0) is None
-        assert c_quantile({"1.0": 0}, 0) is None
+
+class TestSnapshotMapping:
+    def test_string_bounds_after_json_round_trip(self):
+        # Snapshot bucket mappings may carry string bounds, unordered.
+        family = parsed_series({"2.0": 8, "0.5": 2, "1.0": 4}, 8)
+        ((_, (count, _, cumulative)),) = family.series
+        assert quantile_from_buckets(
+            family.bounds, cumulative, count, 0.25
+        ) == pytest.approx(0.5)
+
+    def test_unobserved_series_has_no_quantile(self):
+        for buckets in ({}, {"1.0": 0}):
+            family = parsed_series(buckets, 0)
+            assert family.series == [] and family.bounds is None
+        assert quantile_from_buckets((1.0,), (0,), 0, 0.05) is None
 
 
 class TestHistoricalImports:
@@ -118,12 +128,12 @@ class TestHistoricalImports:
         from repro.telemetry.metrics import (
             quantile_from_buckets as from_metrics,
         )
-        from repro.util import c_quantile as from_util
+        from repro.util import quantile_from_buckets as from_util
         from repro.util.stats import quantile_from_ecdf as from_stats
 
         assert from_metrics is quantile_from_buckets
         assert from_stats is quantile_from_ecdf
-        assert from_util is c_quantile
+        assert from_util is quantile_from_buckets
 
     def test_discomfort_cdf_percentile_uses_shared_helper(self):
         from repro.core.metrics import DiscomfortCDF, DiscomfortObservation

@@ -1,14 +1,20 @@
 """Tests for the `uucs top` dashboard (repro.telemetry.dashboard)."""
 
+import http.server
 import io
+import json
+import threading
+from contextlib import contextmanager
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.telemetry import (
     ClientRollup,
     ClientRollups,
     MetricsRegistry,
-    RegistrySnapshot,
+    check_snapshot,
+    fetch_snapshot,
 )
 from repro.telemetry.dashboard import TopDashboard, _format_bytes
 from repro.telemetry.exporter import MetricsExporter
@@ -21,7 +27,7 @@ def make_snapshot(syncs=4.0, observations=()):
     h = reg.histogram("uucs_server_request_seconds", buckets=(0.1, 1.0))
     for v in observations:
         h.observe(v)
-    return RegistrySnapshot.of(reg)
+    return check_snapshot(reg.snapshot(), reg.shape)
 
 
 def make_clients(syncs=3):
@@ -114,8 +120,30 @@ class TestRendering:
         assert float(cells[3]) <= 0.1  # p50
         assert 0.1 < float(cells[5]) <= 1.0  # p99
 
+    def test_unobserved_unlabelled_histogram_keeps_its_row(self):
+        reg = MetricsRegistry()
+        reg.histogram("uucs_server_idle_seconds", buckets=(1.0,))
+        snapshot = check_snapshot(reg.snapshot(), reg.shape)
+        frame = self._dashboard([(snapshot, [])]).render_once()
+        row = next(
+            line for line in frame.splitlines()
+            if line.startswith("uucs_server_idle_seconds")
+        )
+        assert row.split() == ["uucs_server_idle_seconds", "0"] + ["*"] * 4
+
+    def test_series_rows_in_snapshot_key_order(self):
+        reg = MetricsRegistry()
+        runs = reg.counter("runs_total", labelnames=("task", "resource"))
+        runs.inc(task="word", resource="cpu")
+        runs.inc(task="word processor", resource="cpu")
+        snapshot = check_snapshot(reg.snapshot(), reg.shape)
+        frame = self._dashboard([(snapshot, [])]).render_once()
+        keys = [line.split("  ")[1].strip() for line in frame.splitlines()
+                if line.startswith("runs_total")]
+        assert keys == ["word processor,cpu", "word,cpu"]
+
     def test_empty_snapshot_renders_header_only(self):
-        dash = self._dashboard([(RegistrySnapshot({}), [])])
+        dash = self._dashboard([({}, [])])
         frame = dash.render_once()
         assert "0 metrics, 0 clients" in frame
         assert "Counters" not in frame
@@ -157,7 +185,7 @@ class TestAgainstLiveExporter:
         reg.counter("uucs_server_syncs_total", "S.").inc(2)
         reg.histogram("uucs_server_request_seconds", buckets=(0.1, 1.0)).observe(0.05)
         rollups = ClientRollups()
-        rollups.record_sync("guid-1", results=4, discomforts=2, now=3.0)
+        rollups.record_sync("guid-1", results=4, discomforts=2)
         with MetricsExporter(reg, rollups=rollups) as exporter:
             host, port = exporter.address
             dash = TopDashboard(host, port, interval=0.0)
@@ -187,7 +215,7 @@ def test_cli_top_and_clients_against_live_exporter(capsys):
     reg = MetricsRegistry()
     reg.counter("uucs_server_syncs_total", "S.").inc(1)
     rollups = ClientRollups()
-    rollups.record_sync("guid-42", results=1, now=2.0)
+    rollups.record_sync("guid-42", results=1)
     with MetricsExporter(reg, rollups=rollups) as exporter:
         _, port = exporter.address
         assert main(["clients", "--port", str(port)]) == 0
@@ -207,3 +235,58 @@ def test_cli_top_unreachable_endpoint_exits_protocol_error():
 
     assert main(["top", "--port", "1", "--iterations", "1"]) == 6
     assert main(["clients", "--port", "1"]) == 6
+
+
+@contextmanager
+def serving(body: bytes):
+    """An HTTP endpoint that answers every GET with ``body``."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            payload = body if self.path == "/snapshot" else b"[]"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+#: A /snapshot body whose histogram count is not a number.
+BAD_COUNT = json.dumps({"uucs_server_request_seconds": {
+    "kind": "histogram", "labels": [], "value": {
+        "count": "x", "sum": 0.5, "buckets": {"1": 1},
+    },
+}}).encode()
+
+
+class TestMalformedSnapshot:
+    @pytest.mark.parametrize(
+        "body", [b"{nope", b"\x80abc", b"[1, 2]", BAD_COUNT],
+        ids=["not-json", "not-utf8", "not-an-object", "bad-count"],
+    )
+    def test_fetch_snapshot_rejects_garbage(self, body):
+        with serving(body) as (host, port):
+            with pytest.raises(ProtocolError):
+                fetch_snapshot(host, port)
+
+    def test_cli_top_exits_protocol_error(self, capsys):
+        from repro.cli import main
+
+        with serving(BAD_COUNT) as (host, port):
+            assert main(["top", "--port", str(port), "--iterations", "1",
+                         "--no-clear"]) == 6
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert len(err.splitlines()) == 1

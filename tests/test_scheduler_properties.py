@@ -22,8 +22,7 @@ from repro.paperdata import STUDY_TASKS
 from repro.scheduler import CDFPolicy, FleetConfig, cell_cap, simulate_clients
 from repro.scheduler.fleet import FLEET_RESOURCES, _merge_aggregates
 from repro.telemetry import Telemetry
-from repro.telemetry.aggregate import RegistrySnapshot
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, check_snapshot
 from repro.telemetry.web import comfort_cells
 from repro.throttle import FeedbackController, Throttle
 
@@ -166,7 +165,8 @@ class TestCDFPolicyMatchesDashboard:
             dashboard = {
                 (row["task"], Resource.parse(row["resource"])): row["c_q"]
                 for row in comfort_cells(
-                    RegistrySnapshot.of(registry), quantile=budget
+                    check_snapshot(registry.snapshot(), registry.shape),
+                    quantile=budget,
                 )
             }
             for cell in ALL_CELLS:

@@ -14,13 +14,16 @@ from repro.errors import ProtocolError, ValidationError
 from repro.telemetry import web
 from repro.telemetry.aggregate import (
     ClientRollups,
-    RegistrySnapshot,
     fetch_fleet,
     fetch_history,
     push_snapshot,
 )
 from repro.telemetry.exporter import MetricsExporter
-from repro.telemetry.metrics import MetricsRegistry, quantile_from_buckets
+from repro.telemetry.metrics import (
+    MetricsRegistry,
+    check_snapshot,
+    quantile_from_buckets,
+)
 
 
 def make_client_registry(
@@ -52,20 +55,22 @@ def make_client_registry(
 
 
 def snap(registry):
-    return RegistrySnapshot(registry.snapshot())
+    return check_snapshot(registry.snapshot(), registry.shape)
 
 
 class TestComfortHeadroom:
     def test_cells_compute_cq_and_headroom(self):
-        snapshot = snap(make_client_registry(levels=(0.5, 0.8, 1.0), borrow=0.4))
-        cells = web.comfort_cells(snapshot)
+        registry = make_client_registry(levels=(0.5, 0.8, 1.0), borrow=0.4)
+        cells = web.comfort_cells(snap(registry))
         assert len(cells) == 1
         cell = cells[0]
         assert cell["task"] == "word" and cell["resource"] == "cpu"
         assert cell["discomforts"] == 3
         # Same estimator as the exposition tooling: c_q from the
-        # cumulative buckets at the headroom quantile.
-        series = snapshot.series("uucs_discomfort_level")["word,cpu"]
+        # cumulative buckets, read straight off the snapshot dict with
+        # its string bounds, at the headroom quantile.
+        wire = json.loads(json.dumps(registry.snapshot()))
+        series = wire["uucs_discomfort_level"]["value"]["word,cpu"]
         pairs = sorted(
             (float(bound), count) for bound, count in series["buckets"].items()
         )
@@ -570,7 +575,7 @@ class TestTopFleetSection:
         dash = TopDashboard(
             "127.0.0.1",
             1,
-            fetch_snapshot=lambda host, port: snap(MetricsRegistry()),
+            fetch_snapshot=lambda host, port: {},
             fetch_clients=lambda host, port: [],
             fetch_fleet=failing_fetch_fleet,
         )
