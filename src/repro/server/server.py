@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.server.protocol import (
     PROTOCOL_VERSION,
+    REQUEST_TYPES,
     Message,
     decode_message,
     encode_message,
@@ -105,24 +106,28 @@ class UUCSServer:
             response = self._dispatch(request)
             span.annotate(response=response.type)
         elapsed = time.perf_counter() - started
+        # The label names a served type or "other": a client chooses the
+        # type, and must not be able to add series or break the
+        # exposition with a comma.
+        label = request.type if request.type in REQUEST_TYPES else "other"
         metrics = telemetry.metrics
         metrics.counter(
             "uucs_server_requests_total",
             "Requests served, by request message type.",
             labelnames=("type",),
-        ).inc(type=request.type)
+        ).inc(type=label)
         metrics.histogram(
             "uucs_server_request_seconds",
             "Wall-time to serve one request, by request message type.",
             unit="seconds",
             labelnames=("type",),
-        ).observe(elapsed, type=request.type)
+        ).observe(elapsed, type=label)
         if response.type == "error":
             metrics.counter(
                 "uucs_server_errors_total",
                 "Error responses returned, by request message type.",
                 labelnames=("type",),
-            ).inc(type=request.type)
+            ).inc(type=label)
         telemetry.emit(
             "server.request",
             type=request.type,

@@ -11,8 +11,10 @@ replayed hot-sync uploads in O(1) per run instead of re-reading the
 whole file on every sync.
 
 Every append, a checkpointed shard commit included, goes through one
-encoder, so an append holds a few chunks of about
+encoder and one writer, so an append holds a few chunks of about
 ``ResultStore._CHUNK_BYTES`` at a time, however many runs it writes.
+Each line is copied once, from its text to bytes; ``os.writev`` hands a
+chunk's lines and newlines to the file without joining them.
 
 Crash tolerance: a writer killed mid-append leaves one unterminated
 partial line at the tail.  Readers ignore it (the record was never
@@ -34,6 +36,9 @@ __all__ = ["ResultStore", "committed_lines", "repair_tail"]
 #: Bytes read per step while :func:`repair_tail` walks back to the last
 #: newline.
 _TAIL_BLOCK = 1 << 13
+#: Buffers one ``os.writev`` call takes at most (``IOV_MAX`` on Linux
+#: and macOS).
+_IOV_MAX = 1024
 
 
 def committed_lines(path: Path) -> Iterator[tuple[int, bytes]]:
@@ -80,12 +85,32 @@ def repair_tail(path: Path) -> bool:
     return True
 
 
+def _write_all(fd: int, pieces: list[bytes]) -> None:
+    """Write ``pieces`` to ``fd`` in order with ``os.writev``, which may
+    take fewer bytes than it is given: each call resumes where the last
+    one stopped."""
+    start = 0
+    while start < len(pieces):
+        batch = pieces[start : start + _IOV_MAX]
+        written = os.writev(fd, batch)
+        for piece in batch:
+            if written < len(piece):
+                break
+            written -= len(piece)
+            start += 1
+        if written:
+            # A short write ended inside this piece; its rest goes next.
+            rest = memoryview(pieces[start])[written:]
+            pieces = [rest, *pieces[start + 1 :]]
+            start = 0
+
+
 class ResultStore:
     """A JSON-lines file of testcase runs."""
 
-    #: Bytes of encoded runs joined per ``write``: enough that syscalls
-    #: are few, little enough that an append's transient memory stays a
-    #: fixed size however many runs it carries.
+    #: Bytes of encoded runs handed to the file at once: enough that
+    #: syscalls are few, little enough that an append's transient memory
+    #: stays a fixed size however many runs it carries.
     _CHUNK_BYTES = 1 << 20
 
     def __init__(self, root: str | Path, filename: str = "results.jsonl"):
@@ -114,34 +139,33 @@ class ResultStore:
 
     def _encode(
         self, batches: Iterable[Iterable[TestcaseRun]], dedupe: bool
-    ) -> Iterator[tuple[bytes, int]]:
+    ) -> Iterator[tuple[list[bytes], int]]:
         """The store's one encoder: ``batches``' runs as canonical lines
-        in chunks of about ``_CHUNK_BYTES``, each with its run count.
-        With ``dedupe``, runs already stored or encoded are skipped; a
-        built run-id index learns every id encoded."""
+        in chunks of about ``_CHUNK_BYTES``.  A chunk is its lines'
+        bytes, each followed by a newline, as one list, and its run
+        count.  With ``dedupe``, runs already stored or encoded are
+        skipped; a built run-id index learns every id encoded."""
         index = self._index() if dedupe else self._ids
-        # Lines are encoded one by one, so a chunk exists as its lines
-        # and their join, never also as one long str.
-        lines: list[bytes] = []
+        pieces: list[bytes] = []
         size = 0
         for batch in batches:
             for run in batch:
                 if dedupe and run.run_id in index:  # type: ignore[operator]
                     continue
-                line = (run.to_json() + "\n").encode()
-                lines.append(line)
-                size += len(line)
+                line = run.to_json().encode()
+                pieces += (line, b"\n")
+                size += len(line) + 1
                 if index is not None:
                     index.add(run.run_id)
                 if size >= self._CHUNK_BYTES:
-                    yield b"".join(lines), len(lines)
-                    lines.clear()
+                    yield pieces, len(pieces) // 2
+                    pieces = []
                     size = 0
-        if lines:
-            yield b"".join(lines), len(lines)
+        if pieces:
+            yield pieces, len(pieces) // 2
 
     def _write(
-        self, chunks: Iterable[tuple[bytes, int]]
+        self, chunks: Iterable[tuple[list[bytes], int]]
     ) -> tuple[int, int, int]:
         """The store's one writer: append encoded ``chunks`` after
         cutting a torn tail.  Returns the ``[start, end)`` byte span they
@@ -149,12 +173,12 @@ class ResultStore:
         self.repair_tail()
         runs = 0
         try:
-            with self._path.open("ab") as fh:
+            with self._path.open("ab", buffering=0) as fh:
                 # "a" positions at EOF lazily on some platforms; make the
                 # start offset explicit.
                 start = fh.seek(0, os.SEEK_END)
-                for chunk, n in chunks:
-                    fh.write(chunk)
+                for pieces, n in chunks:
+                    _write_all(fh.fileno(), pieces)
                     runs += n
                 end = fh.tell()
         except BaseException:

@@ -253,16 +253,17 @@ class StudyCheckpoint:
         record (span + digest) second.
 
         The runs go through the store's one encoder and writer, as any
-        append does, and each chunk is hashed as it is written, so a
-        commit never holds the shard's JSON whole.  The store is fsynced
-        before the manifest line names its span.
+        append does, and each chunk's bytes are hashed as they are
+        written, so a commit never holds the shard's JSON whole.  The
+        store is fsynced before the manifest line names its span.
         """
         store = self._store
         digest = hashlib.sha256()
 
-        def hashed() -> Iterator[tuple[bytes, int]]:
+        def hashed() -> Iterator[tuple[list[bytes], int]]:
             for chunk in store._encode([runs], dedupe=False):
-                digest.update(chunk[0])
+                for piece in chunk[0]:
+                    digest.update(piece)
                 yield chunk
 
         start, end, _ = store._write(hashed())

@@ -497,9 +497,7 @@ class MetricsRegistry:
         """
         for name, family in families.items():
             known = self.shape(name)
-            if known is not None and (
-                family[:2] != known[:2] or family.bounds not in (None, known[2])
-            ):
+            if not family.fits(known):
                 raise ValidationError(
                     f"metric {name!r} is {known}, cannot fold {family[:3]}"
                 )
@@ -550,6 +548,14 @@ class Family(NamedTuple):
     description: str
     unit: str
     series: list[tuple[tuple[str, ...], Any]]
+
+    def fits(self, known: Shape | None) -> bool:
+        """Whether this family folds under a name of shape ``known``
+        (None: not held): the same kind and label names, and the same
+        bucket bounds or none."""
+        return known is None or (
+            self[:2] == known[:2] and self.bounds in (None, known[2])
+        )
 
 
 def check_snapshot(

@@ -9,10 +9,12 @@ respawns — the surviving output must be byte-identical to a run where
 nothing went wrong.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
 import time
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -291,6 +293,10 @@ def _slow_after_first(shard, attempt):
     return shard.index
 
 
+def _nested(shard, attempt):
+    return [[shard.index] for _ in range(1000)]
+
+
 class TestSupervisedMap:
     """The supervision loop on its own, with trivial workers."""
 
@@ -375,3 +381,83 @@ class TestSupervisedMap:
             if p.name.startswith("uucs-shard")
         ]
         assert not leaked, f"worker processes leaked: {leaked}"
+
+
+class TestSupervisedMapGC:
+    """A reply is unpickled with the cyclic GC paused and lands in the
+    oldest generation; the GC is as the caller left it on every exit."""
+
+    def _map(self, work, on_result=lambda shard, payload, elapsed_s: None):
+        supervised_map(
+            work,
+            shard_ranges(2, 2),
+            SupervisorPolicy(**FAST),
+            on_result,
+            lambda *args: None,
+            seed=0,
+        )
+
+    def _leaked(self):
+        return [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("uucs-shard")
+        ]
+
+    def test_reply_received_with_gc_paused(self, monkeypatch):
+        recv = Connection.recv
+        paused = []
+
+        def watching(conn):
+            paused.append(not gc.isenabled())
+            return recv(conn)
+
+        monkeypatch.setattr(Connection, "recv", watching)
+        seen = {}
+
+        def on_result(shard, payload, elapsed_s):
+            oldest = {id(o) for o in gc.get_objects(generation=2)}
+            seen[shard.index] = (
+                gc.isenabled(), id(payload) in oldest, id(payload[0]) in oldest
+            )
+
+        assert gc.isenabled()
+        self._map(_nested, on_result)
+        assert paused == [True, True]
+        assert seen == {0: (True, True, True), 1: (True, True, True)}
+        assert gc.isenabled()
+
+    def test_interrupted_receive_restores_gc(self, monkeypatch):
+        def interrupted(conn):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Connection, "recv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self._map(_attempt)
+        assert gc.isenabled()
+        assert not self._leaked()
+
+    def test_raising_callback_leaves_gc_on(self):
+        def boom(shard, payload, elapsed_s):
+            raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            self._map(_attempt, boom)
+        assert gc.isenabled()
+        assert not self._leaked()
+
+    def test_callers_gc_state_kept(self):
+        gc.disable()
+        try:
+            self._map(_attempt)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        gc.freeze()
+        try:
+            assert gc.get_freeze_count() > 0
+            self._map(_attempt)
+            # Objects the caller froze stay frozen (an unfreeze empties
+            # the permanent generation).
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
