@@ -52,7 +52,6 @@ byte spans.
 
 from __future__ import annotations
 
-import gc
 import math
 import time
 
@@ -67,6 +66,7 @@ from repro.study.engine import CellTraces
 from repro.telemetry import get_telemetry
 from repro.users.behavior import _SKILL_STEP, BehaviorParams
 from repro.users.profile import RATING_CATEGORIES, SkillLevel, UserProfile
+from repro.util.heap import gc_paused
 from repro.util.rng import _fnv_words, derive_rng
 
 __all__ = ["run_batch_user_range"]
@@ -825,9 +825,7 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     swaps_by_task = [_shuffle_swaps(len(cells)) for cells in cells_by_task]
     records: list[TestcaseRun | None] = [None] * ((stop - start) * runs_per_user)
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         emit = 0
         for block_start in range(start, stop, _USER_BLOCK):
             block_stop = min(block_start + _USER_BLOCK, stop)
@@ -971,15 +969,6 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                         ).observe(float(len(cell.run_ids)))
                     _emit(cell, records, delay_means, skill)
                     cell.reset()
-    finally:
-        if gc_was_enabled:
-            if not gc.get_freeze_count():
-                # Promote everything to the oldest generation: the first
-                # young collection after this call would otherwise
-                # traverse every record just made.
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
 
     if telemetry.enabled and records:
         elapsed = time.perf_counter() - started
