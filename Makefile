@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-check perfbench-smoke trace-demo reproduce examples validate clean help
+.PHONY: install test lint bench bench-check perfbench-smoke perfbench-ab trace-demo reproduce examples validate clean help
 
 help:
 	@echo "install     editable install (falls back to setup.py develop offline)"
@@ -11,6 +11,8 @@ help:
 	@echo "bench       run all benchmarks (regenerates benchmarks/artifacts/)"
 	@echo "bench-check fresh perf benchmarks gated against committed baselines"
 	@echo "perfbench-smoke  short run of the repo benchmark's four workloads + a traced pass"
+	@echo "perfbench-ab     BASE=<rev> [HEAD=<rev>] WORKLOAD=<w> PAIRS=10: alternating"
+	@echo "                 benchmark runs of two revisions, each a fresh git archive"
 	@echo "trace-demo  6-process distributed trace: study + client/server sync"
 	@echo "reproduce   study -> analyze -> validate, via the uucs CLI"
 	@echo "examples    run every example script"
@@ -58,6 +60,20 @@ bench-check:
 # "correct": true and "failed": 0.
 perfbench-smoke:
 	$(PYTHON) benchmarks/perfbench_smoke.py
+
+# The repository benchmark on two revisions, each exported fresh with
+# git archive, in alternating pairs at the benchmark's own --seconds;
+# prints every run, then each side's median and quartiles and the head's
+# wins per end-to-end metric (see benchmarks/perfbench_ab.py).  HEAD
+# defaults to the working tree (tracked files, and new files once
+# staged).  Pair i uses seed SEED + i.
+WORKLOAD ?= study
+PAIRS ?= 10
+SEED ?= 1
+perfbench-ab:
+	$(if $(BASE),,$(error BASE=<rev> is required))
+	$(PYTHON) benchmarks/perfbench_ab.py --base $(BASE) $(if $(HEAD),--head $(HEAD)) \
+		--workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 trace-demo:
 	PYTHONPATH=src $(PYTHON) examples/trace_demo.py

@@ -18,10 +18,10 @@ block of users:
    (the lognormal / truncated-quantile arithmetic of
    ``ToleranceSpec.sample_threshold``, the skill shift, the tolerance
    scaling) consumes no RNG and is deferred to a vectorized
-   finalization pass, which applies ``scipy.special.ndtri`` to a whole
-   column where the scalar path calls it once per draw.  One bulk draw
-   of 32-bit words replays a user's testcase orders and run ids
-   (``_session_draws``).
+   finalization pass, which applies :func:`repro.util.normal.ndtri_array`
+   to a whole column where the scalar path calls ``ndtri`` once per draw
+   (same bits).  One bulk draw of 32-bit words replays a user's testcase
+   orders and run ids (``_session_draws``).
 2. **Decide** — vectorize ``_threshold_fire_step``'s last-false scan
    across the user axis.  Monotone level series (every ramp and step the
    study ships) get an O(users) ``searchsorted`` closed form; anything
@@ -56,7 +56,6 @@ import math
 import time
 
 import numpy as np
-from scipy import special as sp_special
 
 from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.run import RunContext, TestcaseRun, TraceView
@@ -67,6 +66,7 @@ from repro.telemetry import get_telemetry
 from repro.users.behavior import _SKILL_STEP, BehaviorParams
 from repro.users.profile import RATING_CATEGORIES, SkillLevel, UserProfile
 from repro.util.heap import gc_paused
+from repro.util.normal import ndtri_array
 from repro.util.rng import _fnv_words, derive_rng
 
 __all__ = ["run_batch_user_range"]
@@ -191,7 +191,7 @@ def _finalize_thresholds(
         base = np.exp(draw.mu + draw.sigma * r)
     else:
         u = draw.f_max * r
-        arg = draw.mu + draw.sigma * sp_special.ndtri(u)
+        arg = draw.mu + draw.sigma * ndtri_array(u)
         base = np.array([math.exp(v) for v in arg.tolist()])
     t = base * skill.tolerance[armed]
     t = t + skill.shift(draw)[armed]

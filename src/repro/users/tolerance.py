@@ -20,10 +20,10 @@ With ``m = ln(c_a)``, ``q = ln(c_05)``, ``z = Phi^{-1}(0.05 / p_react)``:
 subtracting gives ``sigma^2/2 - z*sigma - (m - q) = 0``, whose positive
 root is ``sigma = z + sqrt(z^2 + 2(m - q))``.
 
-``Phi`` and ``Phi^{-1}`` are ``scipy.special.ndtr`` and ``ndtri``, the
-kernels ``scipy.stats.norm.cdf`` and ``norm.ppf`` dispatch to (same
-bits), called without the wrappers' per-call overhead or the import
-time of ``scipy.stats``.
+``Phi`` and ``Phi^{-1}`` are :func:`repro.util.normal.ndtr` and
+``ndtri``: in-repo ports of the Cephes kernels that ``scipy.special``
+runs and ``scipy.stats.norm.cdf`` and ``norm.ppf`` dispatch to, with the
+same bits, so drawing a threshold loads no part of scipy.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy import special as sp_special
 
 from repro import paperdata
 from repro.core.resources import Resource
 from repro.errors import ValidationError
+from repro.util.normal import ndtr, ndtri
 
 __all__ = [
     "ToleranceSpec",
@@ -86,7 +86,7 @@ class ToleranceSpec:
         vectorized replay both read this one value.
         """
         z_max = (math.log(self.range_max) - self.mu) / max(self.sigma, 1e-12)
-        return float(sp_special.ndtr(z_max))
+        return ndtr(z_max)
 
     def sample_threshold(self, rng: np.random.Generator) -> float:
         """Draw one user-run threshold; ``inf`` for never-reacting draws.
@@ -105,7 +105,7 @@ class ToleranceSpec:
         # batch engine's vectorized replay (study/batch.py) applies to
         # its stored ``random()`` draws before the same ``ndtri``.
         u = self.f_max * rng.random()
-        return float(math.exp(self.mu + self.sigma * float(sp_special.ndtri(u))))
+        return math.exp(self.mu + self.sigma * ndtri(u))
 
     def mean_threshold(self) -> float:
         """Mean threshold of reactive users, ``exp(mu + sigma^2/2)``."""
@@ -114,11 +114,25 @@ class ToleranceSpec:
         return float(math.exp(self.mu + self.sigma**2 / 2.0))
 
     def cdf(self, level: float) -> float:
-        """Unconditional probability a user reacts at or below ``level``."""
+        """Unconditional probability a user reacts at or below ``level``.
+
+        With ``range_max`` set, reactive thresholds follow the lognormal
+        truncated there (as :meth:`sample_threshold` draws them): the
+        probability is ``p_react * F(level) / f_max`` below ``range_max``
+        and exactly ``p_react`` from it on.
+        """
         if self.p_react <= 0.0 or level <= 0.0:
             return 0.0
+        if self.range_max is not None and level >= self.range_max:
+            return self.p_react
         z = (math.log(level) - self.mu) / max(self.sigma, 1e-12)
-        return float(self.p_react * sp_special.ndtr(z))
+        if self.range_max is None:
+            return self.p_react * ndtr(z)
+        if self.f_max == 0.0:
+            # All the mass lies above range_max: a reactive draw is
+            # ``exp(mu + sigma * ndtri(0.0)) == 0.0`` (NaN if sigma is 0).
+            return self.p_react
+        return self.p_react * ndtr(z) / self.f_max
 
 
 def calibrate_lognormal(
@@ -142,7 +156,7 @@ def calibrate_lognormal(
     if c_05 is None or c_05 <= 0 or p >= p_react:
         sigma = default_sigma
         return m - sigma**2 / 2.0, sigma
-    z = float(sp_special.ndtri(p / p_react))
+    z = ndtri(p / p_react)
     r = m - math.log(c_05)
     disc = z * z + 2.0 * r
     if disc <= 0:

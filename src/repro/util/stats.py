@@ -12,13 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``scipy.stats`` takes most of a second to import, and every ``import
-# repro`` loads this module.  ``mean_confidence_interval`` calls
-# ``stdtrit``, the kernel ``scipy.stats.t.ppf`` dispatches to (same
-# bits); only the analysis-only t-tests import ``scipy.stats``, inside
-# the function.
-from scipy import special as sp_special
-
 from repro.errors import InsufficientDataError, ValidationError
 from repro.util.comfort import quantile_from_ecdf
 
@@ -109,7 +102,14 @@ def mean_confidence_interval(
     if n == 1:
         return ConfidenceInterval(mean, mean, mean, confidence, n)
     sem = float(np.std(samples, ddof=1)) / np.sqrt(n)
-    half = float(sp_special.stdtrit(n - 1, 0.5 + confidence / 2.0)) * sem
+    # Every ``import repro`` loads this module, and no study, fleet,
+    # sync or harvest run needs scipy, so scipy is imported only where
+    # an analysis calls for it.  ``stdtrit`` is the kernel
+    # ``scipy.stats.t.ppf`` dispatches to (same bits), without the
+    # import time of ``scipy.stats``.
+    from scipy.special import stdtrit
+
+    half = float(stdtrit(n - 1, 0.5 + confidence / 2.0)) * sem
     return ConfidenceInterval(mean, mean - half, mean + half, confidence, n)
 
 

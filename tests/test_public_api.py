@@ -67,21 +67,61 @@ def test_version_consistent():
     assert repro.__version__ == pyproject["project"]["version"]
 
 
-def test_import_path_leaves_out_scipy_stats():
-    """``import repro.cli`` and ``import repro.scheduler`` load no
-    ``scipy.stats``: every ``uucs`` command and spawned shard worker pays
-    this import, and ``scipy.stats`` alone took most of a second of it.
-    A fresh interpreter, because this test process loads ``scipy.stats``
-    itself."""
+def _scipy_modules_after(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter (this test process loads scipy
+    itself) and return the sorted ``scipy*`` modules it left loaded."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = (
-        "import sys, repro.cli, repro.scheduler; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code += (
+        "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-800:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_path_leaves_out_scipy_stats():
+    """``import repro.cli`` and ``import repro.scheduler`` load no scipy
+    module at all, ``scipy.stats`` included: every ``uucs`` command and
+    spawned shard worker pays this import, and ``scipy.special`` alone
+    was ~40% of it.  scipy is needed for analysis only."""
+    code = "import sys, repro.cli, repro.scheduler"
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_run_paths_leave_out_scipy(tmp_path):
+    """Running a study on either threshold path (the scalar ``ndtri`` of
+    the analytic engine, the array one of the batch engine), a fleet
+    and a hot sync loads no scipy module either: a lazy import on the
+    first threshold draw would only move the import time there."""
+    code = """
+import sys
+from pathlib import Path
+
+import repro.cli, repro.scheduler
+from repro.client import ClientConfig, UUCSClient
+from repro.scheduler import FleetConfig, run_fleet
+from repro.server import InProcessTransport, UUCSServer
+from repro.study import ControlledStudyConfig, run_sharded_study
+from repro.study.testcases import task_testcases
+
+for engine in ("analytic", "batch"):
+    config = ControlledStudyConfig(n_users=2, seed=7, engine=engine)
+    runs = run_sharded_study(config).runs
+    assert len(runs) == 64, len(runs)
+board = run_fleet(FleetConfig(policy="cdf", clients=20, epochs=4, seed=3))
+assert board.decisions > 0
+root = Path(sys.argv[1])
+server = UUCSServer(root / "server", seed=1)
+server.add_testcases(task_testcases("word"))
+client = UUCSClient(
+    ClientConfig(root=root / "client"), InProcessTransport(server), seed=2
+)
+client.register({})
+client.results.extend(runs[:4])
+assert client.hot_sync()[1] == 4
+"""
+    assert _scipy_modules_after(code, str(tmp_path)) == "[]"

@@ -134,6 +134,18 @@ class TestToleranceSpec:
         z = (math.log(level) - spec.mu) / spec.sigma
         assert spec.cdf(level).hex() == float(0.8 * norm.cdf(z)).hex()
 
+    def test_cdf_with_all_mass_above_range_max(self):
+        # f_max rounds to 0: every reactive draw is exp(-inf) == 0.0.
+        spec = ToleranceSpec(
+            "t", Resource.CPU, p_react=0.5, mu=0.0, sigma=0.1,
+            range_max=1e-300,
+        )
+        assert spec.f_max == 0.0
+        rng = np.random.default_rng(4)
+        draws = {spec.sample_threshold(rng) for _ in range(50)}
+        assert draws == {0.0, math.inf}
+        assert spec.cdf(1e-301) == 0.5
+
     def test_cdf_monotone(self):
         spec = ToleranceSpec("t", Resource.CPU, p_react=0.8, mu=0.0, sigma=0.5)
         values = [spec.cdf(x) for x in (0.1, 0.5, 1.0, 2.0, 10.0)]
@@ -177,6 +189,28 @@ class TestPaperTable:
                 z_max = (math.log(spec.range_max) - spec.mu) / spec.sigma
                 assert spec.f_max.hex() == float(norm.cdf(z_max)).hex()
         assert closed_form > 0 and truncated > 0
+
+    def test_cdf_follows_the_truncated_draws(self):
+        """Reactive draws are truncated at ``range_max``, so ``cdf``
+        reaches ``p_react`` there and matches the draws below it."""
+        table = paper_calibrated_table()
+        truncated = 0
+        for task, resource in table.cells():
+            spec = table.spec(task, resource)
+            if spec.p_react <= 0.0 or spec.range_max is None:
+                continue
+            truncated += 1
+            assert spec.cdf(spec.range_max) == spec.p_react, (task, resource)
+            assert spec.cdf(3.0 * spec.range_max) == spec.p_react
+            level = 0.7 * spec.range_max
+            rng = np.random.default_rng(26)
+            draws = np.array(
+                [spec.sample_threshold(rng) for _ in range(20_000)]
+            )
+            assert spec.cdf(level) == pytest.approx(
+                np.mean(draws <= level), abs=0.01
+            ), (task, resource)
+        assert truncated > 0
 
     def test_all_twelve_cells_present(self):
         table = paper_calibrated_table()
