@@ -1,7 +1,8 @@
 """Analysis pipeline: from stored runs to the paper's figures.
 
 Mirrors the paper's analysis phase (Figure 2): results are imported into a
-database (:mod:`repro.analysis.database`), reduced to censoring-aware CDFs
+database (:mod:`repro.analysis.database`), reduced once to discomfort
+observations (:class:`Observations`) and censoring-aware CDFs
 (:mod:`repro.analysis.cdf`), and reported as the published tables and
 figures (:mod:`repro.analysis.report`), plus the skill-factor t-tests
 (:mod:`repro.analysis.factors`) and the ramp-vs-step time-dynamics analysis
@@ -15,6 +16,7 @@ from repro.analysis.bootstrap import (
     bootstrap_f_d,
 )
 from repro.analysis.cdf import (
+    Observations,
     aggregate_cdf,
     observations_from_runs,
     per_cell_cdf,
@@ -66,6 +68,7 @@ __all__ = [
     "CellMetrics",
     "FrogInPotResult",
     "KaplanMeierCurve",
+    "Observations",
     "QuestionReport",
     "ResultDatabase",
     "SkillDifference",

@@ -67,9 +67,9 @@ class ResultDatabase:
 
     @staticmethod
     def _project(run: TestcaseRun) -> tuple:
-        active = [r for r, s in run.shapes.items() if s != "blank"]
-        primary = active[0] if len(active) == 1 else None
-        is_blank = int(not active)
+        exercised = run.exercised
+        primary = exercised[0] if len(exercised) == 1 else None
+        is_blank = int(not exercised)
         level = None
         if run.discomforted and primary is not None:
             level = run.discomfort_level(primary)
@@ -90,18 +90,17 @@ class ResultDatabase:
         )
 
     def import_runs(self, runs: Iterable[TestcaseRun]) -> int:
-        """Insert runs (replacing duplicates by run_id); returns count."""
-        rows = [self._project(run) for run in runs]
+        """Insert runs as they are yielded, in one transaction (replacing
+        duplicates by run_id); returns count."""
         try:
             with self._conn:
-                self._conn.executemany(
+                return self._conn.executemany(
                     "INSERT OR REPLACE INTO runs VALUES "
                     "(?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                    rows,
-                )
+                    map(self._project, runs),
+                ).rowcount
         except sqlite3.Error as exc:
             raise StoreError(f"import failed: {exc}") from exc
-        return len(rows)
 
     # -- queries ---------------------------------------------------------------
 

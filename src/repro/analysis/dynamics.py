@@ -5,7 +5,8 @@ slow ramp to a level better than an abrupt step to the same level.  For
 each (user, task, resource) with both a ramp and a step run, we compare the
 contention level tolerated in each: the discomfort level for reacting runs,
 or the maximum applied level for exhausted runs (the user tolerated at
-least that much).
+least that much).  Only runs with an observation pair, as in every CDF:
+aborted and multi-resource runs say nothing about one resource.
 
 The paper reports, for Powerpoint/CPU, that 96 % of users tolerated a
 higher level on the ramp, with a mean difference of 0.22 at p = 0.0001.
@@ -18,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.analysis.cdf import Observations
 from repro.core.resources import Resource
 from repro.core.run import TestcaseRun
 from repro.errors import InsufficientDataError
@@ -57,41 +59,26 @@ class FrogInPotResult:
         )
 
 
-def _tolerated_level(run: TestcaseRun, resource: Resource) -> float:
-    """Level tolerated in a run: reaction level, or max applied level."""
-    if run.discomforted:
-        return run.discomfort_level(resource)
-    return run.max_level(resource)
-
-
 def ramp_vs_step(
-    runs: Iterable[TestcaseRun],
+    runs: Iterable[TestcaseRun] | Observations,
     task: str,
     resource: Resource,
 ) -> FrogInPotResult:
     """Pair each user's ramp and step runs for one cell and compare."""
-    ramp_by_user: dict[str, TestcaseRun] = {}
-    step_by_user: dict[str, TestcaseRun] = {}
-    for run in runs:
-        if run.context.task != task:
-            continue
-        shape = run.shapes.get(resource, "")
-        if shape == "ramp":
-            ramp_by_user[run.context.user_id] = run
-        elif shape == "step":
-            step_by_user[run.context.user_id] = run
-    users = sorted(set(ramp_by_user) & set(step_by_user))
+    table = Observations.of(runs)
+    # An observation's level is the level tolerated; a user's last run wins.
+    ramp, step = (
+        {o.user_id: o.level for o in table.select(table.cell(resource, task, (s,)))}
+        for s in ("ramp", "step")
+    )
+    users = sorted(ramp.keys() & step.keys())
     if len(users) < 2:
         raise InsufficientDataError(
             f"need ramp+step pairs for >=2 users in ({task}, "
             f"{resource.value}); found {len(users)}"
         )
-    ramp_levels = np.array(
-        [_tolerated_level(ramp_by_user[u], resource) for u in users]
-    )
-    step_levels = np.array(
-        [_tolerated_level(step_by_user[u], resource) for u in users]
-    )
+    ramp_levels = np.array([ramp[u] for u in users])
+    step_levels = np.array([step[u] for u in users])
     test = paired_t_test(step_levels, ramp_levels)
     return FrogInPotResult(
         task=task,

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import paperdata
-from repro.analysis.cdf import DEFAULT_SHAPES, observations_from_runs
+from repro.analysis.cdf import DEFAULT_SHAPES, Observations
+from repro.core.feedback import RunOutcome
 from repro.core.resources import Resource
 from repro.core.run import TestcaseRun
 from repro.errors import InsufficientDataError
@@ -71,31 +72,8 @@ class SkillDifference:
         )
 
 
-def _rating_of(run: TestcaseRun, category: str) -> str:
-    return run.context.extra.get(f"rating_{category}", "")
-
-
-def _group_levels(
-    runs: Sequence[TestcaseRun],
-    task: str,
-    resource: Resource,
-    category: str,
-    level: SkillLevel,
-    shapes: Sequence[str] | None,
-) -> np.ndarray:
-    selected = [
-        run
-        for run in runs
-        if _rating_of(run, category) == level.value
-    ]
-    obs = observations_from_runs(
-        selected, resource=resource, task=task, shapes=shapes
-    )
-    return np.array([o.level for o in obs if not o.censored], dtype=float)
-
-
 def skill_level_differences(
-    runs: Iterable[TestcaseRun],
+    runs: Iterable[TestcaseRun] | Observations,
     tasks: Sequence[str] = paperdata.STUDY_TASKS,
     categories: Sequence[str] = RATING_CATEGORIES,
     alpha: float = 0.05,
@@ -104,19 +82,23 @@ def skill_level_differences(
 ) -> list[SkillDifference]:
     """All (task, resource, category, comparison) t-tests, most
     significant first; optionally only those with ``p < alpha``."""
-    runs = list(runs)
+    table = Observations.of(runs)
     results: list[SkillDifference] = []
     for task in tasks:
         for resource in _RESOURCES:
+            reacted = table.cell(resource, task, shapes)
+            reacted &= table.outcome == RunOutcome.DISCOMFORT
+            levels = np.array([o.level for o in table.select(reacted)], dtype=float)
             for category in categories:
                 # Only an application's own rating or the general ratings
                 # plausibly moderate that task's comfort; testing every
                 # cross pairing would be multiple-comparison noise.
                 if category not in ("pc", "windows", task):
                     continue
+                rating = table.rating(category)[reacted]
                 for high, low in _COMPARISONS:
-                    a = _group_levels(runs, task, resource, category, high, shapes)
-                    b = _group_levels(runs, task, resource, category, low, shapes)
+                    a = levels[rating == high.value]
+                    b = levels[rating == low.value]
                     try:
                         test = unpaired_t_test(a, b)
                     except InsufficientDataError:

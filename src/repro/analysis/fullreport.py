@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro import paperdata
-from repro.analysis.cdf import aggregate_cdf
+from repro.analysis.cdf import Observations, aggregate_cdf
 from repro.analysis.dynamics import ramp_vs_step
-from repro.analysis.factors import skill_level_differences, skill_table
+from repro.analysis.factors import skill_table
 from repro.analysis.plots import render_cdf
 from repro.analysis.questions import answer_questions
 from repro.analysis.report import breakdown_table, metric_tables, sensitivity_grid
@@ -32,21 +32,21 @@ _CDF_FIGURES = (
 
 
 def full_report(
-    runs: Iterable[TestcaseRun],
+    runs: Iterable[TestcaseRun] | Observations,
     tasks: Sequence[str] = paperdata.STUDY_TASKS,
     include_cdf_plots: bool = True,
 ) -> str:
     """Render the complete results section for ``runs``."""
-    runs = list(runs)
+    table = Observations.of(runs)
     sections: list[str] = []
 
-    _, fig9 = breakdown_table(runs)
+    _, fig9 = breakdown_table(table)
     sections.append(fig9.render())
 
     if include_cdf_plots:
         for resource, figure, x_max in _CDF_FIGURES:
             try:
-                cdf = aggregate_cdf(runs, resource)
+                cdf = aggregate_cdf(table, resource)
             except ReproError:
                 continue
             sections.append(
@@ -57,24 +57,24 @@ def full_report(
                 )
             )
 
-    cells, tables = metric_tables(runs, tasks=tasks)
+    cells, tables = metric_tables(table, tasks=tasks)
     _, fig13 = sensitivity_grid(cells, tasks=tasks)
     sections.append(fig13.render())
     for name in ("f_d", "c_05", "c_a"):
         sections.append(tables[name].render())
 
-    diffs = skill_level_differences(runs, tasks=tasks)
-    sections.append(skill_table(diffs).render())
+    answers = answer_questions(table, tasks=tasks)  # Figure 17 is its Q4
+    sections.append(skill_table(answers.skill_differences).render())
 
     dynamics_lines = ["Time dynamics (ramp vs step tolerated levels):"]
     for task in tasks:
         try:
             dynamics_lines.append(
-                "  " + ramp_vs_step(runs, task, Resource.CPU).describe()
+                "  " + ramp_vs_step(table, task, Resource.CPU).describe()
             )
         except ReproError:
             dynamics_lines.append(f"  {task}/cpu: insufficient pairs")
     sections.append("\n".join(dynamics_lines))
 
-    sections.append(answer_questions(runs, tasks=tasks).render())
+    sections.append(answers.render())
     return "\n\n".join(sections)

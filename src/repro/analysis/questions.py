@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro import paperdata
+from repro.analysis.cdf import Observations
 from repro.analysis.dynamics import FrogInPotResult, ramp_vs_step
 from repro.analysis.factors import SkillDifference, skill_level_differences
 from repro.analysis.report import cell_metrics
@@ -109,32 +110,32 @@ class QuestionReport:
 
 
 def answer_questions(
-    runs: Iterable[TestcaseRun],
+    runs: Iterable[TestcaseRun] | Observations,
     tasks: Sequence[str] = paperdata.STUDY_TASKS,
     host_speed_bins: Sequence | None = None,
     alpha: float = 0.05,
 ) -> QuestionReport:
     """Run the full analysis battery and structure the six answers."""
-    runs = list(runs)
+    table = Observations.of(runs)
     safe_levels: dict[Resource, float | None] = {}
     resource_fd: dict[Resource, float] = {}
     for resource in _RESOURCES:
-        cell = cell_metrics(runs, None, resource)
+        cell = cell_metrics(table, None, resource)
         safe_levels[resource] = cell.c_05
         resource_fd[resource] = cell.f_d
 
     context_ca: dict[str, float | None] = {}
     for task in tasks:
-        cell = cell_metrics(runs, task, Resource.CPU)
+        cell = cell_metrics(table, task, Resource.CPU)
         context_ca[task] = None if cell.c_a is None else cell.c_a.mean
 
     differences = tuple(
-        skill_level_differences(runs, tasks=tasks, alpha=alpha)
+        skill_level_differences(table, tasks=tasks, alpha=alpha)
     )
 
     frog: FrogInPotResult | None
     try:
-        frog = ramp_vs_step(runs, "powerpoint", Resource.CPU)
+        frog = ramp_vs_step(table, "powerpoint", Resource.CPU)
     except InsufficientDataError:
         frog = None
 

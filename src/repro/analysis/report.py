@@ -10,11 +10,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro import paperdata
-from repro.analysis.cdf import (
-    DEFAULT_SHAPES,
-    observations_from_runs,
-    split_blank_runs,
-)
+from repro.analysis.cdf import DEFAULT_SHAPES, Observations, observations_from_runs
+from repro.core.feedback import RunOutcome
 from repro.core.metrics import DiscomfortCDF
 from repro.core.resources import Resource
 from repro.core.run import TestcaseRun
@@ -60,32 +57,28 @@ class BreakdownRow:
 
 
 def breakdown_table(
-    runs: Iterable[TestcaseRun],
+    runs: Iterable[TestcaseRun] | Observations,
 ) -> tuple[dict[str, BreakdownRow], TextTable]:
     """Figure 9: runs grouped by task, blankness, and outcome."""
-    runs = list(runs)
+    table = Observations.of(runs)
     rows: dict[str, BreakdownRow] = {}
-    tasks = sorted({run.context.task for run in runs}) or [""]
+    tasks = sorted(set(table.task.tolist())) or [""]
     ordered = [t for t in paperdata.STUDY_TASKS if t in tasks]
     ordered += [t for t in tasks if t not in ordered]
     for task in ["total", *ordered]:
-        selected = (
-            runs if task == "total" else [r for r in runs if r.context.task == task]
-        )
-        non_blank, blank = split_blank_runs(selected)
-        rows[task] = BreakdownRow(
-            task=task,
-            nonblank_discomforted=sum(r.discomforted for r in non_blank),
-            nonblank_exhausted=sum(r.exhausted for r in non_blank),
-            blank_discomforted=sum(r.discomforted for r in blank),
-            blank_exhausted=sum(r.exhausted for r in blank),
-        )
-    table = TextTable(
+        selected = True if task == "total" else table.task == task
+        counts = [
+            int((group & (table.outcome == outcome)).sum())
+            for group in (selected & ~table.blank, selected & table.blank)
+            for outcome in (RunOutcome.DISCOMFORT, RunOutcome.EXHAUSTED)
+        ]
+        rows[task] = BreakdownRow(task, *counts)
+    figure = TextTable(
         "Figure 9: breakdown of runs",
         ["Task", "NB-Discomf", "NB-Exhaust", "B-Discomf", "B-Exhaust", "P(blank discomfort)"],
     )
     for task, row in rows.items():
-        table.add_row(
+        figure.add_row(
             task,
             row.nonblank_discomforted,
             row.nonblank_exhausted,
@@ -93,7 +86,7 @@ def breakdown_table(
             row.blank_exhausted,
             f"{row.blank_discomfort_prob:.2f}",
         )
-    return rows, table
+    return rows, figure
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +114,14 @@ class CellMetrics:
 
 
 def cell_metrics(
-    runs: Iterable[TestcaseRun],
+    runs: Iterable[TestcaseRun] | Observations,
     task: str | None,
     resource: Resource,
     shapes: Sequence[str] | None = DEFAULT_SHAPES,
     percentile: float = 0.05,
 ) -> CellMetrics:
     """Metrics for one cell (``task=None`` aggregates over tasks)."""
-    obs = observations_from_runs(
-        runs, resource=resource, task=task, shapes=shapes
-    )
+    obs = observations_from_runs(runs, resource=resource, task=task, shapes=shapes)
     label = task if task is not None else "total"
     if not obs:
         return CellMetrics(label, resource, None, 0.0, None, None)
@@ -146,27 +137,18 @@ def cell_metrics(
     return CellMetrics(label, resource, cdf, cdf.f_d(), c_05, c_a)
 
 
-def _all_cells(
-    runs: Sequence[TestcaseRun],
-    tasks: Sequence[str],
-    shapes: Sequence[str] | None,
-) -> dict[tuple[str, Resource], CellMetrics]:
-    cells: dict[tuple[str, Resource], CellMetrics] = {}
-    for resource in _RESOURCES:
-        for task in tasks:
-            cells[(task, resource)] = cell_metrics(runs, task, resource, shapes)
-        cells[("total", resource)] = cell_metrics(runs, None, resource, shapes)
-    return cells
-
-
 def metric_tables(
-    runs: Iterable[TestcaseRun],
+    runs: Iterable[TestcaseRun] | Observations,
     tasks: Sequence[str] = paperdata.STUDY_TASKS,
     shapes: Sequence[str] | None = DEFAULT_SHAPES,
 ) -> tuple[dict[tuple[str, Resource], CellMetrics], dict[str, TextTable]]:
     """Figures 14, 15, 16 as cell metrics plus rendered tables."""
-    runs = list(runs)
-    cells = _all_cells(runs, tasks, shapes)
+    table = Observations.of(runs)
+    cells: dict[tuple[str, Resource], CellMetrics] = {}
+    for resource in _RESOURCES:
+        for task in tasks:
+            cells[(task, resource)] = cell_metrics(table, task, resource, shapes)
+        cells[("total", resource)] = cell_metrics(table, None, resource, shapes)
     headers = ["Task", "CPU", "Memory", "Disk"]
     t_fd = TextTable("Figure 14: f_d by task and resource", headers)
     t_c05 = TextTable("Figure 15: c_0.05 by task and resource", headers)

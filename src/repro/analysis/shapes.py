@@ -63,10 +63,8 @@ def summarize_shapes(
     """Group non-blank runs by primary shape and summarize each group."""
     groups: dict[str, list[TestcaseRun]] = {}
     for run in runs:
-        shapes = [s for s in run.shapes.values() if s != "blank"]
-        if len(shapes) != 1:
-            continue
-        groups.setdefault(shapes[0], []).append(run)
+        if len(run.exercised) == 1:
+            groups.setdefault(run.shapes[run.exercised[0]], []).append(run)
     summaries: list[ShapeSummary] = []
     for shape, members in groups.items():
         if len(members) < min_runs:

@@ -32,6 +32,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro._version import __version__
@@ -385,13 +386,17 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis.cdf import Observations
     from repro.analysis.fullreport import full_report
 
-    runs = list(ResultStore(args.results))
-    if not runs:
+    # The report reads no load trace, so each run drops its trace as it
+    # is read; traces are most of a store's bytes.
+    store = ResultStore(args.results)
+    table = Observations(replace(run, load_trace={}) for run in store)
+    if not len(table):
         _print("no runs found", err=True)
         return 1
-    _print(full_report(runs, include_cdf_plots=not args.no_plots))
+    _print(full_report(table, include_cdf_plots=not args.no_plots))
     return 0
 
 
@@ -527,9 +532,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_db(args: argparse.Namespace) -> int:
-    runs = list(ResultStore(args.results))
     with ResultDatabase(args.database) as db:
-        count = db.import_runs(runs)
+        count = db.import_runs(ResultStore(args.results))
     _print(f"imported {count} runs into {args.database}")
     return 0
 

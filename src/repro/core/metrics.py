@@ -55,15 +55,12 @@ class DiscomfortObservation:
     ) -> "DiscomfortObservation":
         """Reduce ``run`` to an observation on its (primary) resource."""
         if resource is None:
-            non_blank = [
-                r for r, s in run.shapes.items() if s != "blank"
-            ]
-            if len(non_blank) != 1:
+            if len(run.exercised) != 1:
                 raise ValidationError(
                     f"run {run.run_id} has no unique exercised resource; "
                     "pass one explicitly"
                 )
-            resource = non_blank[0]
+            (resource,) = run.exercised
         if run.discomforted:
             level = run.discomfort_level(resource)
             censored = False

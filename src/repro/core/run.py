@@ -309,6 +309,12 @@ class TestcaseRun:
     def exhausted(self) -> bool:
         return self.outcome is RunOutcome.EXHAUSTED
 
+    @property
+    def exercised(self) -> tuple[Resource, ...]:
+        """The resources the run loaded: those whose shape is not
+        ``blank``, in shape order.  Empty for a blank run."""
+        return tuple([r for r, s in self.shapes.items() if s != "blank"])
+
     def discomfort_level(self, resource: Resource) -> float:
         """Contention on ``resource`` when discomfort was expressed.
 

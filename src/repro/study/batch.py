@@ -189,6 +189,8 @@ def _finalize_thresholds(
         # is elementwise-identical to its scalar call (already
         # load-bearing for the reaction delays; property-tested).
         base = np.exp(draw.mu + draw.sigma * r)
+    elif draw.f_max == 0.0:  # all the mass lies above range_max
+        base = np.zeros(r.size)
     else:
         u = draw.f_max * r
         arg = draw.mu + draw.sigma * ndtri_array(u)

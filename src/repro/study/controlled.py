@@ -118,14 +118,10 @@ class StudyResult:
                 continue
             if user_id is not None and run.context.user_id != user_id:
                 continue
-            if blank is not None and self._is_blank(run) != blank:
+            if blank is not None and (not run.exercised) != blank:
                 continue
             out.append(run)
         return out
-
-    @staticmethod
-    def _is_blank(run: TestcaseRun) -> bool:
-        return all(shape == "blank" for shape in run.shapes.values())
 
     def profile_for(self, user_id: str) -> UserProfile:
         for profile in self.profiles:

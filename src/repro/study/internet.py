@@ -156,12 +156,7 @@ class InternetStudyResult:
     library_size: int
 
     def runs_for_resource(self, resource: Resource) -> list[TestcaseRun]:
-        out = []
-        for run in self.runs:
-            active = [r for r, s in run.shapes.items() if s != "blank"]
-            if len(active) == 1 and active[0] is resource:
-                out.append(run)
-        return out
+        return [run for run in self.runs if run.exercised == (resource,)]
 
 
 def _simulate_client(

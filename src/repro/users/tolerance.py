@@ -105,6 +105,9 @@ class ToleranceSpec:
         # batch engine's vectorized replay (study/batch.py) applies to
         # its stored ``random()`` draws before the same ``ndtri``.
         u = self.f_max * rng.random()
+        if self.f_max == 0.0:
+            # exp(mu + sigma * ndtri(0.0)) is 0.0, or NaN when sigma is 0.
+            return 0.0
         return math.exp(self.mu + self.sigma * ndtri(u))
 
     def mean_threshold(self) -> float:
@@ -129,8 +132,7 @@ class ToleranceSpec:
         if self.range_max is None:
             return self.p_react * ndtr(z)
         if self.f_max == 0.0:
-            # All the mass lies above range_max: a reactive draw is
-            # ``exp(mu + sigma * ndtri(0.0)) == 0.0`` (NaN if sigma is 0).
+            # All the mass lies above range_max: a reactive draw is 0.0.
             return self.p_react
         return self.p_react * ndtr(z) / self.f_max
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.cdf import (
     aggregate_cdf,
-    is_blank_run,
     observations_from_runs,
     per_cell_cdf,
     split_blank_runs,
@@ -17,8 +16,8 @@ class TestSplitting:
     def test_split_blank(self, study_runs):
         non_blank, blank = split_blank_runs(study_runs)
         assert len(non_blank) + len(blank) == len(study_runs)
-        assert all(is_blank_run(r) for r in blank)
-        assert not any(is_blank_run(r) for r in non_blank)
+        assert not any(r.exercised for r in blank)
+        assert all(r.exercised for r in non_blank)
         # 2 of 8 testcases per task are blank.
         assert len(blank) == len(study_runs) // 4
 

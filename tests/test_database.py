@@ -5,6 +5,8 @@ import pytest
 from repro.analysis.database import ResultDatabase
 from repro.analysis.report import metric_tables
 from repro.core.resources import Resource
+from repro.errors import StoreError
+from repro.stores.results import ResultStore
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +24,25 @@ class TestImport:
     def test_reimport_idempotent(self, small_study):
         with ResultDatabase() as database:
             database.import_runs(small_study.runs)
-            database.import_runs(small_study.runs)
+            assert database.import_runs(small_study.runs) == len(
+                small_study.runs
+            )
             assert len(database) == len(small_study.runs)
+
+    def test_store_streams_in_and_a_bad_line_rolls_back(
+        self, tmp_path, small_study
+    ):
+        store = ResultStore(tmp_path / "store")
+        store.extend(small_study.runs)
+        with ResultDatabase() as database:
+            assert database.import_runs(store) == len(small_study.runs)
+        with store.path.open("a") as fh:
+            fh.write("not a run\n")
+        store.extend(small_study.runs[:3])
+        with ResultDatabase() as database:
+            with pytest.raises(StoreError):
+                database.import_runs(store)
+            assert len(database) == 0
 
     def test_file_backed(self, tmp_path, small_study):
         path = tmp_path / "results.sqlite"

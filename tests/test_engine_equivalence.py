@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import get_task
@@ -507,13 +507,20 @@ class TestThresholdFinalization:
         n=st.integers(min_value=1, max_value=12),
         seed=st.integers(min_value=0, max_value=10_000),
     )
+    @example(
+        p_react=0.9, mu=0.0, sigma=0.0, ramp_bonus=0.3, range_max=0.5,
+        shape="step", n=12, seed=7,
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_property_finalize_matches_scalar_sampling(
         self, p_react, mu, sigma, ramp_bonus, range_max, shape, n, seed
     ):
         """Scalar reference: ``ToleranceSpec.sample_threshold`` + the
         post-processing of ``SimulatedUser.threshold_for``.  The raw-draw
         extraction below is the batch draw loop's, and must consume the
-        exact same RNG stream (state asserted per user)."""
+        exact same RNG stream (state asserted per user).  The example
+        puts all the mass above ``range_max`` with sigma 0, where
+        ``sigma * ndtri(0.0)`` would be NaN and warn."""
         spec = ToleranceSpec(
             "word", Resource.CPU, p_react=p_react, mu=mu, sigma=sigma,
             ramp_bonus=ramp_bonus, range_max=range_max,

@@ -135,16 +135,18 @@ class TestToleranceSpec:
         assert spec.cdf(level).hex() == float(0.8 * norm.cdf(z)).hex()
 
     def test_cdf_with_all_mass_above_range_max(self):
-        # f_max rounds to 0: every reactive draw is exp(-inf) == 0.0.
-        spec = ToleranceSpec(
-            "t", Resource.CPU, p_react=0.5, mu=0.0, sigma=0.1,
-            range_max=1e-300,
-        )
-        assert spec.f_max == 0.0
-        rng = np.random.default_rng(4)
-        draws = {spec.sample_threshold(rng) for _ in range(50)}
-        assert draws == {0.0, math.inf}
-        assert spec.cdf(1e-301) == 0.5
+        # f_max is 0: every reactive draw is exp(-inf) == 0.0, also with
+        # sigma 0, where sigma * ndtri(0.0) would be 0 * -inf (NaN).
+        for sigma, range_max in ((0.1, 1e-300), (0.0, 0.5)):
+            spec = ToleranceSpec(
+                "t", Resource.CPU, p_react=0.5, mu=0.0, sigma=sigma,
+                range_max=range_max,
+            )
+            assert spec.f_max == 0.0
+            rng = np.random.default_rng(4)
+            draws = {spec.sample_threshold(rng) for _ in range(50)}
+            assert draws == {0.0, math.inf}
+            assert spec.cdf(1e-301) == 0.5
 
     def test_cdf_monotone(self):
         spec = ToleranceSpec("t", Resource.CPU, p_react=0.8, mu=0.0, sigma=0.5)
