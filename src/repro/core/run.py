@@ -44,8 +44,20 @@ __all__ = ["RunContext", "TestcaseRun", "TraceTable", "TraceView"]
 # trace is a prefix of the cell's full-length traces: the engines hand
 # each run a ``TraceView`` of the cell's ``TraceTable``, the table
 # renders each column once, and each run's trace is cut from that text
-# and joined into the record's text with everything else.  Nothing is
-# cached per record, so a collected record leaves nothing behind.
+# and joined into the record's text with everything else.  A plain-dict
+# trace (every record parsed from text has one) is rendered column by
+# column in sorted key order.
+#
+# A load trace is piecewise constant, so a column is rendered one run of
+# bit-identical samples at a time (``_float_runs``): one numpy pass over
+# its bit patterns finds where the runs start, each run's first sample
+# is rendered by the C encoder as it would render it in place, and that
+# text is repeated.  Bit patterns keep ``-0.0`` apart from ``0.0``.  A
+# column holding anything but ``float``/``np.float64`` (an ``int`` never
+# joins a float's run), or at least half as many runs as samples, is
+# rendered whole by the C encoder.  Either way the text is the column's
+# ``json.dumps``.  Nothing is cached per record, so a collected record
+# leaves nothing behind.
 # ---------------------------------------------------------------------------
 
 #: ``json.dumps(obj, sort_keys=True)`` builds an encoder exactly like
@@ -68,6 +80,9 @@ _c_encode = c_make_encoder(
 _NAME_KEYS = frozenset((str, Resource))
 #: Value types that render as ``list(value)`` does.
 _SEQUENCES = frozenset((tuple, list))
+#: Sample types the encoder renders as ``float.__repr__`` (or ``NaN``,
+#: ``Infinity``, ``-Infinity``): ``np.float64`` subclasses ``float``.
+_FLOATS = frozenset((float, np.float64))
 
 
 def _render(obj) -> str:
@@ -108,10 +123,58 @@ def _jnum(x) -> str:
     return _render(x)
 
 
+def _float_runs(column) -> tuple[list[str], list[int]] | None:
+    """The JSON text of each run of bit-identical samples in ``column``
+    and the run lengths, or None when ``column`` is to be rendered whole:
+    it holds a sample that is not a ``float`` or ``np.float64``, or at
+    least half as many runs as samples."""
+    if not _FLOATS.issuperset(map(type, column)):
+        return None
+    n = len(column)
+    bits = np.fromiter(column, np.float64, n).view(np.int64)
+    # Each run but the last ends where the next sample's bits differ.
+    edges = np.flatnonzero(bits[1:] != bits[:-1])
+    if 2 * (len(edges) + 1) >= n:
+        return None
+    starts = [0, *(edges + 1).tolist()]
+    ends = starts[1:] + [n]
+    # Float text never holds ", ", so the heads' array splits cleanly.
+    texts = _render([column[i] for i in starts])[1:-1].split(", ")
+    return texts, [end - start for start, end in zip(starts, ends)]
+
+
+def _join_runs(texts: list[str], lengths: list[int]) -> str:
+    """The JSON array of ``texts[i]`` repeated ``lengths[i]`` times."""
+    pieces = ["["]
+    pieces += [(text + ", ") * k for text, k in zip(texts, lengths)]
+    pieces[-1] = pieces[-1][:-2] + "]"
+    return "".join(pieces)
+
+
+def _trace_pieces(trace: dict, out: list[str]) -> None:
+    """Append to ``out`` the text of ``json.dumps(trace, sort_keys=True)``
+    for a plain dict of ``str`` keys and tuple or list values, rendered
+    column by column."""
+    head = "{"
+    for name in sorted(trace):
+        column = trace[name]
+        runs = _float_runs(column)
+        out += (head, _jstr_raw(name), ": ",
+                _render(column) if runs is None else _join_runs(*runs))
+        head = ", "
+    out.append("}" if trace else "{}")
+
+
 def _column_json(column: tuple) -> tuple[str, np.ndarray]:
     """``column``'s JSON array text and where each separator between its
     elements starts: the JSON of its first ``n`` elements is
     ``text[:seps[n - 1]] + "]"`` for ``0 < n < len(column)``."""
+    runs = _float_runs(column)
+    if runs is not None:
+        texts, lengths = runs
+        widths = np.fromiter(map(len, texts), np.int64, len(texts)) + 2
+        seps = np.cumsum(np.repeat(widths, lengths)[:-1]) - 1
+        return _join_runs(texts, lengths), seps
     text = _render(column)
     # The text is ASCII, so its bytes are its characters.  Floats never
     # render with a comma, so one pass over the bytes finds the
@@ -400,7 +463,10 @@ class TestcaseRun:
         elif type(trace) is dict and _SEQUENCES.issuperset(
             map(type, trace.values())
         ):
-            pieces.append(_render(trace))
+            if all(type(name) is str for name in trace):
+                _trace_pieces(trace, pieces)
+            else:
+                pieces.append(_render(trace))
         else:
             pieces.append(_render({k: list(v) for k, v in trace.items()}))
         pieces += (
@@ -444,12 +510,12 @@ class TestcaseRun:
                     for r, v in data.get("levels_at_end", {}).items()
                 },
                 last_values={
-                    Resource.parse(r): tuple(float(x) for x in v)
+                    Resource.parse(r): tuple(map(float, v))
                     for r, v in data.get("last_values", {}).items()
                 },
                 feedback=feedback,
                 load_trace={
-                    str(k): tuple(float(x) for x in v)
+                    str(k): tuple(map(float, v))
                     for k, v in data.get("load_trace", {}).items()
                 },
                 load_trace_rate=float(data.get("load_trace_rate", 1.0)),

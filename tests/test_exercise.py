@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exercise import (
@@ -200,9 +200,12 @@ def test_property_ramp_monotone_peak_at_end(x, t, rate):
     t=st.floats(min_value=2.0, max_value=600.0),
     b_frac=st.floats(min_value=0.0, max_value=0.95),
 )
+# np.round and the builtin round disagree on this x (0.469160748328 and
+# 0.469160748327), which a comparison of rounded values once tripped on.
+@example(x=0.4691607483275, t=120.0, b_frac=0.25)
 def test_property_step_two_valued(x, t, b_frac):
     b = b_frac * t
     fn = step(Resource.CPU, x, t, b)
-    unique = set(np.round(fn.values, 12))
-    assert unique <= {0.0, round(x, 12)}
+    # step assigns exactly 0.0 or x: compare the samples themselves.
+    assert set(fn.values.tolist()) <= {0.0, x}
     assert fn.values[-1] == pytest.approx(x)

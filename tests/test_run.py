@@ -529,6 +529,124 @@ def test_property_fast_encoder_matches_dumps(data):
     assert run.to_json() == _canonical(run)
 
 
+#: Samples whose runs need care: the signed zeros, the special values,
+#: the smallest subnormal, and the two sides of ``repr``'s switch to
+#: exponent form (``1e+16`` beside ``9999999999999998.0``).
+_RUN_VALUES = [
+    0.0, -0.0, NaN, math.inf, -math.inf, 5e-324, 1e16,
+    9999999999999998.0, 1.0, 0.1, 2.5, 1e-7,
+]
+#: Pools of 1-4 values a column's runs are drawn from; the fixed ones
+#: put values that look alike side by side.
+_RUN_POOLS = st.one_of(
+    st.sampled_from([
+        (0.0, -0.0), (1e16, 9999999999999998.0),
+        (NaN, math.inf, -math.inf, 5e-324), (1.0, 0.0, -0.0),
+    ]),
+    st.lists(st.sampled_from(_RUN_VALUES), min_size=1, max_size=4),
+)
+
+
+def _twins(x):
+    """``x`` and the samples of other types that equal it: an
+    ``np.float64`` (not for NaN, which compares equal only as the
+    decoder's own object), and an ``int`` and ``bool`` for integral
+    values."""
+    twins = [x]
+    if x == x:
+        twins.append(np.float64(x))
+    if math.isfinite(x) and x == int(x):
+        twins.append(int(x))
+        if x in (0, 1):
+            twins.append(bool(x))
+    return twins
+
+
+@st.composite
+def _run_column(draw):
+    """0-600 samples in runs of equal values drawn from one pool, with a
+    few samples swapped for an ``np.float64``, ``int`` or ``bool`` of
+    the same value inside their run."""
+    pool = draw(_RUN_POOLS)
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(1, 150)), max_size=12
+    ))
+    column = [x for x, k in runs for _ in range(k)][:600]
+    for i in draw(st.lists(st.integers(0, 599), max_size=6)):
+        if i < len(column):
+            column[i] = draw(st.sampled_from(_twins(column[i])))
+    return column
+
+
+@settings(max_examples=25, deadline=None)
+@given(columns=st.dictionaries(st.text(max_size=6), _run_column(), max_size=3))
+def test_property_runs_of_samples_match_dumps(columns):
+    parsed = make_run(load_trace={k: tuple(c) for k, c in columns.items()})
+    for trace in (
+        {k: tuple(c) for k, c in columns.items()},
+        {k: list(c) for k, c in columns.items()},
+    ):
+        run = make_run(load_trace=trace)
+        text = run.to_json()
+        assert text == _canonical(run)
+        assert TestcaseRun.from_json(text) == parsed
+    table = TraceTable(columns, columns.values())
+    longest = max((len(c) for c in columns.values()), default=0)
+    for steps in range(longest + 2):
+        run = make_run(load_trace=TraceView(table, steps))
+        text = run.to_json()
+        assert text == _canonical(run)
+        assert TestcaseRun.from_json(text) == run
+
+
+def _old_column(values):
+    """How ``from_dict`` parsed a column before it used ``map``."""
+    return tuple(float(x) for x in values)
+
+
+def _bits(samples):
+    """Each sample's bit pattern: tells -0.0 from 0.0, and NaN equals
+    NaN."""
+    return np.array(samples, np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("column", [
+    [1.5, -0.0, NaN, 5e-324],
+    [1, 2, True],
+    ["1.5", "1E-5", "nan", " -2 "],
+    "12",
+    b"12",
+    [None],
+    [1.0, None],
+    [[1.0]],
+    [1.0, "x"],
+    5,
+    None,
+    {"a": 1.0},
+    {"1.5": 2.0},
+])
+def test_from_dict_parses_columns_as_before(column):
+    # The same float() calls in the same order: equal tuples, or the
+    # same error.
+    try:
+        want = _old_column(column)
+    except (TypeError, ValueError) as exc:
+        want = f"bad run record: {exc}"
+    for field, key in (("load_trace", "slowdown"), ("last_values", "cpu")):
+        data = make_run().to_dict()
+        data[field] = {key: column}
+        if isinstance(want, str):
+            with pytest.raises(SerializationError) as err:
+                TestcaseRun.from_dict(data)
+            assert str(err.value) == want
+            continue
+        (got,) = getattr(TestcaseRun.from_dict(data), field).values()
+        assert type(got) is tuple and {type(x) for x in got} <= {float}
+        assert _bits(got) == _bits(want)
+    if column == "12":
+        assert want == (1.0, 2.0)
+
+
 @settings(max_examples=40)
 @given(
     offset=st.floats(min_value=0.0, max_value=120.0),

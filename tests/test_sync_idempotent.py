@@ -1,6 +1,9 @@
 """Tests for idempotent hot sync: sync_seq bookkeeping, server-side
 run-id dedupe, protocol version negotiation, and restart persistence."""
 
+import json
+import math
+
 import pytest
 
 from repro.client import ClientConfig, UUCSClient
@@ -16,6 +19,7 @@ from repro.server import (
     InProcessTransport,
     Message,
     UUCSServer,
+    decode_message,
 )
 from repro.stores import ResultStore
 from repro.telemetry import Telemetry
@@ -164,6 +168,58 @@ class TestServerIdempotentSync:
         assert replays.value() == 1
         names = [e.name for e in telemetry.events.sink.events]
         assert "server.sync_replay" in names
+
+
+class TestStoredLines:
+    """A sync stores each uploaded record as its canonical line."""
+
+    def test_canonical_and_other_uploads(self, server):
+        client_id = register(server)
+        ramp = tuple(i / 7 for i in range(40))
+        canonical = TestcaseRun(
+            run_id="c1",
+            testcase_id="a",
+            context=RunContext(user_id="u", task="word", started_at=3.25),
+            outcome=RunOutcome.EXHAUSTED,
+            end_offset=10.0,
+            testcase_duration=10.0,
+            shapes={Resource.CPU: "step"},
+            levels_at_end={Resource.CPU: 1.5},
+            last_values={Resource.CPU: (1.5,) * 5},
+            load_trace={
+                "contention_cpu": (0.0,) * 20 + (1.5,) * 20,
+                "jitter": (0.0,) * 10 + (-0.0,) * 10 + (math.inf,) * 20,
+                "slowdown": ramp,
+            },
+        ).to_json()
+        # Ints in a trace, numbers repr would print otherwise, a run of
+        # -0.0 after 0.0, NaN, keys out of order and extra spaces.
+        other = (
+            '{ "testcase_id" : "a",  "run_id":"n1", "outcome": "exhausted",'
+            ' "end_offset": 10, "testcase_duration": 10.0,'
+            ' "context": {"user_id": "u", "started_at": 1E-5},'
+            ' "shapes": {"cpu": "step"}, "levels_at_end": {"cpu": 1.50},'
+            ' "last_values": {"cpu": [1, 1.50, 1.5]}, "feedback": null,'
+            ' "load_trace": {"slowdown": [1, 1, 1, 1.50, 1.5, 1.5, 1E-5,'
+            ' 1e-5, 1e-5],  "jitter": [0.0, 0.0, 0.0, -0.0, -0.0, -0.0,'
+            ' NaN, NaN, NaN], "a": [2, 2, 2.0, 2.0]}, "load_trace_rate": 1 }'
+        )
+        stored = []
+        for seq, text in enumerate((canonical, other), 1):
+            request = decode_message(
+                '{"type": "sync", "client_id": "%s", "have": [], "want": 0,'
+                ' "protocol": %d, "sync_seq": %d, "results": [%s]}'
+                % (client_id, PROTOCOL_VERSION, seq, text)
+            )
+            (record,) = request.payload["results"]
+            stored.append(json.dumps(
+                TestcaseRun.from_dict(record).to_dict(), sort_keys=True
+            ))
+            assert server.handle(request).payload["accepted"] == 1
+        assert stored[0] == canonical and stored[1] != other
+        assert server.results.path.read_bytes() == "".join(
+            line + "\n" for line in stored
+        ).encode()
 
 
 class TestAckPersistence:
