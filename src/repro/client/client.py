@@ -17,7 +17,7 @@ Two execution modes (§2):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -239,8 +239,8 @@ class UUCSClient:
 
         Queued results go out as the store's lines, checked but not
         re-encoded (:class:`~repro.server.protocol.RawRecords`); with
-        ``share_load_traces`` off, each run is parsed and sent with an
-        empty load trace instead.
+        ``share_load_traces`` off, each run is parsed and its line
+        re-encoded with an empty load trace instead.
         """
         if self._transport is None:
             raise ProtocolError("client has no transport (offline)")
@@ -248,16 +248,15 @@ class UUCSClient:
             raise ProtocolError("register before syncing")
         telemetry = self.telemetry
         with telemetry.span("hot_sync", client=self.client_id) as span:
-            uploads: RawRecords | list[dict]
             if self._config.share_load_traces:
                 # The stored lines are already the records' wire form.
-                uploads = RawRecords(tuple(self.results.lines()))
+                lines = self.results.lines()
             else:
-                uploads = []
-                for run in self.results:
-                    record = run.to_dict()
-                    record["load_trace"] = {}
-                    uploads.append(record)
+                lines = (
+                    replace(run, load_trace={}).to_json()
+                    for run in self.results
+                )
+            uploads = RawRecords(tuple(lines))
             sync_seq = self._acked_seq + 1
             payload: dict[str, object] = {
                 "client_id": self.client_id,

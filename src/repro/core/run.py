@@ -42,20 +42,22 @@ __all__ = ["RunContext", "TestcaseRun", "TraceTable", "TraceView"]
 # record's text -- is the costly part.  Every run of a simulated
 # (machine, task, testcase) cell replays the same level series, so its
 # trace is a prefix of the cell's full-length traces: the engines hand
-# each run a ``TraceView`` of the cell's ``TraceTable``, the table
-# renders each column once, and each run's trace is cut from that text
-# and joined into the record's text with everything else.  A plain-dict
-# trace (every record parsed from text has one) is rendered column by
-# column in sorted key order.
+# each run a ``TraceView`` of the cell's ``TraceTable`` (``str`` names,
+# ``float``/``np.float64`` samples), the table renders each column once,
+# and each run's trace is cut from that text and joined into the
+# record's text with everything else.  A plain-dict trace (every record
+# parsed from text has one) is rendered column by column in sorted key
+# order.
 #
 # A load trace is piecewise constant, so a column is rendered one run of
 # bit-identical samples at a time (``_float_runs``): one numpy pass over
 # its bit patterns finds where the runs start, each run's first sample
 # is rendered by the C encoder as it would render it in place, and that
 # text is repeated.  Bit patterns keep ``-0.0`` apart from ``0.0``.  A
-# column holding anything but ``float``/``np.float64`` (an ``int`` never
-# joins a float's run), or at least half as many runs as samples, is
-# rendered whole by the C encoder.  Either way the text is the column's
+# column with at least half as many runs as samples, or (in a plain-dict
+# trace) holding anything but ``float``/``np.float64`` (an ``int`` never
+# joins a float's run), is rendered whole by the C encoder; no column is
+# rendered element by element.  Either way the text is the column's
 # ``json.dumps``.  Nothing is cached per record, so a collected record
 # leaves nothing behind.
 # ---------------------------------------------------------------------------
@@ -124,12 +126,10 @@ def _jnum(x) -> str:
 
 
 def _float_runs(column) -> tuple[list[str], list[int]] | None:
-    """The JSON text of each run of bit-identical samples in ``column``
-    and the run lengths, or None when ``column`` is to be rendered whole:
-    it holds a sample that is not a ``float`` or ``np.float64``, or at
-    least half as many runs as samples."""
-    if not _FLOATS.issuperset(map(type, column)):
-        return None
+    """The JSON text of each run of bit-identical samples in ``column``,
+    whose samples are all ``float`` or ``np.float64``, and the run
+    lengths; or None when ``column`` is to be rendered whole: it holds
+    at least half as many runs as samples."""
     n = len(column)
     bits = np.fromiter(column, np.float64, n).view(np.int64)
     # Each run but the last ends where the next sample's bits differ.
@@ -158,9 +158,9 @@ def _trace_pieces(trace: dict, out: list[str]) -> None:
     head = "{"
     for name in sorted(trace):
         column = trace[name]
-        runs = _float_runs(column)
+        runs = _FLOATS.issuperset(map(type, column)) and _float_runs(column)
         out += (head, _jstr_raw(name), ": ",
-                _render(column) if runs is None else _join_runs(*runs))
+                _join_runs(*runs) if runs else _render(column))
         head = ", "
     out.append("}" if trace else "{}")
 
@@ -168,7 +168,13 @@ def _trace_pieces(trace: dict, out: list[str]) -> None:
 def _column_json(column: tuple) -> tuple[str, np.ndarray]:
     """``column``'s JSON array text and where each separator between its
     elements starts: the JSON of its first ``n`` elements is
-    ``text[:seps[n - 1]] + "]"`` for ``0 < n < len(column)``."""
+    ``text[:seps[n - 1]] + "]"`` for ``0 < n < len(column)``.  Raises
+    ValidationError unless every sample is a ``float`` or
+    ``np.float64``."""
+    if not _FLOATS.issuperset(map(type, column)):
+        raise ValidationError(
+            "a trace table's samples must be float or np.float64"
+        )
     runs = _float_runs(column)
     if runs is not None:
         texts, lengths = runs
@@ -176,40 +182,31 @@ def _column_json(column: tuple) -> tuple[str, np.ndarray]:
         seps = np.cumsum(np.repeat(widths, lengths)[:-1]) - 1
         return _join_runs(texts, lengths), seps
     text = _render(column)
-    # The text is ASCII, so its bytes are its characters.  Floats never
-    # render with a comma, so one pass over the bytes finds the
-    # separators.  A column whose element text holds commas keeps only
-    # the ", " among them; if those are still too many, some element's
-    # text holds the separator itself: render element by element.
-    data = np.frombuffer(text.encode(), np.uint8)
-    seps = np.flatnonzero(data == 44)  # ","
-    wanted = max(len(column) - 1, 0)
-    if len(seps) != wanted:
-        seps = seps[data[seps + 1] == 32]  # " "
-    if len(seps) != wanted:
-        items = [_render(x) for x in column]
-        text = "[" + ", ".join(items) + "]"
-        seps = np.cumsum([len(item) + 2 for item in items[:-1]],
-                         dtype=np.int64) - 1
-    return text, seps
+    # The text is ASCII, so its bytes are its characters, and float text
+    # never holds a comma: every comma in it starts a separator.
+    return text, np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == 44)
 
 
 class TraceTable:
     """Full-length load traces that the runs of one simulated cell share.
 
-    ``names`` and ``columns`` run in parallel: metric name -> float
-    samples.  A run that stopped after ``steps`` samples carries
-    ``TraceView(table, steps)``, every column cut at ``steps``.  The
-    first :meth:`pieces` call renders each column's JSON once, with the
-    offset of every separator, so the JSON of any prefix is a slice of
-    that text.  A table pickles as ``(names, columns)``; its text is
-    rebuilt in whichever process renders it.
+    ``names`` and ``columns`` run in parallel: metric name -> samples.
+    A name is a ``str`` (checked here) and a sample a ``float`` or
+    ``np.float64`` (checked when its column is first rendered); either
+    check raises ValidationError.  A run that stopped after ``steps``
+    samples carries ``TraceView(table, steps)``, every column cut at
+    ``steps``.  The first :meth:`pieces` call renders each column's JSON
+    once, with the offset of every separator, so the JSON of any prefix
+    is a slice of that text.  A table pickles as ``(names, columns)``;
+    its text is rebuilt in whichever process renders it.
     """
 
     __slots__ = ("names", "columns", "_index", "_json")
 
     def __init__(self, names, columns):
         self.names = tuple(names)
+        if not all(type(name) is str for name in self.names):
+            raise ValidationError("a trace table's names must be str")
         self.columns = tuple(tuple(column) for column in columns)
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != len(self.names) or len(self.columns) != len(
@@ -229,7 +226,7 @@ class TraceTable:
         rendered = self._json
         if rendered is None:
             rendered = self._json = [
-                (("{" if i == 0 else ", ") + _render(name) + ": ",
+                (("{" if i == 0 else ", ") + _jstr_raw(name) + ": ",
                  *_column_json(self.columns[self._index[name]]))
                 for i, name in enumerate(sorted(self.names))
             ]

@@ -47,7 +47,7 @@ from repro.study.supervisor import SupervisorPolicy, supervised_map
 from repro.telemetry import Telemetry, get_telemetry
 from repro.users import SimulatedUser, paper_calibrated_table
 from repro.users.population import sample_profile
-from repro.util.rng import derive_rng
+from repro.util.rng import config_seed, derive_rng
 
 __all__ = [
     "CellStats",
@@ -118,6 +118,7 @@ class FleetConfig:
             raise SchedulerError(
                 f"cooldown_epochs must be >= 0, got {self.cooldown_epochs}"
             )
+        object.__setattr__(self, "seed", config_seed(self.seed, SchedulerError))
 
     def to_dict(self) -> dict[str, object]:
         return {

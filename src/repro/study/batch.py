@@ -11,10 +11,10 @@ users of one (task, testcase) cell together**, in three phases per
 block of users:
 
 1. **Draw** — replay each user's RNG consumption in exactly the scalar
-   order (testcase ``permutation``, run-ids, per-resource thresholds,
-   reaction delay, noise gate) into per-cell columns.  Only the *raw*
-   draws are taken here — the draw counts are data-dependent, so the
-   stream order forces a scalar loop — while every pure transform
+   order (testcase ``permutation``, run-ids, at most one threshold per
+   cell, reaction delay, noise gate) into per-cell columns.  Only the
+   *raw* draws are taken here — the draw counts are data-dependent, so
+   the stream order forces a scalar loop — while every pure transform
    (the lognormal / truncated-quantile arithmetic of
    ``ToleranceSpec.sample_threshold``, the skill shift, the tolerance
    scaling) consumes no RNG and is deferred to a vectorized
@@ -22,13 +22,12 @@ block of users:
    to a whole column where the scalar path calls ``ndtri`` once per draw
    (same bits).  One bulk draw of 32-bit words replays a user's testcase
    orders and run ids (``_session_draws``).
-2. **Decide** — vectorize ``_threshold_fire_step``'s last-false scan
-   across the user axis.  Monotone level series (every ramp and step the
-   study ships) get an O(users) ``searchsorted`` closed form; anything
-   that can dip and re-cross gets the generic 2-D ``maximum.accumulate``
-   scan.  The noise step's ceil/fix-up loops become array fixpoints.
+2. **Decide** — ``_threshold_fire_step``'s last-false scan in closed
+   form across the user axis: a level series that never dips is crossed
+   once, at the ``searchsorted`` index, and the reaction delay runs from
+   there.  The noise step's ceil/fix-up loops become array fixpoints.
    The winner per run is the earliest candidate step, noise beating
-   thresholds on ties — the scalar ``min(candidates, key=(step,
+   the threshold on ties — the scalar ``min(candidates, key=(step,
    source))``.
 3. **Emit** — build ``TestcaseRun`` records in scalar emission order.
    Every discomfort offset lies on the step grid, so per-(cell, step)
@@ -40,6 +39,13 @@ block of users:
    every field combination the templates produce is validated once per
    cell against the real constructor, then stamped per run without
    re-running dataclass ``__init__``/``__post_init__``.
+
+Phases 1 and 2 are this simple because a controlled study runs only
+Figure 8's testcases (:func:`repro.study.testcases.task_testcases`):
+each is one ramp or one step on one resource, or a blank.  The engine
+serves nothing else; :class:`_CellPlan` raises :class:`StudyError` for a
+cell that loads two resources or whose levels dip, which the
+per-session engines still run.
 
 The contract is byte-for-byte identity with the scalar engines on any
 config — enforced by the ``tests/test_engine_equivalence.py`` property
@@ -61,13 +67,14 @@ from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.run import RunContext, TestcaseRun, TraceView
 from repro.core.session import record_session_metrics, record_user_session
 from repro.core.testcase import Testcase
+from repro.errors import StudyError
 from repro.study.engine import CellTraces
 from repro.telemetry import get_telemetry
 from repro.users.behavior import _SKILL_STEP, BehaviorParams
-from repro.users.profile import RATING_CATEGORIES, SkillLevel, UserProfile
+from repro.users.profile import RATING_CATEGORIES, SkillLevel
 from repro.util.heap import gc_paused
 from repro.util.normal import ndtri_array
-from repro.util.rng import _fnv_words, derive_rng
+from repro.util.rng import _fnv_words
 
 __all__ = ["run_batch_user_range"]
 
@@ -79,37 +86,12 @@ __all__ = ["run_batch_user_range"]
 #: retained records' footprint.
 _USER_BLOCK = 32768
 
-#: Rows per 2-D threshold-fire chunk (memory bound: chunk × n_steps
-#: float64 temporaries, ~4 MB at the study's 480 steps).
-_FIRE_CHUNK = 1024
-
 #: Buckets for the ``uucs_study_batch_users_per_call`` histogram: cell
 #: calls are per user-block, so powers of two up to ``_USER_BLOCK``.
 _USERS_PER_CALL_BUCKETS = (1.0, 8.0, 64.0, 512.0, 4096.0, 32768.0)
 
 _RATING_KEYS = tuple((f"rating_{cat}", cat) for cat in RATING_CATEGORIES)
 _TYPICAL = SkillLevel.TYPICAL
-
-
-def _skill_shift(
-    profile: UserProfile, task: str, scale: float, params: BehaviorParams
-) -> float:
-    """``SimulatedUser._skill_shift`` replicated term for term."""
-    if not math.isfinite(scale):
-        return 0.0
-    shift = 0.0
-    shift += (
-        _SKILL_STEP[profile.rating_for_task(task)]
-        * params.skill_app_fraction
-        * scale
-    )
-    for category in ("pc", "windows"):
-        shift += (
-            _SKILL_STEP[profile.rating(category)]
-            * params.skill_general_fraction
-            * scale
-        )
-    return shift
 
 
 class _BlockSkill:
@@ -120,8 +102,8 @@ class _BlockSkill:
     so `_finalize_thresholds` can apply them as single array
     expressions.  Each array element replays the scalar float ops in
     the scalar order — ``(step * fraction) * scale`` with the same
-    grouping — so the products are bit-identical (asserted against
-    ``_skill_shift`` by the equivalence suite).
+    grouping — so the products are bit-identical (the equivalence suite
+    checks each shift against ``SimulatedUser._skill_shift``).
     """
 
     __slots__ = ("tolerance", "app", "pc", "win", "shifts")
@@ -154,7 +136,7 @@ class _BlockSkill:
             scale = draw.mean
             if math.isfinite(scale):
                 # ((0.0 + app) + pc) + win, each term (step*frac)*scale —
-                # the scalar accumulation order of _skill_shift.
+                # SimulatedUser._skill_shift's accumulation order.
                 arr = (
                     self.app[draw.task] * scale + self.pc * scale
                 ) + self.win * scale
@@ -236,8 +218,9 @@ class _DerivedStream:
     label, index)`` — which the equivalence tests assert directly
     against the scalar path.
 
-    Only valid for plain-int entropy; callers fall back to
-    ``derive_rng`` otherwise.
+    ``entropy`` is a non-negative ``int``, as
+    :class:`~repro.study.controlled.ControlledStudyConfig` stores every
+    seed.
     """
 
     __slots__ = ("pool", "hash_const", "bit_generator", "generator", "_state")
@@ -430,15 +413,20 @@ class _ResourceDraw:
 
 
 class _CellPlan:
-    """Everything one (task, testcase) cell shares across its users."""
+    """Everything one (task, testcase) cell shares across its users.
+
+    Raises :class:`StudyError` unless the testcase is one a controlled
+    study makes: at most one function that is not blank, whose level
+    series never decreases.
+    """
 
     __slots__ = (
         "task_name", "testcase", "duration", "sample_rate", "dt", "n_steps",
-        "level_arrays", "monotone", "shapes", "p_noise", "draws",
+        "level_arrays", "shapes", "p_noise", "draw",
         "delay_mu", "delay_sigma",
         "trace_table", "exhausted_template", "step_templates",
         "fast_templates",
-        "th_cols", "delay_z", "noise", "run_ids",
+        "th_col", "delay_z", "noise", "run_ids",
         "contexts", "emit",
     )
 
@@ -452,22 +440,33 @@ class _CellPlan:
         self.n_steps = traces.n_steps
         n_steps = self.n_steps
         self.level_arrays = traces.levels
-        self.monotone = {
-            resource: bool(np.all(np.diff(levels) >= 0.0))
-            for resource, levels in self.level_arrays.items()
-        }
         self.shapes = {r: fn.shape for r, fn in testcase.functions.items()}
         self.p_noise = behavior.noise_probability(
             task_name, testcase.duration, testcase.is_blank()
         )
         self.delay_sigma = behavior.reaction_delay_sigma
         self.delay_mu = -self.delay_sigma**2 / 2.0
-        self.draws = [
-            _ResourceDraw(task_name, resource, table.spec(task_name, resource),
-                          fn.shape)
-            for resource, fn in testcase.functions.items()
+        loaded = [
+            (resource, fn) for resource, fn in testcase.functions.items()
             if not fn.is_blank()
         ]
+        if len(loaded) > 1:
+            raise StudyError(
+                f"testcase {testcase.testcase_id!r} loads {len(loaded)} "
+                "resources; the batch engine runs one at most"
+            )
+        self.draw = None
+        if loaded:
+            ((resource, fn),) = loaded
+            if not np.all(np.diff(self.level_arrays[resource]) >= 0.0):
+                raise StudyError(
+                    f"testcase {testcase.testcase_id!r} lowers its "
+                    f"{resource.value} level; the batch engine runs "
+                    "level series that never decrease"
+                )
+            self.draw = _ResourceDraw(
+                task_name, resource, table.spec(task_name, resource), fn.shape
+            )
 
         # Every record's trace is a prefix view of the cell's table.
         self.trace_table = traces.table
@@ -547,7 +546,7 @@ class _CellPlan:
 
     def reset(self) -> None:
         """Clear per-block member state (draws and run identities)."""
-        self.th_cols: list[list[float]] = [[] for _ in self.draws]
+        self.th_col: list[float] = []
         self.delay_z: list[float] = []
         self.noise: list[float] = []
         self.run_ids: list[str] = []
@@ -555,56 +554,13 @@ class _CellPlan:
         self.emit: list[int] = []
 
 
-def _draw_triples(cell: _CellPlan):
-    """The draw loop's per-cell dispatch value (see ``hot_by_task``):
-    ``None`` (no draws), one bare ``(p_react, is_z, append)`` triple
-    (the dominant single-resource cells — recognized in the loop by a
-    float first element), or a tuple of triples."""
-    triples = tuple(
-        (float(d.p_react), d.is_z, col.append)
-        for d, col in zip(cell.draws, cell.th_cols)
-    )
-    if not triples:
+def _draw_triple(cell: _CellPlan):
+    """The draw loop's per-cell threshold draw (see ``hot_by_task``):
+    ``(p_react, is_z, append)``, or None for a blank cell."""
+    draw = cell.draw
+    if draw is None:
         return None
-    if len(triples) == 1:
-        return triples[0]
-    return triples
-
-
-def _fire_steps(
-    levels: np.ndarray,
-    thresholds: np.ndarray,
-    delays: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """Vectorized ``_threshold_fire_step`` across the user axis.
-
-    ``levels`` is the cell's (n_steps,) series; ``thresholds`` and
-    ``delays`` are per-user.  Returns the first firing step per user,
-    ``-1`` where the poll loop would never fire.  Row ``u`` is
-    element-identical to ``_threshold_fire_step(levels, thresholds[u],
-    delays[u], dt)`` — same crossing reset on dips, same ``i * dt``
-    float products.
-    """
-    thresholds = np.asarray(thresholds, dtype=float)
-    delays = np.asarray(delays, dtype=float)
-    n_steps = len(levels)
-    idx = np.arange(n_steps)
-    t = idx.astype(float) * dt
-    out = np.full(len(thresholds), -1, dtype=np.int64)
-    for base in range(0, len(thresholds), _FIRE_CHUNK):
-        th = thresholds[base : base + _FIRE_CHUNK]
-        delay = delays[base : base + _FIRE_CHUNK]
-        above = levels[None, :] >= th[:, None]
-        last_false = np.maximum.accumulate(
-            np.where(above, -1, idx[None, :]), axis=1
-        )
-        crossed = (last_false + 1).astype(float) * dt
-        fire = above & (t[None, :] - crossed >= delay[:, None])
-        hit = fire.any(axis=1)
-        first = np.argmax(fire, axis=1)
-        out[base : base + _FIRE_CHUNK] = np.where(hit, first, -1)
-    return out
+    return float(draw.p_react), draw.is_z, cell.th_col.append
 
 
 def _fire_steps_monotone(
@@ -613,14 +569,18 @@ def _fire_steps_monotone(
     delays: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """``_fire_steps`` for monotone non-decreasing level series.
+    """Vectorized ``_threshold_fire_step`` across the user axis, for a
+    level series that never decreases.
 
-    With no dips there is exactly one crossing, found by binary search:
-    the first index with ``levels[i] >= threshold``.  The fire step is
-    then the first ``i`` with ``i*dt - crossing*dt >= delay``, located
-    by the same guess-and-fix-up pattern the noise step uses so the
-    float products match the scalar scan exactly.  Equivalence with
-    ``_fire_steps`` on monotone input is property-tested.
+    ``levels`` is the cell's (n_steps,) series; ``thresholds`` and
+    ``delays`` are per-user.  Returns the first firing step per user,
+    ``-1`` where the poll loop would never fire.  With no dips there is
+    exactly one crossing, found by binary search: the first index with
+    ``levels[i] >= threshold``.  The fire step is then the first ``i``
+    with ``i*dt - crossing*dt >= delay``, located by the same
+    guess-and-fix-up pattern the noise step uses so the float products
+    match the scalar scan exactly.  Equivalence with the scalar on
+    sorted levels is property-tested.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     delays = np.asarray(delays, dtype=float)
@@ -686,7 +646,8 @@ def _decide(
     n_steps = cell.n_steps
     sentinel = n_steps  # past any valid step
     sim_step = np.full(n, sentinel, dtype=np.int64)
-    if cell.draws:
+    draw = cell.draw
+    if draw is not None:
         # One vectorized exp for the whole cell's reaction delays.
         # numpy routes the scalar np.exp the scalar engine calls through
         # the same dispatched ufunc kernel (n == 1), so the array call
@@ -696,21 +657,13 @@ def _decide(
         delays = delay_means * np.exp(
             cell.delay_mu + cell.delay_sigma * np.asarray(cell.delay_z)
         )
-        for draw, col in zip(cell.draws, cell.th_cols):
-            th = _finalize_thresholds(draw, col, skill)
-            rows = np.nonzero(np.isfinite(th))[0]
-            if rows.size == 0:
-                continue
-            levels = cell.level_arrays[draw.resource]
-            fire = (
-                _fire_steps_monotone
-                if cell.monotone[draw.resource]
-                else _fire_steps
-            )
-            steps = fire(levels, th[rows], delays[rows], cell.dt)
-            fired = steps >= 0
-            hit = rows[fired]
-            sim_step[hit] = np.minimum(sim_step[hit], steps[fired])
+        th = _finalize_thresholds(draw, cell.th_col, skill)
+        rows = np.nonzero(np.isfinite(th))[0]
+        steps = _fire_steps_monotone(
+            cell.level_arrays[draw.resource], th[rows], delays[rows], cell.dt
+        )
+        fired = steps >= 0
+        sim_step[rows[fired]] = steps[fired]
     noise = _noise_steps(np.asarray(cell.noise), cell.dt, n_steps)
     noise_step = np.where(noise >= 0, noise, sentinel)
     step = np.minimum(sim_step, noise_step)
@@ -787,18 +740,8 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     _NEVER = math.inf
     machine_id = fixtures.machine.spec.name
     behavior = config.behavior
-    entropy = (
-        config.seed.entropy
-        if isinstance(config.seed, np.random.SeedSequence)
-        else config.seed
-    )
-    if isinstance(entropy, int):
-        session_stream = _DerivedStream(entropy, "user-session")
-        behavior_stream = _DerivedStream(entropy, "user-behavior")
-    else:
-        # Exotic entropy (e.g. a sequence) — take the scalar path's own
-        # derivation, trading speed for unconditional identity.
-        session_stream = behavior_stream = None
+    session_stream = _DerivedStream(config.seed, "user-session")
+    behavior_stream = _DerivedStream(config.seed, "user-behavior")
     profiles = fixtures.profiles
     tasks = config.tasks
 
@@ -819,9 +762,9 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     key_ids: dict[tuple, int] = {}
     for cells in cells_by_task:
         for cell in cells:
-            for draw in cell.draws:
-                draw.key = key_ids.setdefault(
-                    draw.key, len(key_ids)
+            if cell.draw is not None:
+                cell.draw.key = key_ids.setdefault(
+                    cell.draw.key, len(key_ids)
                 )
     runs_per_user = sum(len(cells) for cells in cells_by_task)
     swaps_by_task = [_shuffle_swaps(len(cells)) for cells in cells_by_task]
@@ -836,14 +779,10 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
             # unpacked constants, so the inner loop pays one tuple
             # unpack instead of a dozen attribute lookups per run.
             # Rebuilt every block because reset() swaps the lists.
-            # ``pairs`` is arity-specialized: None for blank cells, a
-            # bare (p_react, is_z, append) triple for the single-draw
-            # cells that dominate real studies (no inner loop, no
-            # iterator setup per run), a tuple of triples otherwise.
             hot_by_task = [
                 [
                     (
-                        _draw_triples(cell),
+                        _draw_triple(cell),
                         cell.delay_z.append,
                         cell.noise.append,
                         cell.run_ids.append,
@@ -860,18 +799,13 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
             block_means: list[float] = []
 
             # --- phase 1: per-user draws, in exact scalar RNG order ----
-            if session_stream is not None:
-                w0, w1 = zip(*map(_fnv_words, range(block_start, block_stop)))
-                session_seeds = session_stream.seeds(w0, w1)
-                behavior_seeds = behavior_stream.seeds(w0, w1)
+            w0, w1 = zip(*map(_fnv_words, range(block_start, block_stop)))
+            session_seeds = session_stream.seeds(w0, w1)
+            behavior_seeds = behavior_stream.seeds(w0, w1)
             for index in range(block_start, block_stop):
-                if session_stream is not None:
-                    k = index - block_start
-                    rng = session_stream.rng_at(*session_seeds[k])
-                    brng = behavior_stream.rng_at(*behavior_seeds[k])
-                else:
-                    rng = derive_rng(config.seed, "user-session", index)
-                    brng = derive_rng(config.seed, "user-behavior", index)
+                k = index - block_start
+                rng = session_stream.rng_at(*session_seeds[k])
+                brng = behavior_stream.rng_at(*behavior_seeds[k])
                 brandom = brng.random
                 bnormal = brng.standard_normal
                 session = _session_draws(rng, swaps_by_task)
@@ -901,7 +835,7 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                     off = 0
                     for cell_index in order:
                         (
-                            pairs, z_append,
+                            draw, z_append,
                             noise_append, ids_append, ctx_append,
                             emit_append, p_noise, duration, advance,
                         ) = hot[cell_index]
@@ -910,32 +844,17 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                         # the raw draw into a threshold is pure (no
                         # further RNG), so it is deferred to
                         # _finalize_thresholds and applied as one
-                        # array expression per cell draw.  (The
-                        # truncated path stores the bare random(); its
-                        # f_max* product happens in the finalize pass.)
-                        if pairs is not None:
-                            if type(pairs[0]) is float:
-                                p_react, is_z, th_append = pairs
-                                if (
-                                    p_react <= 0.0
-                                    or brandom() >= p_react
-                                ):
-                                    th_append(_NEVER)
-                                elif is_z:
-                                    th_append(bnormal())
-                                else:
-                                    th_append(brandom())
+                        # array expression per cell.  (The truncated
+                        # path stores the bare random(); its f_max*
+                        # product happens in the finalize pass.)
+                        if draw is not None:
+                            p_react, is_z, th_append = draw
+                            if p_react <= 0.0 or brandom() >= p_react:
+                                th_append(_NEVER)
+                            elif is_z:
+                                th_append(bnormal())
                             else:
-                                for p_react, is_z, th_append in pairs:
-                                    if (
-                                        p_react <= 0.0
-                                        or brandom() >= p_react
-                                    ):
-                                        th_append(_NEVER)
-                                    elif is_z:
-                                        th_append(bnormal())
-                                    else:
-                                        th_append(brandom())
+                                th_append(brandom())
                         z_append(bnormal())
                         noise_append(
                             duration * brandom()

@@ -34,7 +34,7 @@ from repro.users.behavior import BehaviorParams, SimulatedUser
 from repro.users.population import sample_population
 from repro.users.profile import UserProfile
 from repro.users.tolerance import ToleranceTable, paper_calibrated_table
-from repro.util.rng import derive_rng
+from repro.util.rng import config_seed, derive_rng
 
 __all__ = [
     "ENGINES",
@@ -90,6 +90,7 @@ class ControlledStudyConfig:
             raise StudyError("at least one task is required")
         if self.engine not in ENGINES:
             raise StudyError(f"unknown engine {self.engine!r}")
+        object.__setattr__(self, "seed", config_seed(self.seed, StudyError))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ execution order.
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 import numpy as np
@@ -26,6 +27,19 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def config_seed(seed: object, error: type[Exception]) -> int:
+    """``seed`` as a plain ``int`` (a numpy integer included), for a
+    config to store; raises ``error`` unless it is a non-negative
+    integer."""
+    try:
+        value = operator.index(seed)
+        if value >= 0:
+            return value
+    except TypeError:
+        pass
+    raise error(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _fnv_words(part: object) -> tuple[int, int]:

@@ -130,6 +130,16 @@ class TestStudyPipeline:
         assert run_cli("study", "--users", "2", "--shards", "soon",
                        "--results", str(tmp_path / "r2")) == 9
 
+    def test_negative_seed_errors(self, tmp_path, capsys):
+        # One error line each: the StudyError family exits 9, the
+        # SchedulerError family 12.
+        assert run_cli("study", "--users", "1", "--seed", "-1",
+                       "--results", str(tmp_path / "r")) == 9
+        assert run_cli("harvest", "--seed", "-1") == 12
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed must be a non-negative integer, got -1"
+        ] * 2
+
     def test_study_shards_auto(self, tmp_path, capsys, monkeypatch):
         """`--shards auto` sizes the pool from os.cpu_count(), clamped to
         the user count (2 users here, so 2 shards regardless of cores)."""

@@ -173,13 +173,24 @@ class TestHotSync:
     def test_privacy_load_traces_withheld(self, tmp_path, server, feedback):
         config = ClientConfig(root=tmp_path / "c", user_id="u",
                               share_load_traces=False)
-        client = UUCSClient(config, InProcessTransport(server), seed=1)
+        recording = _Recording(InProcessTransport(server))
+        client = UUCSClient(config, recording, seed=1)
         client.register({})
         client.hot_sync()
         client.run_script(["ie-blank-1"], feedback, task="ie")
+        records = [run.to_dict() for run in client.results]
+        assert records and all(record["load_trace"] for record in records)
+        for record in records:
+            record["load_trace"] = {}
         client.hot_sync()
         uploaded = list(server.results)[-1]
         assert uploaded.load_trace == {}
+        message = recording.sent[-1]
+        want = json.dumps(
+            {"type": "sync", **message.payload, "results": records},
+            sort_keys=True,
+        )
+        assert encode_message(message) == (want + "\n").encode()
 
 
 class TestExecution:

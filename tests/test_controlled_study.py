@@ -1,10 +1,17 @@
 """Tests for the controlled study driver (protocol, determinism)."""
 
+import numpy as np
 import pytest
 
 from repro import paperdata
 from repro.errors import StudyError
-from repro.study import ControlledStudyConfig, run_controlled_study
+from repro.stores import ResultStore
+from repro.study import (
+    ControlledStudyConfig,
+    StudyCheckpoint,
+    run_controlled_study,
+    run_sharded_study,
+)
 
 
 class TestProtocol:
@@ -79,3 +86,40 @@ class TestResultAccess:
             ControlledStudyConfig(n_users=0)
         with pytest.raises(StudyError):
             ControlledStudyConfig(tasks=())
+
+
+class TestSeed:
+    """A config holds its seed as a non-negative ``int``, which every
+    engine derives its streams from and a checkpoint manifest records."""
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, "7", np.random.SeedSequence(7)],
+        ids=["negative", "float", "str", "SeedSequence"],
+    )
+    def test_only_non_negative_integers(self, seed):
+        with pytest.raises(StudyError, match="non-negative integer"):
+            ControlledStudyConfig(seed=seed)
+
+    def test_numpy_integer_stored_as_int(self):
+        config = ControlledStudyConfig(seed=np.int64(7))
+        assert config.seed == 7 and type(config.seed) is int
+
+    def test_numpy_integer_seeds_the_same_batch_study(self):
+        lines = [
+            [run.to_json() for run in run_controlled_study(
+                ControlledStudyConfig(n_users=3, seed=seed, engine="batch")
+            ).runs]
+            for seed in (np.int64(7), 7)
+        ]
+        assert lines[0] == lines[1]
+
+    def test_checkpointed_study_seeded_by_numpy_integer(self, tmp_path):
+        config = ControlledStudyConfig(
+            n_users=2, seed=np.int64(5), tasks=("word",)
+        )
+        store = ResultStore(tmp_path)
+        run_sharded_study(config, checkpoint=StudyCheckpoint(store))
+        assert store.path.read_bytes() == b"".join(
+            (run.to_json() + "\n").encode()
+            for run in run_controlled_study(config).runs
+        )

@@ -8,6 +8,7 @@ require *identical* run records — outcomes, offsets, levels, traces —
 down to the serialized bytes the result store would hold.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -18,19 +19,33 @@ from hypothesis import strategies as st
 
 from repro.apps import get_task
 from repro.apps.registry import TASK_ORDER
-from repro.core.exercise import ExerciseFunction
+from repro.core.exercise import ExerciseFunction, ramp, sine, step
 from repro.core.resources import Resource
 from repro.core.run import RunContext, TestcaseRun
 from repro.core.session import run_simulated_session
 from repro.core.testcase import Testcase
 from repro.machine import SimulatedMachine
 from repro.monitor.base import SimulatedMonitor
-from repro.study import ControlledStudyConfig, run_controlled_study
+from repro.study import (
+    ControlledStudyConfig,
+    run_controlled_study,
+    run_user_range,
+    study_fixtures,
+)
 from repro.study import batch as batch_mod
-from repro.study.engine import _threshold_fire_step, run_analytic_session
+from repro.study.engine import (
+    CellTraces,
+    _threshold_fire_step,
+    run_analytic_session,
+)
+from repro.study.testcases import task_testcases
 from repro.users.behavior import BehaviorParams, SimulatedUser
 from repro.users.population import sample_profile
-from repro.users.tolerance import ToleranceSpec, ToleranceTable
+from repro.users.tolerance import (
+    ToleranceSpec,
+    ToleranceTable,
+    paper_calibrated_table,
+)
 from repro.util.rng import _fnv_words, derive_rng
 from repro.util.timeseries import SampledSeries
 
@@ -217,6 +232,47 @@ def test_property_batch_study_byte_equal(n_users, seed, tasks):
     assert _serialized(batch) == _serialized(scalar)
 
 
+class TestBatchCellPlans:
+    """The batch engine serves only the cells a controlled study makes;
+    the per-session engines run any testcase."""
+
+    @pytest.mark.parametrize("testcase", [
+        Testcase("two-loads", {
+            Resource.CPU: ramp(Resource.CPU, 2.0, 120.0, 4.0),
+            Resource.DISK: step(Resource.DISK, 2.0, 120.0, 40.0, 4.0),
+        }),
+        Testcase.single("dips", sine(Resource.CPU, 1.0, 30.0, 120.0,
+                                     sample_rate=4.0)),
+    ], ids=["two-loads", "dips"])
+    def test_batch_refuses_other_cells(self, testcase):
+        from repro.errors import StudyError
+
+        config = ControlledStudyConfig(
+            n_users=2, seed=3, tasks=("word",), engine="batch"
+        )
+        fixtures = dataclasses.replace(
+            study_fixtures(config), testcases_by_task={"word": [testcase]}
+        )
+        with pytest.raises(StudyError, match="batch engine"):
+            run_user_range(config, 0, 2, fixtures)
+        analytic = dataclasses.replace(config, engine="analytic")
+        assert len(run_user_range(analytic, 0, 2, fixtures)) == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(rate=st.floats(min_value=0.1, max_value=20.0))
+def test_property_study_cells_fit_the_batch_plan(rate):
+    """Every Figure 8 testcase, for every task and sample rate, passes
+    the batch plan's checks; only the blanks draw no threshold."""
+    table, behavior = paper_calibrated_table(), BehaviorParams()
+    for task in TASK_ORDER:
+        for testcase in task_testcases(task, rate):
+            cell = batch_mod._CellPlan(
+                task, testcase, CellTraces(testcase), table, behavior
+            )
+            assert (cell.draw is None) == testcase.is_blank()
+
+
 def _scalar_fire(levels, threshold, delay, dt):
     step = _threshold_fire_step(levels, threshold, delay, dt)
     return -1 if step is None else step
@@ -226,17 +282,13 @@ class TestFireScanEdgeCases:
     """The vectorized fire scans vs the scalar, on adversarial inputs."""
 
     def test_threshold_exactly_at_level_sample(self):
-        # >= must count equality as a crossing in both scan flavors.
+        # >= must count equality as a crossing.
         levels = np.array([0.0, 1.0, 1.5, 2.0])
         for th in (1.0, 1.5, 2.0):
             expected = _scalar_fire(levels, th, 0.0, 1.0)
-            generic = batch_mod._fire_steps(
-                levels, np.array([th]), np.array([0.0]), 1.0
-            )
             mono = batch_mod._fire_steps_monotone(
                 levels, np.array([th]), np.array([0.0]), 1.0
             )
-            assert generic[0] == expected, th
             assert mono[0] == expected, th
 
     def test_noise_at_t_zero_fires_at_step_zero(self):
@@ -254,42 +306,6 @@ class TestFireScanEdgeCases:
         steps = batch_mod._noise_steps(np.array([130.0]), 0.25, 480)
         assert steps[0] == -1
 
-    def test_dip_and_recross_resets_clock(self):
-        # Crossing at 0 is reset by the dip; only the later run matures.
-        levels = np.array([2.0, 2.0, 0.0, 2.0, 2.0, 2.0])
-        expected = _scalar_fire(levels, 1.5, 2.0, 1.0)
-        got = batch_mod._fire_steps(
-            levels, np.array([1.5]), np.array([2.0]), 1.0
-        )
-        assert expected == 5 and got[0] == 5
-
-    def test_dip_keeps_it_from_ever_firing(self):
-        levels = np.array([2.0, 0.0, 2.0, 0.0, 2.0, 0.0])
-        got = batch_mod._fire_steps(
-            levels, np.array([1.5]), np.array([1.0]), 1.0
-        )
-        assert got[0] == _scalar_fire(levels, 1.5, 1.0, 1.0) == -1
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=4.0), min_size=1,
-            max_size=60,
-        ),
-        threshold=st.floats(min_value=0.0, max_value=4.5),
-        delay=st.floats(min_value=0.0, max_value=20.0),
-        rate=st.sampled_from([0.5, 1.0, 4.0]),
-    )
-    def test_property_generic_scan_matches_scalar(
-        self, values, threshold, delay, rate
-    ):
-        levels = np.asarray(values)
-        expected = _scalar_fire(levels, threshold, delay, 1.0 / rate)
-        got = batch_mod._fire_steps(
-            levels, np.array([threshold]), np.array([delay]), 1.0 / rate
-        )
-        assert got[0] == expected
-
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.lists(
@@ -303,16 +319,13 @@ class TestFireScanEdgeCases:
     def test_property_monotone_scan_matches_generic(
         self, values, threshold, delay, rate
     ):
-        """On sorted (monotone) series the closed form and the 2-D scan
-        agree everywhere — the dispatch precondition in _decide."""
+        """On sorted (monotone) series the closed form and the scalar
+        scan agree everywhere — the batch engine's cells never dip."""
         levels = np.sort(np.asarray(values))
         mono = batch_mod._fire_steps_monotone(
             levels, np.array([threshold]), np.array([delay]), 1.0 / rate
         )
-        generic = batch_mod._fire_steps(
-            levels, np.array([threshold]), np.array([delay]), 1.0 / rate
-        )
-        assert mono[0] == generic[0]
+        assert mono[0] == _scalar_fire(levels, threshold, delay, 1.0 / rate)
 
 
 class TestRngIdentities:

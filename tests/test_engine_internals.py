@@ -92,6 +92,7 @@ class TestLevelArrayBoundaryBothEngines:
         from repro.study import batch as batch_mod
         from repro.study.engine import CellTraces
         from repro.apps import get_task
+        from repro.study.testcases import ramp_testcase
         from repro.users.behavior import BehaviorParams
         from repro.users.tolerance import paper_calibrated_table
 
@@ -105,10 +106,6 @@ class TestLevelArrayBoundaryBothEngines:
             tc, machine.interactivity_model(task),
             SimulatedMonitor(machine, task),
         )
-        cell = batch_mod._CellPlan(
-            "word", tc, traces, paper_calibrated_table(), BehaviorParams(),
-        )
-        assert cell.level_arrays is traces.levels
         for resource in tc.functions:
             assert np.array_equal(
                 traces.levels[resource],
@@ -117,19 +114,25 @@ class TestLevelArrayBoundaryBothEngines:
         for resource in tc.functions:
             expected = [
                 tc.levels_at(float(i))[resource]
-                for i in range(cell.n_steps)
+                for i in range(traces.n_steps)
             ]
-            assert cell.level_arrays[resource].tolist() == expected
+            assert traces.levels[resource].tolist() == expected
+        # The batch engine refuses the short testcase (it loads two
+        # resources), so its plan is checked on a Figure 8 cell.
+        figure8 = ramp_testcase("word", Resource.CPU)
+        traces = CellTraces(
+            figure8, machine.interactivity_model(task),
+            SimulatedMonitor(machine, task),
+        )
+        cell = batch_mod._CellPlan(
+            "word", figure8, traces, paper_calibrated_table(),
+            BehaviorParams(),
+        )
+        assert cell.level_arrays is traces.levels
 
     def test_boundary_affects_fire_scans_identically(self):
-        # A threshold met only by the boundary sample: both scan
-        # flavors and the scalar must fire at exactly step m.
+        # A threshold met only by the boundary sample: the scalar must
+        # fire at exactly step m.
         tc = self._short_testcase()
         arr = _level_array(tc, Resource.CPU, 10)
-        from repro.study import batch as batch_mod
-
-        scalar = _threshold_fire_step(arr, 1.0, 4.5, 1.0)
-        generic = batch_mod._fire_steps(
-            arr, np.array([1.0]), np.array([4.5]), 1.0
-        )
-        assert scalar == 5 and generic[0] == 5
+        assert _threshold_fire_step(arr, 1.0, 4.5, 1.0) == 5

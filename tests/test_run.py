@@ -291,34 +291,18 @@ class TestFastEncoder:
         assert calls.count(column) == 1
         assert len(calls) < 40
 
-    def test_commas_alone_keep_the_one_pass(self, monkeypatch):
-        # Only element text holding ", " itself is rendered element by
-        # element; a comma without the space still slices.
-        calls = []
-        render = run_mod._render
-
-        def counting(obj):
-            calls.append(obj)
-            return render(obj)
-
-        monkeypatch.setattr(run_mod, "_render", counting)
-        TraceTable(["c"], [("a,b", "c,", ",d")]).pieces(2, [])
-        assert calls == ["c", ("a,b", "c,", ",d")]
-        calls.clear()
-        TraceTable(["s"], [("a, b", "c")]).pieces(1, [])
-        assert calls == ["s", ("a, b", "c"), "a, b", "c"]
-
-    def test_columns_whose_elements_hold_separators(self):
-        # Trace samples are floats, but a table renders whatever it
-        # holds: element text with commas, or with ", " itself.
-        table = TraceTable(
-            ["commas", "separators", "lists", "one"],
-            [("a,b", "c", ",,"), ("a, b", ", ", "c"),
-             ([1.0, 2.0], [], [3.0]), ("x, y",)],
-        )
-        for steps in range(5):
-            run = make_run(load_trace=TraceView(table, steps))
-            assert run.to_json() == _canonical(run)
+    def test_table_names_are_str_and_samples_floats(self):
+        # A name of another type would be written unquoted, in a line
+        # from_json refuses.
+        with pytest.raises(ValidationError):
+            TraceTable([1], [(1.0, 2.0)])
+        for sample in (1, True, "1.0", [1.0]):
+            table = TraceTable(["slowdown"], [(1.0, sample)])
+            with pytest.raises(ValidationError):
+                make_run(load_trace=TraceView(table, 2)).to_json()
+        table = TraceTable(["slowdown"], [(1.0, np.float64(2.5))])
+        run = make_run(load_trace=TraceView(table, 2))
+        assert run.to_json() == _canonical(run)
 
 
 class TestTraceView:
@@ -590,7 +574,11 @@ def test_property_runs_of_samples_match_dumps(columns):
         text = run.to_json()
         assert text == _canonical(run)
         assert TestcaseRun.from_json(text) == parsed
-    table = TraceTable(columns, columns.values())
+    # A table holds floats only: its int and bool twins become floats.
+    table = TraceTable(columns, [
+        [x if isinstance(x, float) else float(x) for x in column]
+        for column in columns.values()
+    ])
     longest = max((len(c) for c in columns.values()), default=0)
     for steps in range(longest + 2):
         run = make_run(load_trace=TraceView(table, steps))

@@ -7,6 +7,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -21,6 +22,15 @@ CONFIG = FleetConfig(policy="cdf", clients=24, epochs=8, seed=11, budget=0.1)
 
 def run_cli(*args):
     return main(list(args))
+
+
+class TestFleetConfig:
+    def test_seed_is_a_non_negative_int(self):
+        with pytest.raises(SchedulerError, match="non-negative integer"):
+            FleetConfig(seed=-1)
+        config = FleetConfig(seed=np.int64(11))
+        assert type(config.seed) is int
+        assert json.loads(json.dumps(config.to_dict()))["seed"] == 11
 
 
 class TestSimulateClients:
