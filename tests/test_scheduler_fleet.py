@@ -1,6 +1,7 @@
 """Fleet simulation: byte-reproducibility, aggregation, shard failures,
 CLI, telemetry."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -61,6 +62,40 @@ class TestSimulateClients:
             assert cell.decisions == cell.admitted + cell.denials
             assert cell.discomforts <= cell.admitted
             assert cell.harvested_ms >= 0
+
+
+class TestGoldenScoreboards:
+    """Scoreboard bytes pinned by sha256, so a change to the simulation
+    loop or a policy's state that moves any decision shows here, not
+    only in the benchmark's report comparison."""
+
+    @pytest.mark.parametrize("policy, digest", [
+        ("cdf",
+         "107de5a34fc7def5c6bf1b8fb293232e43d210e4e0854bd730c29fc790c3a5f3"),
+        ("aimd",
+         "7609ae5db17812b6dfcd88eb43d1c77073f380fe4a4b745b729b2a673b64bc61"),
+        ("static",
+         "6e04efdcf13928194b0490e4ec60e5df3095036f6c1f7d48cba0341f0e0f5189"),
+    ])
+    def test_scoreboard_sha256(self, policy, digest):
+        config = FleetConfig(
+            policy=policy, clients=200, epochs=32, budget=0.1, seed=2004
+        )
+        text = run_fleet(config).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_mid_fleet_aggregates_sha256(self):
+        """A client range that starts mid-fleet, run for 100 epochs with
+        a longer cooldown than the default."""
+        config = FleetConfig(
+            policy="cdf", clients=200, epochs=100, budget=0.1, seed=2004,
+            cooldown_epochs=3,
+        )
+        aggregates = simulate_clients(config, 137, 163)
+        text = json.dumps(aggregates, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4df56beb2fc9ea8fdc97a1f1e6366af484f14a456a396114f2e9a3917cc5602c"
+        )
 
 
 class TestRunFleet:
