@@ -41,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ValidationError
 from repro.faults.injection import ChaosPlan
-from repro.util.rng import derive_rng
+from repro.util.rng import config_seed, derive_rng
 
 __all__ = ["ShardAttemptFaults", "ShardFaultPlan"]
 
@@ -96,8 +97,15 @@ class ShardFaultPlan(ChaosPlan):
     corrupt: float = 0.0
     #: P(the driver is interrupted after a shard completes).
     sigint: float = 0.0
-    #: Seed for the fault schedule (``UUCS_CHAOS_SEED`` in CI).
+    #: Seed for the fault schedule (``UUCS_CHAOS_SEED`` in CI); a
+    #: non-negative integer, stored as an ``int``.
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(
+            self, "seed", config_seed(self.seed, ValidationError)
+        )
 
     def worker_faults(self, shard: int, attempt: int) -> ShardAttemptFaults:
         """Roll the worker-side dice for ``(shard, attempt)``.

@@ -36,7 +36,7 @@ import functools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.resources import Resource
 from repro.errors import SchedulerError
@@ -67,6 +67,9 @@ FLEET_RESOURCES: tuple[Resource, ...] = (
 #: How hard a sharded fleet run fights for each shard: the supervisor's
 #: defaults (3 attempts, seeded backoff, no watchdog).
 _SUPERVISOR = SupervisorPolicy()
+
+#: Most task draws a client takes at once (memory flat in ``epochs``).
+_TASK_BLOCK = 64
 
 #: Aggregate field order inside worker payloads (one int list per cell).
 _AGG_FIELDS = (
@@ -244,6 +247,13 @@ class Scoreboard:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _task_stream(task_rng, block: int) -> Iterator[int]:
+    """A client's foreground-task indices, drawn ``block`` at a time: a
+    sized ``integers`` call gives the values of as many scalar calls."""
+    while True:
+        yield from task_rng.integers(len(STUDY_TASKS), size=block).tolist()
+
+
 def simulate_clients(
     config: FleetConfig, start: int, stop: int
 ) -> dict[str, list[int]]:
@@ -260,6 +270,12 @@ def simulate_clients(
         )
     table = paper_calibrated_table()
     epoch_s = float(config.epoch_seconds)
+    block = min(_TASK_BLOCK, config.epochs)
+    # Per task index: each resource with its aggregate key.
+    task_cells = [
+        [(resource, f"{task},{resource.value}") for resource in FLEET_RESOURCES]
+        for task in STUDY_TASKS
+    ]
     aggregates: dict[str, list[int]] = {}
     for index in range(start, stop):
         profile = sample_profile(
@@ -268,8 +284,14 @@ def simulate_clients(
         user = SimulatedUser(
             profile, table, seed=derive_rng(config.seed, "fleet-behavior", index)
         )
-        task_rng = derive_rng(config.seed, "fleet-tasks", index)
+        next_task = _task_stream(
+            derive_rng(config.seed, "fleet-tasks", index), block
+        ).__next__
         policy = build_policy(config.policy, budget=config.budget)
+        decide = policy.decide
+        on_discomfort = policy.on_discomfort
+        on_comfortable = policy.on_comfortable
+        threshold_for = user.threshold_for
         # The user notices sustained contention only after their mean
         # reaction delay; a discomforted epoch harvests just that window.
         reaction_s = min(float(profile.reaction_delay_mean), epoch_s)
@@ -278,13 +300,14 @@ def simulate_clients(
             if cooldown > 0:
                 cooldown -= 1
                 continue
-            task = STUDY_TASKS[int(task_rng.integers(len(STUDY_TASKS)))]
+            task_index = next_task()
+            task = STUDY_TASKS[task_index]
             epoch_discomforted = False
-            for resource in FLEET_RESOURCES:
-                decision = policy.decide(task, resource)
-                cell = aggregates.setdefault(
-                    f"{task},{resource.value}", [0] * len(_AGG_FIELDS)
-                )
+            for resource, key in task_cells[task_index]:
+                decision = decide(task, resource)
+                cell = aggregates.get(key)
+                if cell is None:
+                    cell = aggregates[key] = [0] * len(_AGG_FIELDS)
                 cell[0] += 1  # decisions
                 if not decision.admitted:
                     cell[2] += 1  # denials
@@ -292,15 +315,15 @@ def simulate_clients(
                 ceiling = decision.ceiling
                 cell[1] += 1  # admitted
                 cell[5] += round(ceiling * 1000.0)  # ceiling_milli_sum
-                threshold = user.threshold_for(task, resource, "constant")
+                threshold = threshold_for(task, resource, "constant")
                 if ceiling >= threshold:
                     cell[3] += 1  # discomforts
                     cell[4] += round(ceiling * reaction_s * 1000.0)
-                    policy.on_discomfort(task, resource, ceiling)
+                    on_discomfort(task, resource, ceiling)
                     epoch_discomforted = True
                 else:
                     cell[4] += round(ceiling * epoch_s * 1000.0)
-                    policy.on_comfortable(task, resource, epoch_s)
+                    on_comfortable(task, resource, epoch_s)
             if epoch_discomforted:
                 cooldown = config.cooldown_epochs
     return aggregates

@@ -12,13 +12,14 @@ module turns that argument into three competing, swappable policies:
   :class:`~repro.throttle.controller.FeedbackController`: multiplicative
   backoff on discomfort, additive recovery while comfortable.
 * ``cdf`` — the paper's proposal: admission control plus a dynamic
-  throttle driven by the measured discomfort CDF.  The policy feeds every
-  discomfort level into the same ``uucs_discomfort_level`` histogram the
-  dashboard federates, reads ``c_a`` as that histogram's own quantile —
-  the :func:`repro.util.comfort.quantile_from_buckets` kernel and 4-place
-  rounding :func:`repro.telemetry.web.comfort_cells` applies for the
-  fleet view (a property test pins the two equal) — and keeps its
-  ceiling a safety margin below ``c_a``, where ``a`` is the configured
+  throttle driven by the measured discomfort CDF.  The policy counts
+  every discomfort level into per-cell cumulative buckets over the
+  client ``uucs_discomfort_level`` histogram's bounds, reads ``c_a``
+  from them with the :func:`repro.util.comfort.quantile_from_buckets`
+  kernel and the 4-place rounding
+  :func:`repro.telemetry.web.comfort_cells` applies to the dashboard's
+  ``c_q`` (a property test pins the two equal), and keeps its ceiling a
+  safety margin below ``c_a``, where ``a`` is the configured
   discomfort-event budget.  When a cell's realized discomfort rate
   overruns the budget, new borrow requests for that cell are denied
   until the rate amortizes back under it.
@@ -37,8 +38,8 @@ from repro.core.session import DISCOMFORT_LEVEL_BUCKETS
 from repro.errors import SchedulerError
 from repro.paperdata import RAMP_PARAMS
 from repro.telemetry import Telemetry
-from repro.telemetry.metrics import Histogram
 from repro.throttle import FeedbackController, Throttle
+from repro.util.comfort import quantile_from_buckets
 
 __all__ = [
     "SCHEDULER_POLICIES",
@@ -230,19 +231,32 @@ class AIMDPolicy(SchedulerPolicy):
         self._controller(task, resource).on_comfortable(elapsed_s)
 
 
+class _CDFCell:
+    """One (task, resource) cell of :class:`CDFPolicy`; ``counts[i]``
+    counts its discomfort levels ``<= DISCOMFORT_LEVEL_BUCKETS[i]``."""
+
+    __slots__ = ("cap", "floor", "ceiling", "decisions", "discomforts",
+                 "counts")
+
+    def __init__(self, cap: float, floor: float, ceiling: float):
+        self.cap, self.floor, self.ceiling = cap, floor, ceiling
+        self.decisions = self.discomforts = 0
+        self.counts = [0] * len(DISCOMFORT_LEVEL_BUCKETS)
+
+
 @_register
 class CDFPolicy(SchedulerPolicy):
     """CDF-driven admission control + dynamic throttle (the paper's §5).
 
     Ceiling control: each cell starts probing at ``start_fraction`` of
     its cap and climbs additively toward the cap while comfortable.
-    Every discomfort event is observed into a private
-    ``uucs_discomfort_level`` histogram (the client instrument's exact
-    shape: same name, same label set, same buckets), and the cell's
-    ``c_a`` — the ``budget``-quantile of that measured discomfort CDF —
-    is read from it with the quantile kernel and rounding the fleet
-    dashboard's :func:`repro.telemetry.web.comfort_cells` uses.  The
-    event is observed before ``c_a`` is read, so every discomfort has a
+    Every discomfort level is counted into the cell's cumulative buckets
+    over the client ``uucs_discomfort_level`` histogram's bounds, and
+    its ``c_a`` — the ``budget``-quantile of that measured discomfort
+    CDF — is read with :func:`~repro.util.comfort.quantile_from_buckets`
+    and the 4-place rounding of :func:`repro.telemetry.web.comfort_cells`,
+    so it equals the dashboard's ``c_q`` (a property test pins it).  The
+    level is counted before ``c_a`` is read, so every discomfort has a
     measured CDF behind it: the ceiling drops straight to ``safety *
     c_a`` — the measured budget-compliant setpoint — instead of blindly
     halving, so one event re-seats the cell where the CDF says at most
@@ -290,16 +304,7 @@ class CDFPolicy(SchedulerPolicy):
         self._safety = float(safety)
         self._floor = float(floor_fraction)
         self._min_observations = int(min_observations)
-        self._histogram = Histogram(
-            "uucs_discomfort_level",
-            "Contention levels at which this scheduler drew discomfort.",
-            unit="level",
-            labelnames=("task", "resource"),
-            buckets=DISCOMFORT_LEVEL_BUCKETS,
-        )
-        self._ceilings: dict[tuple[str, Resource], float] = {}
-        self._decisions: dict[tuple[str, Resource], int] = {}
-        self._discomforts: dict[tuple[str, Resource], int] = {}
+        self._cells: dict[tuple[str, Resource], _CDFCell] = {}
 
     @classmethod
     def build(cls, budget: float = 0.05) -> "CDFPolicy":
@@ -311,58 +316,62 @@ class CDFPolicy(SchedulerPolicy):
         """Target discomfort-event rate (events per borrow decision)."""
         return self._budget
 
+    def _cell(self, task: str, resource: Resource) -> _CDFCell:
+        cell = self._cells.get((task, resource))
+        if cell is None:
+            cap = cell_cap(task, resource)
+            cell = self._cells[task, resource] = _CDFCell(
+                cap, self._floor * cap, self._start * cap
+            )
+        return cell
+
     def _c_a_for(self, cell: tuple[str, Resource]) -> float | None:
         """This cell's measured ``c_a`` (``None`` before any discomfort).
 
         Rounded to 4 places, as ``comfort_cells`` rounds its ``c_q``.
         """
-        task, resource = cell
-        c_a = self._histogram.quantile(
-            self._budget, task=task, resource=resource.value
+        state = self._cells.get(cell)
+        if state is None or not state.discomforts:
+            return None
+        c_a = quantile_from_buckets(
+            DISCOMFORT_LEVEL_BUCKETS, state.counts, state.discomforts,
+            self._budget,
         )
-        return round(c_a, 4) if c_a is not None else None
-
-    def _ceiling(self, cell: tuple[str, Resource]) -> float:
-        ceiling = self._ceilings.get(cell)
-        if ceiling is None:
-            ceiling = self._ceilings[cell] = self._start * cell_cap(*cell)
-        return ceiling
+        return round(c_a, 4)
 
     def decide(self, task: str, resource: Resource) -> SchedulerDecision:
-        cell = (task, resource)
-        ceiling = self._ceiling(cell)
-        decisions = self._decisions.get(cell, 0)
-        discomforts = self._discomforts.get(cell, 0)
-        self._decisions[cell] = decisions + 1
+        cell = self._cell(task, resource)
+        decisions = cell.decisions
+        cell.decisions = decisions + 1
         over_budget = (
             decisions >= self._min_observations
-            and discomforts > self._budget * decisions
+            and cell.discomforts > self._budget * decisions
         )
-        return SchedulerDecision(not over_budget, ceiling)
+        return SchedulerDecision(not over_budget, cell.ceiling)
 
     def on_discomfort(self, task: str, resource: Resource, level: float) -> None:
-        cell = (task, resource)
-        self._discomforts[cell] = self._discomforts.get(cell, 0) + 1
-        self._histogram.observe(
-            float(level), task=task, resource=resource.value
-        )
-        floor = self._floor * cell_cap(task, resource)
-        # The measured CDF (never empty: the level was just observed)
+        cell = self._cell(task, resource)
+        cell.discomforts += 1
+        level = float(level)
+        counts = cell.counts
+        for i, bound in enumerate(DISCOMFORT_LEVEL_BUCKETS):
+            if level <= bound:
+                counts[i] += 1
+        # The measured CDF (never empty: the level was just counted)
         # says where to sit: the budget-quantile of observed discomfort
         # levels, shaded by the safety margin.  The soft step keeps every
         # discomfort a strict decrease even when the ceiling is already
         # at or below the CDF target.
         target = min(
-            self._ceiling(cell) * self._soft_backoff,
-            self._safety * self._c_a_for(cell),
+            cell.ceiling * self._soft_backoff,
+            self._safety * self._c_a_for((task, resource)),
         )
-        self._ceilings[cell] = max(floor, target)
+        cell.ceiling = max(cell.floor, target)
 
     def on_comfortable(
         self, task: str, resource: Resource, elapsed_s: float
     ) -> None:
-        cell = (task, resource)
-        cap = cell_cap(task, resource)
-        floor = self._floor * cap
+        cell = self._cell(task, resource)
+        cap = cell.cap
         gain = self._climb * cap * elapsed_s / 60.0
-        self._ceilings[cell] = max(floor, min(cap, self._ceiling(cell) + gain))
+        cell.ceiling = max(cell.floor, min(cap, cell.ceiling + gain))

@@ -16,6 +16,7 @@ import signal
 import time
 from multiprocessing.connection import Connection
 
+import numpy as np
 import pytest
 
 from repro.errors import StudyError, ValidationError
@@ -114,6 +115,21 @@ class TestShardFaultPlan:
             ShardFaultPlan(kill=-0.1)
         with pytest.raises(ValidationError):
             ShardFaultPlan(sigint=2.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # A negative seed would kill every worker attempt in derive_rng.
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            ShardFaultPlan(kill=0.5, seed=seed)
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            ShardFaultPlan.parse("kill=0.5", seed=seed)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        plan = ShardFaultPlan(kill=0.5, seed=np.int64(3))
+        assert type(plan.seed) is int
+        assert plan.worker_faults(0, 1) == ShardFaultPlan(
+            kill=0.5, seed=3
+        ).worker_faults(0, 1)
 
 
 class TestSupervisorPolicy:
