@@ -133,7 +133,7 @@ class TestCDFPolicy:
 
     def test_backoff_tracks_measured_c_a(self):
         """After enough observations the ceiling re-seats below
-        ``safety * c_a`` of the policy's own histogram."""
+        ``safety * c_a`` of the policy's own bucket counts."""
         policy = CDFPolicy(budget=0.1, safety=0.75)
         cap = cell_cap(*self.CELL)
         for level in (0.6 * cap, 0.5 * cap, 0.7 * cap, 0.4 * cap):
