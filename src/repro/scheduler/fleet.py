@@ -34,20 +34,23 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.resources import Resource
 from repro.errors import SchedulerError
 from repro.paperdata import STUDY_TASKS
-from repro.scheduler.policy import SCHEDULER_POLICIES, build_policy
+from repro.scheduler.policy import SCHEDULER_POLICIES, build_policy, cell_cap
 from repro.study.sharded import Shard, shard_ranges
 from repro.study.supervisor import SupervisorPolicy, supervised_map
 from repro.telemetry import Telemetry, get_telemetry
 from repro.users import SimulatedUser, paper_calibrated_table
 from repro.users.population import sample_profile
-from repro.util.rng import config_seed, derive_rng
+from repro.util.rng import DerivedStream, config_seed, derive_rng
 
 __all__ = [
     "CellStats",
@@ -67,6 +70,9 @@ FLEET_RESOURCES: tuple[Resource, ...] = (
 #: How hard a sharded fleet run fights for each shard: the supervisor's
 #: defaults (3 attempts, seeded backoff, no watchdog).
 _SUPERVISOR = SupervisorPolicy()
+
+#: The largest ceiling any policy grants in a fleet cell.
+_MAX_CAP = max(cell_cap(t, r) for t in STUDY_TASKS for r in FLEET_RESOURCES)
 
 #: Most task draws a client takes at once (memory flat in ``epochs``).
 _TASK_BLOCK = 64
@@ -109,9 +115,12 @@ class FleetConfig:
             raise SchedulerError(f"clients must be >= 1, got {self.clients}")
         if self.epochs < 1:
             raise SchedulerError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.epoch_seconds > 0:
+        # An epoch at the largest cap must harvest finite milliseconds.
+        harvest_ms = _MAX_CAP * self.epoch_seconds * 1000.0
+        if not (self.epoch_seconds > 0 and math.isfinite(harvest_ms)):
             raise SchedulerError(
-                f"epoch_seconds must be > 0, got {self.epoch_seconds}"
+                "epoch_seconds must be > 0 and keep an epoch's harvested "
+                f"milliseconds finite, got {self.epoch_seconds}"
             )
         if not 0.0 < self.budget < 1.0:
             raise SchedulerError(
@@ -254,6 +263,18 @@ def _task_stream(task_rng, block: int) -> Iterator[int]:
         yield from task_rng.integers(len(STUDY_TASKS), size=block).tolist()
 
 
+def _client_rngs(
+    seed: int, label: str, start: int, stop: int
+) -> Iterator[np.random.Generator]:
+    """``derive_rng(seed, label, i)`` for each client ``i`` in ``[start,
+    stop)``: the first client's is derived, and that one Generator is
+    re-seated in place for each later client, so a client's stream
+    lives only until the next client starts."""
+    rng = derive_rng(seed, label, start)
+    yield rng
+    yield from DerivedStream(seed, label).reseated(rng, start + 1, stop)
+
+
 def simulate_clients(
     config: FleetConfig, start: int, stop: int
 ) -> dict[str, list[int]]:
@@ -277,16 +298,17 @@ def simulate_clients(
         for task in STUDY_TASKS
     ]
     aggregates: dict[str, list[int]] = {}
-    for index in range(start, stop):
-        profile = sample_profile(
-            f"fleet-{index:06d}", derive_rng(config.seed, "fleet-profile", index)
-        )
-        user = SimulatedUser(
-            profile, table, seed=derive_rng(config.seed, "fleet-behavior", index)
-        )
-        next_task = _task_stream(
-            derive_rng(config.seed, "fleet-tasks", index), block
-        ).__next__
+    streams = [
+        _client_rngs(config.seed, label, start, stop)
+        for label in ("fleet-profile", "fleet-behavior", "fleet-tasks")
+    ]
+    # The range comes first: an empty range derives nothing.
+    for index, profile_rng, behavior_rng, task_rng in zip(
+        range(start, stop), *streams
+    ):
+        profile = sample_profile(f"fleet-{index:06d}", profile_rng)
+        user = SimulatedUser(profile, table, seed=behavior_rng)
+        next_task = _task_stream(task_rng, block).__next__
         policy = build_policy(config.policy, budget=config.budget)
         decide = policy.decide
         on_discomfort = policy.on_discomfort
@@ -304,15 +326,14 @@ def simulate_clients(
             task = STUDY_TASKS[task_index]
             epoch_discomforted = False
             for resource, key in task_cells[task_index]:
-                decision = decide(task, resource)
+                admitted, ceiling = decide(task, resource)
                 cell = aggregates.get(key)
                 if cell is None:
                     cell = aggregates[key] = [0] * len(_AGG_FIELDS)
                 cell[0] += 1  # decisions
-                if not decision.admitted:
+                if not admitted:
                     cell[2] += 1  # denials
                     continue
-                ceiling = decision.ceiling
                 cell[1] += 1  # admitted
                 cell[5] += round(ceiling * 1000.0)  # ceiling_milli_sum
                 threshold = threshold_for(task, resource, "constant")

@@ -30,8 +30,7 @@ read no clocks, so a fleet simulation over them is byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from repro.core.resources import CONTENTION_LIMITS, Resource
 from repro.core.session import DISCOMFORT_LEVEL_BUCKETS
@@ -53,6 +52,13 @@ __all__ = [
 ]
 
 
+#: Each studied cell's cap: its ramp maximum, within its resource's limit.
+_STUDIED_CAPS: dict[tuple[str, Resource], float] = {
+    (task, resource): min(ramp[0], CONTENTION_LIMITS[resource])
+    for (task, resource), ramp in RAMP_PARAMS.items()
+}
+
+
 def cell_cap(task: str, resource: Resource) -> float:
     """The borrowing ceiling a (task, resource) cell may never exceed.
 
@@ -62,13 +68,11 @@ def cell_cap(task: str, resource: Resource) -> float:
     applies.  The cap is also what keeps every policy's ceiling inside
     :meth:`~repro.throttle.throttle.Throttle.set_ceiling`'s envelope.
     """
-    limit = CONTENTION_LIMITS[resource]
-    ramp = RAMP_PARAMS.get((task, resource))
-    return min(ramp[0], limit) if ramp is not None else limit
+    cap = _STUDIED_CAPS.get((task, resource))
+    return CONTENTION_LIMITS[resource] if cap is None else cap
 
 
-@dataclass(frozen=True)
-class SchedulerDecision:
+class SchedulerDecision(NamedTuple):
     """One admission-control verdict for a borrow request."""
 
     #: Whether the request may borrow at all this epoch.
@@ -316,13 +320,12 @@ class CDFPolicy(SchedulerPolicy):
         """Target discomfort-event rate (events per borrow decision)."""
         return self._budget
 
-    def _cell(self, task: str, resource: Resource) -> _CDFCell:
-        cell = self._cells.get((task, resource))
-        if cell is None:
-            cap = cell_cap(task, resource)
-            cell = self._cells[task, resource] = _CDFCell(
-                cap, self._floor * cap, self._start * cap
-            )
+    def _add(self, task: str, resource: Resource) -> _CDFCell:
+        """A new record for a cell this policy has not met yet."""
+        cap = cell_cap(task, resource)
+        cell = self._cells[task, resource] = _CDFCell(
+            cap, self._floor * cap, self._start * cap
+        )
         return cell
 
     def _c_a_for(self, cell: tuple[str, Resource]) -> float | None:
@@ -333,14 +336,18 @@ class CDFPolicy(SchedulerPolicy):
         state = self._cells.get(cell)
         if state is None or not state.discomforts:
             return None
+        return self._c_a(state)
+
+    def _c_a(self, cell: _CDFCell) -> float:
+        """``c_a`` of a cell that has counted a discomfort."""
         c_a = quantile_from_buckets(
-            DISCOMFORT_LEVEL_BUCKETS, state.counts, state.discomforts,
+            DISCOMFORT_LEVEL_BUCKETS, cell.counts, cell.discomforts,
             self._budget,
         )
         return round(c_a, 4)
 
     def decide(self, task: str, resource: Resource) -> SchedulerDecision:
-        cell = self._cell(task, resource)
+        cell = self._cells.get((task, resource)) or self._add(task, resource)
         decisions = cell.decisions
         cell.decisions = decisions + 1
         over_budget = (
@@ -350,7 +357,7 @@ class CDFPolicy(SchedulerPolicy):
         return SchedulerDecision(not over_budget, cell.ceiling)
 
     def on_discomfort(self, task: str, resource: Resource, level: float) -> None:
-        cell = self._cell(task, resource)
+        cell = self._cells.get((task, resource)) or self._add(task, resource)
         cell.discomforts += 1
         level = float(level)
         counts = cell.counts
@@ -364,14 +371,14 @@ class CDFPolicy(SchedulerPolicy):
         # at or below the CDF target.
         target = min(
             cell.ceiling * self._soft_backoff,
-            self._safety * self._c_a_for((task, resource)),
+            self._safety * self._c_a(cell),
         )
         cell.ceiling = max(cell.floor, target)
 
     def on_comfortable(
         self, task: str, resource: Resource, elapsed_s: float
     ) -> None:
-        cell = self._cell(task, resource)
+        cell = self._cells.get((task, resource)) or self._add(task, resource)
         cap = cell.cap
         gain = self._climb * cap * elapsed_s / 60.0
         cell.ceiling = max(cell.floor, min(cap, cell.ceiling + gain))

@@ -74,7 +74,7 @@ from repro.users.behavior import _SKILL_STEP, BehaviorParams
 from repro.users.profile import RATING_CATEGORIES, SkillLevel
 from repro.util.heap import gc_paused
 from repro.util.normal import ndtri_array
-from repro.util.rng import _fnv_words
+from repro.util.rng import DerivedStream, derive_rng
 
 __all__ = ["run_batch_user_range"]
 
@@ -190,142 +190,6 @@ def _finalize_thresholds(
         t[overflowed] = math.inf
     th[armed] = t
     return th
-
-
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-#: numpy SeedSequence entropy-pool hash constants (O'Neill's seed
-#: sequence algorithm, as shipped in numpy.random.bit_generator).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-#: PCG64's default 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class _DerivedStream:
-    """Per-user Generators of one ``derive_rng(seed, label, ·)`` family.
-
-    ``derive_rng`` costs one SeedSequence construction plus one
-    PCG64/Generator allocation per call — the study's per-user fixed
-    cost.  This class replays numpy's SeedSequence entropy-pool hash
-    and PCG64 seeding in pure ints, amortizing every step that does not
-    depend on the user index (the entropy words, the label words, and
-    the full pool cross-mix), and rebinds ONE reused PCG64/Generator
-    pair per user through the state setter.  The result is bit- and
-    stream-identical to ``default_rng(SeedSequence(entropy,
-    spawn_key=fnv(label) + fnv(index)))`` — i.e. to ``derive_rng(seed,
-    label, index)`` — which the equivalence tests assert directly
-    against the scalar path.
-
-    ``entropy`` is a non-negative ``int``, as
-    :class:`~repro.study.controlled.ControlledStudyConfig` stores every
-    seed.
-    """
-
-    __slots__ = ("pool", "hash_const", "bit_generator", "generator", "_state")
-
-    def __init__(self, entropy: int, label: str):
-        words = []
-        v = entropy
-        if v == 0:
-            words.append(0)
-        while v:
-            words.append(v & _M32)
-            v >>= 32
-        if len(words) < 4:
-            # SeedSequence zero-pads run entropy to the pool size
-            # whenever a spawn key is present.
-            words.extend([0] * (4 - len(words)))
-        words.extend(_fnv_words(label))
-
-        # Pool fill (first 4 words), full cross-mix, then fold in the
-        # remaining words — numpy's mix_entropy, verbatim, with the
-        # running hash constant advancing through every hashmix call.
-        hc = _INIT_A
-        pool = []
-        for i in range(4):
-            val = words[i] ^ hc
-            hc = (hc * _MULT_A) & _M32
-            val = (val * hc) & _M32
-            pool.append(val ^ (val >> 16))
-        for i_src in range(4):
-            for i_dst in range(4):
-                if i_src != i_dst:
-                    val = pool[i_src] ^ hc
-                    hc = (hc * _MULT_A) & _M32
-                    val = (val * hc) & _M32
-                    val ^= val >> 16
-                    r = ((pool[i_dst] * _MIX_L) - (val * _MIX_R)) & _M32
-                    pool[i_dst] = r ^ (r >> 16)
-        for i_src in range(4, len(words)):
-            word = words[i_src]
-            for i_dst in range(4):
-                val = word ^ hc
-                hc = (hc * _MULT_A) & _M32
-                val = (val * hc) & _M32
-                val ^= val >> 16
-                r = ((pool[i_dst] * _MIX_L) - (val * _MIX_R)) & _M32
-                pool[i_dst] = r ^ (r >> 16)
-        self.pool = pool
-        self.hash_const = hc
-        self.bit_generator = np.random.PCG64()
-        self.generator = np.random.Generator(self.bit_generator)
-        self._state = {
-            "bit_generator": "PCG64",
-            "state": {"state": 0, "inc": 0},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def seeds(self, w0, w1) -> list[tuple[int, int]]:
-        """PCG64 ``(state, inc)`` for each spawn-key tail ``(w0[k],
-        w1[k])`` (user indices' FNV words), hashed for all users at once
-        in uint32 arrays, whose arithmetic wraps exactly like the
-        ``& _M32`` of the scalar hash."""
-        n = len(w0)
-        u32 = np.uint32
-        pool = [np.full(n, word, dtype=u32) for word in self.pool]
-        hc = self.hash_const
-        for word in (np.asarray(w0, dtype=u32), np.asarray(w1, dtype=u32)):
-            for i in range(4):
-                val = word ^ u32(hc)
-                hc = (hc * _MULT_A) & _M32
-                val = val * u32(hc)
-                val ^= val >> 16
-                r = pool[i] * u32(_MIX_L) - val * u32(_MIX_R)
-                pool[i] = r ^ (r >> 16)
-        # generate_state(4, uint64): 8 uint32 words off the pool ...
-        hc = _INIT_B
-        out = []
-        for i in range(8):
-            v = pool[i & 3] ^ u32(hc)
-            hc = (hc * _MULT_B) & _M32
-            v = v * u32(hc)
-            out.append((v ^ (v >> 16)).astype(np.uint64))
-        # ... viewed little-endian as two 128-bit ints (seed, stream),
-        # then PCG64's srandom seeding.
-        halves = [(out[j] | (out[j + 1] << 32)).tolist() for j in (0, 2, 4, 6)]
-        seeds = []
-        for s_hi, s_lo, q_hi, q_lo in zip(*halves):
-            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _M128
-            initstate = (s_hi << 64) | s_lo
-            seeds.append((((inc + initstate) * _PCG_MULT + inc) & _M128, inc))
-        return seeds
-
-    def rng_at(self, state: int, inc: int) -> np.random.Generator:
-        """This family's Generator, set to one user's seeded state."""
-        st = self._state
-        st["state"]["state"] = state
-        st["state"]["inc"] = inc
-        self.bit_generator.state = st
-        return self.generator
-
-    def rng(self, w0: int, w1: int) -> np.random.Generator:
-        """The Generator for spawn-key tail ``(w0, w1)`` (the user
-        index's FNV words)."""
-        ((state, inc),) = self.seeds([w0], [w1])
-        return self.rng_at(state, inc)
 
 
 #: 32-bit words drawn up front per user-session stream, per testcase
@@ -740,8 +604,11 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     _NEVER = math.inf
     machine_id = fixtures.machine.spec.name
     behavior = config.behavior
-    session_stream = _DerivedStream(config.seed, "user-session")
-    behavior_stream = _DerivedStream(config.seed, "user-behavior")
+    # One Generator per stream, re-seated for each user in turn.
+    session_stream = DerivedStream(config.seed, "user-session")
+    behavior_stream = DerivedStream(config.seed, "user-behavior")
+    session_rng = derive_rng(config.seed, "user-session", start)
+    behavior_rng = derive_rng(config.seed, "user-behavior", start)
     profiles = fixtures.profiles
     tasks = config.tasks
 
@@ -799,13 +666,12 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
             block_means: list[float] = []
 
             # --- phase 1: per-user draws, in exact scalar RNG order ----
-            w0, w1 = zip(*map(_fnv_words, range(block_start, block_stop)))
-            session_seeds = session_stream.seeds(w0, w1)
-            behavior_seeds = behavior_stream.seeds(w0, w1)
-            for index in range(block_start, block_stop):
-                k = index - block_start
-                rng = session_stream.rng_at(*session_seeds[k])
-                brng = behavior_stream.rng_at(*behavior_seeds[k])
+            users = zip(
+                range(block_start, block_stop),
+                session_stream.reseated(session_rng, block_start, block_stop),
+                behavior_stream.reseated(behavior_rng, block_start, block_stop),
+            )
+            for index, rng, brng in users:
                 brandom = brng.random
                 bnormal = brng.standard_normal
                 session = _session_draws(rng, swaps_by_task)

@@ -36,6 +36,7 @@ verification behave identically whichever engine the config names
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from collections import deque
@@ -89,9 +90,12 @@ class SupervisorPolicy:
         except ValidationError as exc:
             raise StudyError(f"invalid supervisor policy: {exc}") from exc
         object.__setattr__(self, "_retry", retry)
-        if self.watchdog_s is not None and self.watchdog_s <= 0:
+        # An infinite deadline overflows the wait timeout, and a NaN one
+        # never passes, so every wait returns at once: refuse both.
+        if self.watchdog_s is not None and not 0 < self.watchdog_s < math.inf:
             raise StudyError(
-                f"watchdog_s must be positive or None, got {self.watchdog_s}"
+                "watchdog_s must be a finite positive number or None, "
+                f"got {self.watchdog_s}"
             )
 
     def backoff(self, failures: int, rng) -> float:

@@ -32,7 +32,7 @@ from repro.core.session import InteractivitySample
 from repro.core.testcase import Testcase
 from repro.errors import ValidationError
 from repro.users.profile import SkillLevel, UserProfile
-from repro.users.tolerance import ToleranceSpec, ToleranceTable
+from repro.users.tolerance import ToleranceTable
 from repro.util.rng import SeedLike, ensure_rng
 
 __all__ = ["BehaviorParams", "SimulatedUser"]
@@ -99,9 +99,11 @@ class SimulatedUser:
         self._table = table
         self._params = params if params is not None else BehaviorParams()
         self._rng = ensure_rng(seed)
-        # (task, resource) -> (spec, skill shift), filled on the cell's
-        # first draw: both are fixed by the profile, params and table.
-        self._cells: dict[tuple[str, Resource], tuple[ToleranceSpec, float]] = {}
+        self._tolerance_factor = profile.tolerance_factor
+        # (task, resource) -> (the spec's draw, skill shift, ramp bonus),
+        # filled on the cell's first draw: all are fixed by the profile,
+        # params and table.
+        self._cells: dict[tuple[str, Resource], tuple] = {}
         # Per-run state, set by begin_run.
         self._thresholds: dict[Resource, float] = {}
         self._crossed_at: dict[Resource, float | None] = {}
@@ -167,16 +169,17 @@ class SimulatedUser:
         if cell is None:
             spec = self._table.spec(task, resource)
             cell = self._cells[task, resource] = (
-                spec, self._skill_shift(task, spec.mean_threshold())
+                spec.sample_threshold,
+                self._skill_shift(task, spec.mean_threshold()),
+                spec.ramp_bonus,
             )
-        spec, shift = cell
-        base = spec.sample_threshold(self._rng)
+        draw, shift, ramp_bonus = cell
+        base = draw(self._rng)
         if math.isinf(base):
             return base
-        threshold = base * self._profile.tolerance_factor
-        threshold += shift
+        threshold = base * self._tolerance_factor + shift
         if shape != "ramp":
-            threshold -= spec.ramp_bonus
+            threshold -= ramp_bonus
         return max(1e-3, threshold)
 
     # -- FeedbackSource protocol -------------------------------------------

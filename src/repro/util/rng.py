@@ -11,11 +11,25 @@ execution order.
 from __future__ import annotations
 
 import operator
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
 SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+#: numpy SeedSequence entropy-pool hash constants (O'Neill's seed
+#: sequence algorithm, as shipped in numpy.random.bit_generator).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+#: Indices :meth:`DerivedStream.reseated` hashes states for at once
+#: (memory flat in the range's length).
+_STATE_BLOCK = 1024
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -77,6 +91,125 @@ def derive_rng(seed: SeedLike, *key: object) -> np.random.Generator:
     else:
         seq = np.random.SeedSequence(entropy, spawn_key=tuple(words))
     return np.random.default_rng(seq)
+
+
+class DerivedStream:
+    """The generators of one ``derive_rng(seed, label, index)`` family.
+
+    ``derive_rng`` costs one SeedSequence construction plus one
+    PCG64/Generator allocation per call.  This class replays numpy's
+    SeedSequence entropy-pool hash and PCG64 seeding in pure ints,
+    amortizing every step that does not depend on the index (the
+    entropy words, the label words, and the full pool cross-mix),
+    hashes the index words of many indices at once in numpy, and
+    re-seats a caller's Generator per index through the state setter.
+    A re-seated Generator is bit- and stream-identical to
+    ``derive_rng(seed, label, index)``, which the tests assert.
+
+    ``entropy`` is a non-negative ``int``, as every config stores its
+    seed.
+    """
+
+    __slots__ = ("pool", "hash_const")
+
+    def __init__(self, entropy: int, label: str):
+        words = []
+        v = entropy
+        if v == 0:
+            words.append(0)
+        while v:
+            words.append(v & _M32)
+            v >>= 32
+        if len(words) < 4:
+            # SeedSequence zero-pads run entropy to the pool size
+            # whenever a spawn key is present.
+            words.extend([0] * (4 - len(words)))
+        words.extend(_fnv_words(label))
+
+        # Pool fill (first 4 words), full cross-mix, then fold in the
+        # remaining words — numpy's mix_entropy, verbatim, with the
+        # running hash constant advancing through every hashmix call.
+        hc = _INIT_A
+        pool = []
+        for i in range(4):
+            val = words[i] ^ hc
+            hc = (hc * _MULT_A) & _M32
+            val = (val * hc) & _M32
+            pool.append(val ^ (val >> 16))
+        for i_src in range(4):
+            for i_dst in range(4):
+                if i_src != i_dst:
+                    val = pool[i_src] ^ hc
+                    hc = (hc * _MULT_A) & _M32
+                    val = (val * hc) & _M32
+                    val ^= val >> 16
+                    r = ((pool[i_dst] * _MIX_L) - (val * _MIX_R)) & _M32
+                    pool[i_dst] = r ^ (r >> 16)
+        for i_src in range(4, len(words)):
+            word = words[i_src]
+            for i_dst in range(4):
+                val = word ^ hc
+                hc = (hc * _MULT_A) & _M32
+                val = (val * hc) & _M32
+                val ^= val >> 16
+                r = ((pool[i_dst] * _MIX_L) - (val * _MIX_R)) & _M32
+                pool[i_dst] = r ^ (r >> 16)
+        self.pool = pool
+        self.hash_const = hc
+
+    def seeds(self, w0, w1) -> list[tuple[int, int]]:
+        """PCG64 ``(state, inc)`` for each spawn-key tail ``(w0[k],
+        w1[k])`` (indices' FNV words), hashed for all indices at once
+        in uint32 arrays, whose arithmetic wraps exactly like the
+        ``& _M32`` of the scalar hash."""
+        n = len(w0)
+        u32 = np.uint32
+        pool = [np.full(n, word, dtype=u32) for word in self.pool]
+        hc = self.hash_const
+        for word in (np.asarray(w0, dtype=u32), np.asarray(w1, dtype=u32)):
+            for i in range(4):
+                val = word ^ u32(hc)
+                hc = (hc * _MULT_A) & _M32
+                val = val * u32(hc)
+                val ^= val >> 16
+                r = pool[i] * u32(_MIX_L) - val * u32(_MIX_R)
+                pool[i] = r ^ (r >> 16)
+        # generate_state(4, uint64): 8 uint32 words off the pool ...
+        hc = _INIT_B
+        out = []
+        for i in range(8):
+            v = pool[i & 3] ^ u32(hc)
+            hc = (hc * _MULT_B) & _M32
+            v = v * u32(hc)
+            out.append((v ^ (v >> 16)).astype(np.uint64))
+        # ... viewed little-endian as two 128-bit ints (seed, stream),
+        # then PCG64's srandom seeding.
+        halves = [(out[j] | (out[j + 1] << 32)).tolist() for j in (0, 2, 4, 6)]
+        seeds = []
+        for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _M128
+            initstate = (s_hi << 64) | s_lo
+            seeds.append((((inc + initstate) * _PCG_MULT + inc) & _M128, inc))
+        return seeds
+
+    def reseated(
+        self, rng: np.random.Generator, start: int, stop: int
+    ) -> Iterator[np.random.Generator]:
+        """``rng`` (a PCG64 Generator) re-seated in place as
+        ``derive_rng(seed, label, i)`` for each ``i`` in ``[start,
+        stop)`` in turn, its states hashed :data:`_STATE_BLOCK` indices
+        at a time."""
+        inner = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": inner,
+                 "has_uint32": 0, "uinteger": 0}
+        bit_generator = rng.bit_generator
+        for block_start in range(start, stop, _STATE_BLOCK):
+            block_stop = min(block_start + _STATE_BLOCK, stop)
+            w0, w1 = zip(*map(_fnv_words, range(block_start, block_stop)))
+            for seeded, inc in self.seeds(w0, w1):
+                inner["state"], inner["inc"] = seeded, inc
+                bit_generator.state = state
+                yield rng
 
 
 def spawn_child(rng: np.random.Generator) -> np.random.Generator:

@@ -150,6 +150,30 @@ class TestStudyPipeline:
             "error: seed must be a non-negative integer, got -1"
         ] * 2
 
+    @pytest.mark.parametrize("seconds", ["inf", "1e308"])
+    def test_overflowing_epoch_seconds_errors(self, capsys, seconds):
+        # An epoch whose harvest at the largest cap is not a finite
+        # number of milliseconds: one error line, SchedulerError's 12.
+        assert run_cli("harvest", "--clients", "3", "--epochs", "2",
+                       "--epoch-seconds", seconds) == 12
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: epoch_seconds must be > 0")
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    @pytest.mark.parametrize("watchdog", ["inf", "nan", "0"])
+    def test_watchdog_not_finite_positive_errors(
+        self, tmp_path, capsys, shards, watchdog
+    ):
+        # Refused before any shard starts: one line, StudyError's 9.
+        assert run_cli("study", "--users", "2", "--shards", shards,
+                       "--watchdog", watchdog,
+                       "--results", str(tmp_path / "r")) == 9
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            "error: watchdog_s must be a finite positive number or None, "
+            f"got {float(watchdog)}"
+        )
+
     def test_bad_chaos_seed_errors(self, tmp_path, capsys, monkeypatch):
         """A negative or non-integer chaos seed, from the flag or from
         UUCS_CHAOS_SEED, exits 3 before any shard worker starts or the

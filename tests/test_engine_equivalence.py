@@ -46,7 +46,7 @@ from repro.users.tolerance import (
     ToleranceTable,
     paper_calibrated_table,
 )
-from repro.util.rng import _fnv_words, derive_rng
+from repro.util.rng import DerivedStream, derive_rng
 from repro.util.timeseries import SampledSeries
 
 
@@ -339,8 +339,8 @@ class TestRngIdentities:
     )
     def test_property_fast_derive_matches_derive_rng(self, entropy, index):
         for label in ("user-session", "user-behavior"):
-            stream = batch_mod._DerivedStream(entropy, label)
-            fast = stream.rng(*_fnv_words(index))
+            stream = DerivedStream(entropy, label)
+            (fast,) = stream.reseated(np.random.default_rng(0), index, index + 1)
             ref = derive_rng(entropy, label, index)
             assert fast.bit_generator.state == ref.bit_generator.state
             assert np.array_equal(fast.random(3), ref.random(3))
@@ -352,13 +352,11 @@ class TestRngIdentities:
     )
     def test_property_block_seeds_match_derive_rng(self, entropy, start):
         indices = range(start, start + 17)
-        w0, w1 = zip(*map(_fnv_words, indices))
-        stream = batch_mod._DerivedStream(entropy, "user-behavior")
-        for index, seed in zip(indices, stream.seeds(w0, w1)):
+        stream = DerivedStream(entropy, "user-behavior")
+        reseated = stream.reseated(np.random.default_rng(0), start, start + 17)
+        for index, fast in zip(indices, reseated, strict=True):
             ref = derive_rng(entropy, "user-behavior", index)
-            assert stream.rng_at(*seed).bit_generator.state == (
-                ref.bit_generator.state
-            )
+            assert fast.bit_generator.state == ref.bit_generator.state
 
     def test_flat_run_id_block_matches_sequential_draws(self):
         # One integers(size=n*16) call == n sequential 16-byte draws ==

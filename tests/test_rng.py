@@ -1,9 +1,14 @@
 """Tests for repro.util.rng."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.util.rng import derive_rng, ensure_rng, spawn_child
+from repro.util import rng as rng_mod
+from repro.util.rng import DerivedStream, derive_rng, ensure_rng, spawn_child
 
 
 class TestEnsureRng:
@@ -70,6 +75,42 @@ class TestDeriveRng:
         # Literal draws: any edit to the key hash or the seeding would
         # silently reseed every study, fleet and golden pin.
         assert int(derive_rng(2004, *key).integers(2**63)) == first
+
+
+def _first_draws(rng):
+    """The state, then draws that leave a buffered half word behind,
+    so a re-seat that kept it would show in the next index's state."""
+    state = rng.bit_generator.state
+    words = rng.integers(2**32, size=3, dtype=np.uint32).tolist()
+    return state, words, rng.random()
+
+
+class TestDerivedStream:
+    LABELS = ("fleet-profile", "fleet-behavior", "fleet-tasks",
+              "user-session", "user-behavior")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**130),
+        label=st.sampled_from(LABELS),
+        start=st.integers(min_value=0, max_value=2**20),
+        length=st.integers(min_value=0, max_value=13),
+    )
+    def test_property_reseated_is_derive_rng(self, seed, label, start, length):
+        """Every index of a range that crosses state blocks gets the
+        state and draws of its own ``derive_rng`` stream, in one
+        Generator re-seated in place."""
+        rng = np.random.default_rng(0)
+        got = []
+        with mock.patch.object(rng_mod, "_STATE_BLOCK", 4):
+            stream = DerivedStream(seed, label)
+            for reseated in stream.reseated(rng, start, start + length):
+                assert reseated is rng
+                got.append(_first_draws(reseated))
+        assert got == [
+            _first_draws(derive_rng(seed, label, i))
+            for i in range(start, start + length)
+        ]
 
 
 class TestSpawnChild:

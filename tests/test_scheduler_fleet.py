@@ -33,6 +33,23 @@ class TestFleetConfig:
         assert type(config.seed) is int
         assert json.loads(json.dumps(config.to_dict()))["seed"] == 11
 
+    @pytest.mark.parametrize("epoch_seconds", [
+        float("inf"), float("nan"), 1e308, 0.0, -1.0,
+    ])
+    def test_epoch_seconds_positive_with_a_finite_harvest(
+        self, epoch_seconds
+    ):
+        # 1e308 s at the largest cap overflows the harvested milliseconds.
+        with pytest.raises(SchedulerError, match="epoch_seconds"):
+            FleetConfig(epoch_seconds=epoch_seconds)
+
+    def test_huge_finite_epoch_still_harvests(self):
+        epoch_seconds = 1e300
+        board = run_fleet(FleetConfig(
+            policy="static", clients=2, epochs=2, epoch_seconds=epoch_seconds,
+        ))
+        assert board.harvested_ms > 0
+
 
 class TestSimulateClients:
     def test_bad_range_rejected(self):
@@ -40,6 +57,29 @@ class TestSimulateClients:
             simulate_clients(CONFIG, 5, 3)
         with pytest.raises(SchedulerError, match="bad client range"):
             simulate_clients(CONFIG, 0, CONFIG.clients + 1)
+
+    @pytest.mark.parametrize("start, stop, derived", [
+        (5, 5, []), (5, 6, [5]), (5, 24, [5]),
+    ])
+    def test_derives_each_stream_once_per_range(
+        self, monkeypatch, start, stop, derived
+    ):
+        """The range's first client's streams are derived; later clients
+        re-seat those Generators, and an empty range derives nothing."""
+        calls = []
+        derive = fleet.derive_rng
+
+        def counting(seed, label, index):
+            calls.append((label, index))
+            return derive(seed, label, index)
+
+        monkeypatch.setattr(fleet, "derive_rng", counting)
+        simulate_clients(CONFIG, start, stop)
+        assert calls == [
+            (label, index)
+            for index in derived
+            for label in ("fleet-profile", "fleet-behavior", "fleet-tasks")
+        ]
 
     def test_split_equals_whole(self):
         """Client aggregates are shard-layout independent by construction."""

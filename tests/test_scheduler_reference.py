@@ -52,6 +52,7 @@ from repro.scheduler.policy import (
     cell_cap,
 )
 from repro.telemetry.metrics import Histogram
+from repro.util import rng as rng_mod
 
 ALL_CELLS = [
     (task, resource) for task in STUDY_TASKS for resource in FLEET_RESOURCES
@@ -310,19 +311,41 @@ def _reference_policy(name, budget):
     return build_policy(name, budget=budget)
 
 
+_FLEETS = given(
+    policy=st.sampled_from(["cdf", "aimd", "static"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    clients=st.integers(min_value=1, max_value=40),
+    epochs=st.integers(min_value=1, max_value=150),
+    cooldown=st.integers(min_value=0, max_value=4),
+    budget=st.floats(min_value=0.01, max_value=0.9),
+    epoch_seconds=st.floats(min_value=0.5, max_value=3600.0),
+    data=st.data(),
+)
+
+
 class TestMatchesReferenceLoop:
     @settings(max_examples=100, deadline=None)
-    @given(
-        policy=st.sampled_from(["cdf", "aimd", "static"]),
-        seed=st.integers(min_value=0, max_value=2**32),
-        clients=st.integers(min_value=1, max_value=40),
-        epochs=st.integers(min_value=1, max_value=150),
-        cooldown=st.integers(min_value=0, max_value=4),
-        budget=st.floats(min_value=0.01, max_value=0.9),
-        epoch_seconds=st.floats(min_value=0.5, max_value=3600.0),
-        data=st.data(),
-    )
+    @_FLEETS
     def test_same_aggregates_decisions_and_c_a(
+        self, policy, seed, clients, epochs, cooldown, budget, epoch_seconds,
+        data,
+    ):
+        self._check(policy, seed, clients, epochs, cooldown, budget,
+                    epoch_seconds, data)
+
+    @settings(max_examples=50, deadline=None)
+    @_FLEETS
+    def test_same_across_state_blocks(
+        self, policy, seed, clients, epochs, cooldown, budget, epoch_seconds,
+        data,
+    ):
+        """Client streams hashed 3 at a time: ranges cross block edges
+        and start mid-block, yet match the per-client ``derive_rng``."""
+        with mock.patch.object(rng_mod, "_STATE_BLOCK", 3):
+            self._check(policy, seed, clients, epochs, cooldown, budget,
+                        epoch_seconds, data)
+
+    def _check(
         self, policy, seed, clients, epochs, cooldown, budget, epoch_seconds,
         data,
     ):

@@ -10,6 +10,7 @@ nothing went wrong.
 """
 
 import gc
+import math
 import multiprocessing
 import os
 import signal
@@ -142,6 +143,12 @@ class TestSupervisorPolicy:
     @pytest.mark.parametrize("watchdog_s", [0.0, -1.0])
     def test_watchdog_must_be_positive(self, watchdog_s):
         with pytest.raises(StudyError):
+            SupervisorPolicy(watchdog_s=watchdog_s)
+
+    @pytest.mark.parametrize("watchdog_s", [math.inf, math.nan])
+    def test_watchdog_must_be_finite(self, watchdog_s):
+        # inf overflows the wait timeout; a NaN deadline never passes.
+        with pytest.raises(StudyError, match="finite positive"):
             SupervisorPolicy(watchdog_s=watchdog_s)
 
     def test_invalid_retry_shape_wrapped_as_study_error(self):
