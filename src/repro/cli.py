@@ -202,7 +202,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 ) from None
         # The plan refuses a negative one before any worker starts.
         chaos = ShardFaultPlan.parse(args.chaos, seed=chaos_seed)
-    store = ResultStore(args.results)
     # Sharded (and chaos/resume/watchdog) runs go through the supervised
     # engine with a checkpoint manifest, which commits shards to the
     # store itself; the plain single-shard study stays in-process and is
@@ -213,11 +212,22 @@ def _cmd_study(args: argparse.Namespace) -> int:
         or chaos is not None
         or args.watchdog is not None
     )
-    supervisor = checkpoint = None
-    if supervised:
-        supervisor = SupervisorPolicy(
+    # Every option is checked before the store makes its directory.
+    supervisor = (
+        SupervisorPolicy(
             max_attempts=args.shard_retries, watchdog_s=args.watchdog
         )
+        if supervised
+        else None
+    )
+    push_to = (
+        _parse_hostport(args.push_gateway, "--push-gateway")
+        if args.push_gateway
+        else None
+    )
+    store = ResultStore(args.results)
+    checkpoint = None
+    if supervised:
         checkpoint = StudyCheckpoint(store)
     elif StudyCheckpoint(store).unfinished():
         raise StudyError(
@@ -225,11 +235,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
             "with --resume to salvage it, or delete the manifest to "
             "abandon the partial results"
         )
-    push_to = (
-        _parse_hostport(args.push_gateway, "--push-gateway")
-        if args.push_gateway
-        else None
-    )
     # Pushing progress implies collecting metrics, even without an event
     # log on disk (mirrors `uucs client --push-gateway`).
     hub: Telemetry | None = None

@@ -10,18 +10,19 @@ nesting — instead of running one user's 32 sessions it advances **all
 users of one (task, testcase) cell together**, in three phases per
 block of users:
 
-1. **Draw** — replay each user's RNG consumption in exactly the scalar
-   order (testcase ``permutation``, run-ids, at most one threshold per
-   cell, reaction delay, noise gate) into per-cell columns.  Only the
-   *raw* draws are taken here — the draw counts are data-dependent, so
-   the stream order forces a scalar loop — while every pure transform
-   (the lognormal / truncated-quantile arithmetic of
-   ``ToleranceSpec.sample_threshold``, the skill shift, the tolerance
-   scaling) consumes no RNG and is deferred to a vectorized
-   finalization pass, which applies :func:`repro.util.normal.ndtri_array`
-   to a whole column where the scalar path calls ``ndtri`` once per draw
-   (same bits).  One bulk draw of 32-bit words replays a user's testcase
-   orders and run ids (``_session_draws``).
+1. **Draw** — the ``user-session`` streams (testcase orders, run ids)
+   a chunk of users at a time, the shuffles replayed in lockstep
+   (``_session_chunk``); the orders give each record its slot and start
+   time.  Only the ``user-behavior`` streams are drawn one value at a
+   time, in exactly the scalar order (at most one threshold per cell,
+   reaction delay, noise gate), into per-cell columns: their draw
+   counts are data-dependent.  Only the *raw* draws are taken here,
+   while every pure transform (the lognormal / truncated-quantile
+   arithmetic of ``ToleranceSpec.sample_threshold``, the skill shift,
+   the tolerance scaling) consumes no RNG and is deferred to a
+   vectorized finalization pass, which applies
+   :func:`repro.util.normal.ndtri_array` to a whole column where the
+   scalar path calls ``ndtri`` once per draw (same bits).
 2. **Decide** — ``_threshold_fire_step``'s last-false scan in closed
    form across the user axis: a level series that never dips is crossed
    once, at the ``searchsorted`` index, and the reaction delay runs from
@@ -29,16 +30,19 @@ block of users:
    The winner per run is the earliest candidate step, noise beating
    the threshold on ties — the scalar ``min(candidates, key=(step,
    source))``.
-3. **Emit** — build ``TestcaseRun`` records in scalar emission order.
-   Every discomfort offset lies on the step grid, so per-(cell, step)
-   caches bound the expensive pieces (level dicts, last-values tuples,
-   trace views of the cell's shared traces) by the number of *steps*,
-   not users; all exhausted runs of a cell share one trace view.  Shared mappings are safe: records
-   are frozen, and equality/JSON never see object identity.  Records are
-   assembled from per-cell template dicts via ``object.__new__`` —
-   every field combination the templates produce is validated once per
-   cell against the real constructor, then stamped per run without
-   re-running dataclass ``__init__``/``__post_init__``.
+3. **Emit** — build each cell's ``TestcaseRun`` records, each beside
+   its ``RunContext``, into their slots.  Every discomfort offset lies on
+   the step grid, so per-(cell, step) caches bound the expensive pieces
+   (level dicts, last-values tuples, trace views of the cell's shared
+   traces) by the number of *steps*, not users; all exhausted runs of a
+   cell share one trace view.  Shared mappings are safe: records are
+   frozen, and equality/JSON never see object identity.  Records are
+   assembled from per-cell template dicts via ``object.__new__``,
+   without re-running dataclass ``__init__``/``__post_init__``.  A
+   cell's exhausted template and its first discomfort template go
+   through the real (validating) constructor; later discomfort
+   templates are stamped from the first, with only the fields their
+   offset decides.
 
 Phases 1 and 2 are this simple because a controlled study runs only
 Figure 8's testcases (:func:`repro.study.testcases.task_testcases`):
@@ -207,6 +211,11 @@ def _shuffle_swaps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     )
 
 
+#: Users whose session streams :func:`_session_chunk` replays together
+#: (``DerivedStream``'s state block): bounds its arrays per call.
+_SESSION_CHUNK = 1024
+
+
 def _session_draws(rng, swaps_by_task) -> list[tuple[list[int], str]]:
     """A user's ``(testcase order, run-id hex)`` per task, drawn from
     the ``user-session`` stream exactly as the scalar engine draws them.
@@ -219,7 +228,8 @@ def _session_draws(rng, swaps_by_task) -> list[tuple[list[int], str]]:
     and replaying the swaps and cutting the ids from the words gives
     the same orders and ids (property-tested).  Nothing else reads this
     stream, so drawing past its end is harmless; running short just
-    draws more and replays.
+    draws more and replays.  :func:`_session_chunk` redoes a user here
+    when its word budget runs short.
     """
     budget = _WORDS_PER_RUN * sum(n for n, _ in swaps_by_task)
     words = rng.integers(0, 1 << 32, size=budget, dtype=np.uint32)
@@ -249,6 +259,69 @@ def _session_draws(rng, swaps_by_task) -> list[tuple[list[int], str]]:
                 words,
                 rng.integers(0, 1 << 32, size=budget, dtype=np.uint32),
             ])
+
+
+def _session_chunk(
+    rngs, swaps_by_task, seed: int, first_user: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_session_draws` for the chunk of users whose freshly
+    seated ``user-session`` streams ``rngs`` yields, from ``first_user``.
+
+    Returns each user's cells in emission order, numbered across the
+    tasks, as a (users, runs) array, and a (users, runs, 4) array of
+    the ``<u4`` words whose bytes' hex is each run's id.  On a freshly
+    seated PCG64, ``random_raw`` viewed as uint32 pairs gives the words
+    ``integers`` draws.  Each swap is one array pass over the users,
+    its rejection a fixpoint; a user whose word budget runs short is
+    redone by :func:`_session_draws` (both property-tested).
+    """
+    runs = sum(n for n, _ in swaps_by_task)
+    half = (_WORDS_PER_RUN * runs + 1) // 2
+    raw = [rng.bit_generator.random_raw(half) for rng in rngs]
+    n_users = len(raw)
+    width = 2 * half
+    # Zero words past each budget, enough for the rest of the replay to
+    # read one per swap and four per run id: a zero word ends any
+    # rejection, and a user who read one has run short.
+    pad = sum(len(swaps) for _, swaps in swaps_by_task) + 4 * runs
+    words = np.zeros((n_users, width + pad), dtype="<u4")
+    words[:, :width] = np.array(raw, "<u8").reshape(n_users, half).view("<u4")
+    flat = words.ravel()
+    rows = np.arange(n_users) * (width + pad)
+    pos = rows.copy()
+    orders = np.tile(np.arange(runs), (n_users, 1))
+    cells = orders.ravel()  # a view: the swaps write into orders
+    ids = np.empty((n_users, 4 * runs), dtype="<u4")
+    firsts = []
+    first = 0
+    for n, swaps in swaps_by_task:
+        firsts.append(first)
+        at = np.arange(n_users) * runs + first
+        for i, mask in swaps:
+            j = flat[pos] & mask
+            pos += 1
+            over = np.flatnonzero(j > i)
+            while over.size:
+                j[over] = flat[pos[over]] & mask
+                pos[over] += 1
+                over = over[j[over] > i]
+            a, b = at + i, at + j
+            cells[a], cells[b] = cells[b], cells[a]
+        ids[:, 4 * first : 4 * (first + n)] = flat[
+            pos[:, None] + np.arange(4 * n)
+        ]
+        pos += 4 * n
+        first += n
+    for k in np.flatnonzero(pos - rows > width).tolist():
+        draws = _session_draws(
+            derive_rng(seed, "user-session", first_user + k), swaps_by_task
+        )
+        orders[k] = [f + c for f, (order, _) in zip(firsts, draws)
+                     for c in order]
+        ids[k] = np.frombuffer(
+            bytes.fromhex("".join(hexs for _, hexs in draws)), dtype="<u4"
+        )
+    return orders, ids.reshape(n_users, runs, 4)
 
 
 class _ResourceDraw:
@@ -289,9 +362,8 @@ class _CellPlan:
         "level_arrays", "shapes", "p_noise", "draw",
         "delay_mu", "delay_sigma",
         "trace_table", "exhausted_template", "step_templates",
-        "fast_templates",
-        "th_col", "delay_z", "noise", "run_ids",
-        "contexts", "emit",
+        "fast_templates", "discomfort_fields", "samples",
+        "th_col", "delay_z", "noise",
     )
 
     def __init__(self, task_name, testcase: Testcase, traces: CellTraces,
@@ -335,12 +407,11 @@ class _CellPlan:
         # Every record's trace is a prefix view of the cell's table.
         self.trace_table = traces.table
 
-        # Record templates: all fields but run_id/context, checked once
-        # through the real (validating) constructor.  Exhausted runs are
-        # the common case and all identical but for identity fields;
-        # discomfort templates are cached per (step, source) in
+        # Record templates: all fields but run_id/context.  Exhausted
+        # runs are the common case and all identical but for identity
+        # fields; discomfort templates are cached per (step, source) in
         # _step_template, bounded by the step grid.
-        self.exhausted_template = self._template(
+        self.exhausted_template = self._template(self._fields(
             outcome=RunOutcome.EXHAUSTED,
             end_offset=testcase.duration,
             levels_at_end=testcase.levels_at(testcase.duration),
@@ -350,16 +421,21 @@ class _CellPlan:
             },
             feedback=None,
             load_trace=TraceView(self.trace_table, n_steps),
-        )
+        ))
         self.step_templates: dict[tuple[int, str], dict] = {}
         #: int-key alias of the same templates for the emit loop:
         #: -1 == exhausted, ``step*2 + is_noise`` otherwise.
         self.fast_templates: dict[int, dict] = {}
+        #: The first discomfort record's fields, through the constructor,
+        #: and each function's samples: what later steps stamp from.
+        self.discomfort_fields: dict | None = None
+        self.samples: dict | None = None
         self.reset()
 
-    def _template(self, **fields) -> dict:
-        """A record-field template, validated via the real constructor."""
-        probe = TestcaseRun(
+    def _fields(self, **fields) -> dict:
+        """Every field of a record, through the real (validating)
+        constructor."""
+        return TestcaseRun(
             run_id="template",
             testcase_id=self.testcase.testcase_id,
             context=RunContext(user_id="template"),
@@ -367,59 +443,82 @@ class _CellPlan:
             shapes=self.shapes,
             load_trace_rate=self.sample_rate,
             **fields,
-        )
-        template = dict(probe.__dict__)
+        ).__dict__
+
+    @staticmethod
+    def _template(fields: dict, **changes) -> dict:
+        """A copy of ``fields`` with ``changes``, minus run_id/context.
+
+        The deleted keys leave the copy's table unclean, so a record's
+        ``__dict__.update`` from it fills the class's key-sharing table
+        rather than cloning a combined one twice its size.
+        """
+        template = dict(fields, **changes)
         del template["run_id"], template["context"]
         return template
 
+    def _last_values(self, offset: float) -> dict:
+        """``testcase.last_values(offset)`` (the last five values) as
+        tuples, sliced from the cell's lists of each function's samples."""
+        functions = self.testcase.functions.items()
+        if self.samples is None:
+            self.samples = {r: fn.values.tolist() for r, fn in functions}
+        out = {}
+        for r, fn in functions:
+            end = fn.series.index_at(min(offset, fn.duration)) + 1
+            out[r] = tuple(self.samples[r][max(0, end - 5) : end])
+        return out
+
     def _step_template(self, step: int, source: str) -> dict:
-        """Template for a discomfort record firing at ``step``."""
+        """Template for a discomfort record firing at ``step``.
+
+        The cell's first goes through the real constructor; later ones
+        are stamped from it.  :func:`_decide`'s steps lie in ``[0,
+        n_steps)``, so every offset lies in ``[0, duration]`` and every
+        template carries feedback: the two facts the constructor checks.
+        """
         key = (step, source)
         template = self.step_templates.get(key)
         if template is None:
-            testcase = self.testcase
-            shared = self.step_templates.get((step, "noise" if
-                                              source == "simulated"
-                                              else "simulated"))
-            if shared is not None:
+            other = self.step_templates.get(
+                (step, "noise" if source == "simulated" else "simulated")
+            )
+            if other is not None:
                 # Same step, other source: reuse every offset-derived
                 # mapping, swap only the event.
-                event = shared["feedback"]
-                template = dict(shared)
-                template["feedback"] = DiscomfortEvent(
+                event = other["feedback"]
+                fields = dict(other, feedback=DiscomfortEvent(
                     offset=event.offset, levels=event.levels, source=source
-                )
+                ))
             else:
                 offset = min(step * self.dt, self.duration)
-                levels = testcase.levels_at(offset)
-                template = self._template(
-                    outcome=RunOutcome.DISCOMFORT,
+                levels = self.testcase.levels_at(offset)
+                fields = dict(
                     end_offset=offset,
                     levels_at_end=levels,
-                    last_values={
-                        r: tuple(np.asarray(v).tolist())
-                        for r, v in testcase.last_values(offset).items()
-                    },
+                    last_values=self._last_values(offset),
                     feedback=DiscomfortEvent(
                         offset=offset, levels=levels, source=source
                     ),
                     load_trace=TraceView(self.trace_table, step + 1),
                 )
+                if self.discomfort_fields is None:
+                    self.discomfort_fields = self._fields(
+                        outcome=RunOutcome.DISCOMFORT, **fields
+                    )
+            template = self._template(self.discomfort_fields, **fields)
             self.step_templates[key] = template
         return template
 
     def reset(self) -> None:
-        """Clear per-block member state (draws and run identities)."""
+        """Clear per-block member draws."""
         self.th_col: list[float] = []
         self.delay_z: list[float] = []
         self.noise: list[float] = []
-        self.run_ids: list[str] = []
-        self.contexts: list[RunContext] = []
-        self.emit: list[int] = []
 
 
 def _draw_triple(cell: _CellPlan):
-    """The draw loop's per-cell threshold draw (see ``hot_by_task``):
+    """The draw loop's per-cell threshold draw (see ``hot``):
     ``(p_react, is_z, append)``, or None for a blank cell."""
     draw = cell.draw
     if draw is None:
@@ -506,7 +605,7 @@ def _decide(
     cells.  ``step`` uses ``n_steps`` as the "no event, run exhausts"
     sentinel.
     """
-    n = len(cell.run_ids)
+    n = len(cell.noise)
     n_steps = cell.n_steps
     sentinel = n_steps  # past any valid step
     sim_step = np.full(n, sentinel, dtype=np.int64)
@@ -537,10 +636,14 @@ def _decide(
 
 
 def _emit(
-    cell: _CellPlan, records: list, delay_means: np.ndarray,
-    skill: _BlockSkill,
+    cell: _CellPlan, slots: list, run_ids: list, starts: list,
+    bases: list, records: list, delay_means: np.ndarray, skill: _BlockSkill,
 ) -> None:
-    """Phase 3: assemble this cell's records into their study slots."""
+    """Phase 3: assemble this cell's records into their study slots.
+
+    Per member, in user order: its slot, run id, ``started_at``, and
+    its user's context fields (one ``extra`` dict per user).
+    """
     steps, is_noise = _decide(cell, delay_means, skill)
     # Pack (step, source) into one int: -1 for exhausted runs,
     # ``step*2 + noisy`` otherwise — computed vectorized, and int dict
@@ -552,10 +655,11 @@ def _emit(
     cache = cell.fast_templates
     get = cache.get
     step_template = cell._step_template
+    task = cell.task_name
     new = object.__new__
     cls = TestcaseRun
-    for slot, run_id, context, key in zip(
-        cell.emit, cell.run_ids, cell.contexts, keys,
+    for slot, run_id, start, base, key in zip(
+        slots, run_ids, starts, bases, keys
     ):
         template = get(key)
         if template is None:
@@ -566,6 +670,13 @@ def _emit(
                     key >> 1, "noise" if key & 1 else "simulated"
                 )
             cache[key] = template
+        # Frozen dataclasses block __dict__ *assignment* but not
+        # in-place fill of the fresh empty dict.
+        context = new(RunContext)
+        c = context.__dict__
+        c.update(base)
+        c["task"] = task
+        c["started_at"] = start
         run = new(cls)
         d = run.__dict__
         d.update(template)
@@ -612,99 +723,82 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     profiles = fixtures.profiles
     tasks = config.tasks
 
-    cells_by_task: list[list[_CellPlan]] = []
-    for task_name in tasks:
-        cells_by_task.append([
-            _CellPlan(task_name, testcase,
-                      fixtures.cell_traces(task_name, slot),
-                      config.table, behavior)
-            for slot, testcase in enumerate(
-                fixtures.testcases_by_task[task_name]
-            )
-        ])
+    # Every cell of the study, numbered across the tasks in task order,
+    # as _session_chunk numbers a user's runs.
+    cells = [
+        _CellPlan(task_name, testcase,
+                  fixtures.cell_traces(task_name, slot),
+                  config.table, behavior)
+        for task_name in tasks
+        for slot, testcase in enumerate(fixtures.testcases_by_task[task_name])
+    ]
     # Intern each distinct (task, resource) to a small-int key: the
     # per-user skill-shift cache (the shift is a pure function of
     # profile, task, and the spec mean) then hashes ints, and draws of
     # the same pair in different cells share one cache entry.
     key_ids: dict[tuple, int] = {}
-    for cells in cells_by_task:
-        for cell in cells:
-            if cell.draw is not None:
-                cell.draw.key = key_ids.setdefault(
-                    cell.draw.key, len(key_ids)
-                )
-    runs_per_user = sum(len(cells) for cells in cells_by_task)
-    swaps_by_task = [_shuffle_swaps(len(cells)) for cells in cells_by_task]
+    for cell in cells:
+        if cell.draw is not None:
+            cell.draw.key = key_ids.setdefault(cell.draw.key, len(key_ids))
+    runs_per_user = len(cells)
+    swaps_by_task = [
+        _shuffle_swaps(len(fixtures.testcases_by_task[t])) for t in tasks
+    ]
+    # The session clock's advance over each cell's run.
+    advances = np.array([c.duration + _INTER_TESTCASE_GAP for c in cells])
     records: list[TestcaseRun | None] = [None] * ((stop - start) * runs_per_user)
 
     with gc_paused():
-        emit = 0
         for block_start in range(start, stop, _USER_BLOCK):
             block_stop = min(block_start + _USER_BLOCK, stop)
+            n_block = block_stop - block_start
 
             # Per-block hot view of each cell: bound append methods and
             # unpacked constants, so the inner loop pays one tuple
-            # unpack instead of a dozen attribute lookups per run.
+            # unpack instead of a handful of attribute lookups per run.
             # Rebuilt every block because reset() swaps the lists.
-            hot_by_task = [
-                [
-                    (
-                        _draw_triple(cell),
-                        cell.delay_z.append,
-                        cell.noise.append,
-                        cell.run_ids.append,
-                        cell.contexts.append,
-                        cell.emit.append,
-                        cell.p_noise,
-                        cell.duration,
-                        cell.duration + _INTER_TESTCASE_GAP,
-                    )
-                    for cell in cells
-                ]
-                for cells in cells_by_task
+            hot = [
+                (_draw_triple(cell), cell.delay_z.append, cell.noise.append,
+                 cell.p_noise, cell.duration)
+                for cell in cells
             ]
-            block_means: list[float] = []
+            # Per user and emission position: the start time, and the
+            # run-id words; per user and cell: the position.
+            clocks = np.empty((n_block, runs_per_user))
+            ids = np.empty((n_block, runs_per_user, 4), dtype="<u4")
+            positions = np.empty((n_block, runs_per_user), dtype=np.int32)
 
-            # --- phase 1: per-user draws, in exact scalar RNG order ----
-            users = zip(
-                range(block_start, block_stop),
-                session_stream.reseated(session_rng, block_start, block_stop),
-                behavior_stream.reseated(behavior_rng, block_start, block_stop),
-            )
-            for index, rng, brng in users:
-                brandom = brng.random
-                bnormal = brng.standard_normal
-                session = _session_draws(rng, swaps_by_task)
-                profile = profiles[index]
-                ratings = profile.ratings
-                delay_mean = profile.reaction_delay_mean
-                context_base = {
-                    "user_id": profile.user_id,
-                    "task": "",
-                    "client_id": "",
-                    "machine_id": machine_id,
-                    "started_at": 0.0,
-                    "extra": {
-                        "study": "controlled",
-                        **{
-                            key: ratings.get(cat, _TYPICAL).value
-                            for key, cat in _RATING_KEYS
-                        },
-                    },
-                }
-                block_means.append(delay_mean)
-                clock = _PREAMBLE_MINUTES * 60.0
-                for task_name, hot, (order, hexs) in zip(
-                    tasks, hot_by_task, session
+            # --- phase 1: session streams by chunk, then behavior draws
+            # per user in exact scalar RNG order -------------------------
+            for lo in range(block_start, block_stop, _SESSION_CHUNK):
+                hi = min(lo + _SESSION_CHUNK, block_stop)
+                rows = slice(lo - block_start, hi - block_start)
+                orders, ids[rows] = _session_chunk(
+                    session_stream.reseated(session_rng, lo, hi),
+                    swaps_by_task, config.seed, lo,
+                )
+                # The preamble, then each earlier run's advance, summed
+                # left to right as the scalar ``clock +=`` sums them.
+                steps = np.empty(orders.shape)
+                steps[:, 0] = _PREAMBLE_MINUTES * 60.0
+                steps[:, 1:] = advances[orders[:, :-1]]
+                np.add.accumulate(steps, axis=1, out=clocks[rows])
+                # Each cell's position in its user's order: the inverse
+                # permutation.
+                np.put_along_axis(
+                    positions[rows], orders, np.arange(runs_per_user), axis=1
+                )
+
+                for order, brng in zip(
+                    orders.tolist(),
+                    behavior_stream.reseated(behavior_rng, lo, hi),
                 ):
-                    context_base["task"] = task_name
-                    off = 0
+                    brandom = brng.random
+                    bnormal = brng.standard_normal
                     for cell_index in order:
-                        (
-                            draw, z_append,
-                            noise_append, ids_append, ctx_append,
-                            emit_append, p_noise, duration, advance,
-                        ) = hot[cell_index]
+                        draw, z_append, noise_append, p_noise, duration = (
+                            hot[cell_index]
+                        )
                         # ToleranceSpec.sample_threshold's RNG
                         # consumption only; the arithmetic that turns
                         # the raw draw into a threshold is pure (no
@@ -727,35 +821,43 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                             if brandom() < p_noise
                             else math.nan
                         )
-                        ids_append(hexs[off : off + 32])
-                        off += 32
-                        # Frozen dataclasses block __dict__ *assignment*
-                        # but not in-place fill of the fresh empty dict.
-                        context = object.__new__(RunContext)
-                        d = context.__dict__
-                        d.update(context_base)
-                        d["started_at"] = clock
-                        ctx_append(context)
-                        emit_append(emit)
-                        emit += 1
-                        clock += advance
 
             # --- phases 2+3: decide and emit, one cell at a time -------
-            delay_means = np.asarray(block_means)
-            skill = _BlockSkill(
-                profiles[block_start:block_stop], tasks, behavior
+            block_profiles = profiles[block_start:block_stop]
+            bases = [
+                {"user_id": profile.user_id, "task": "", "client_id": "",
+                 "machine_id": machine_id, "started_at": 0.0,
+                 "extra": {"study": "controlled", **{
+                     key: profile.ratings.get(cat, _TYPICAL).value
+                     for key, cat in _RATING_KEYS
+                 }}}
+                for profile in block_profiles
+            ]
+            delay_means = np.array(
+                [profile.reaction_delay_mean for profile in block_profiles]
             )
-            for cells in cells_by_task:
-                for cell in cells:
-                    if telemetry.enabled:
-                        telemetry.metrics.histogram(
-                            "uucs_study_batch_users_per_call",
-                            "Users advanced per batched cell call.",
-                            unit="users",
-                            buckets=_USERS_PER_CALL_BUCKETS,
-                        ).observe(float(len(cell.run_ids)))
-                    _emit(cell, records, delay_means, skill)
-                    cell.reset()
+            skill = _BlockSkill(block_profiles, tasks, behavior)
+            users = np.arange(n_block)
+            first_slots = (block_start - start + users) * runs_per_user
+            for cell_index, cell in enumerate(cells):
+                if telemetry.enabled:
+                    telemetry.metrics.histogram(
+                        "uucs_study_batch_users_per_call",
+                        "Users advanced per batched cell call.",
+                        unit="users",
+                        buckets=_USERS_PER_CALL_BUCKETS,
+                    ).observe(float(n_block))
+                # Each member's run sits at the cell's position in its
+                # user's order; its run id is its four words' hex.
+                at = positions[:, cell_index]
+                text = ids[users, at].tobytes().hex()
+                _emit(
+                    cell, (first_slots + at).tolist(),
+                    [text[k : k + 32] for k in range(0, len(text), 32)],
+                    clocks[users, at].tolist(), bases, records,
+                    delay_means, skill,
+                )
+                cell.reset()
 
     if telemetry.enabled and records:
         elapsed = time.perf_counter() - started

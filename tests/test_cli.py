@@ -195,6 +195,21 @@ class TestStudyPipeline:
         ]
         assert not results.exists()
 
+    @pytest.mark.parametrize("refused, code", [
+        (("--shards", "2", "--watchdog", "inf"), 9),
+        (("--shards", "2", "--shard-retries", "0"), 9),
+        (("--push-gateway", "nonsense"), 3),
+    ], ids=["watchdog", "shard-retries", "push-gateway"])
+    def test_refused_option_makes_no_results_directory(
+        self, tmp_path, capsys, refused, code
+    ):
+        results = tmp_path / "r"
+        assert run_cli("study", "--users", "2", *refused,
+                       "--results", str(results)) == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not results.exists()
+
     def test_study_shards_auto(self, tmp_path, capsys, monkeypatch):
         """`--shards auto` sizes the pool from os.cpu_count(), clamped to
         the user count (2 users here, so 2 shards regardless of cores)."""

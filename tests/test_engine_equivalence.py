@@ -10,6 +10,7 @@ down to the serialized bytes the result store would hold.
 
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,10 @@ from hypothesis import strategies as st
 
 from repro.apps import get_task
 from repro.apps.registry import TASK_ORDER
-from repro.core.exercise import ExerciseFunction, ramp, sine, step
+from repro.core.exercise import ExerciseFunction, blank, ramp, sine, step
+from repro.core.feedback import DiscomfortEvent, RunOutcome
 from repro.core.resources import Resource
-from repro.core.run import RunContext, TestcaseRun
+from repro.core.run import RunContext, TestcaseRun, TraceView
 from repro.core.session import run_simulated_session
 from repro.core.testcase import Testcase
 from repro.machine import SimulatedMachine
@@ -38,7 +40,7 @@ from repro.study.engine import (
     _threshold_fire_step,
     run_analytic_session,
 )
-from repro.study.testcases import task_testcases
+from repro.study.testcases import STUDY_SAMPLE_RATE, task_testcases
 from repro.users.behavior import BehaviorParams, SimulatedUser
 from repro.users.population import sample_profile
 from repro.users.tolerance import (
@@ -232,6 +234,158 @@ def test_property_batch_study_byte_equal(n_users, seed, tasks):
     assert _serialized(batch) == _serialized(scalar)
 
 
+def _lines(runs) -> list[bytes]:
+    return [(run.to_json() + "\n").encode() for run in runs]
+
+
+class TestBatchBlocks:
+    """Ranges that cross user blocks, session chunks and DerivedStream
+    state blocks, and start mid-fleet, against the analytic engine
+    (the real sizes, 32,768, 1,024 and 1,024, are patched small)."""
+
+    CONFIG = ControlledStudyConfig(n_users=23, seed=515, engine="batch")
+    FIXTURES = study_fixtures(CONFIG)
+    RANGES = ((0, 23), (3, 20), (11, 23), (22, 23), (5, 6))
+
+    @pytest.mark.parametrize("user_block, chunk, state_block, words", [
+        (2, 1, 3, 8),
+        (3, 2, 1024, 8),
+        (7, 5, 4, 8),
+        (5, 3, 2, 5),
+        (4, 4, 5, 1),
+        (32768, 2, 1024, 2),
+    ])
+    def test_ranges_byte_equal_to_analytic(
+        self, user_block, chunk, state_block, words
+    ):
+        from repro.util import rng as rng_mod
+
+        analytic = dataclasses.replace(self.CONFIG, engine="analytic")
+        for lo, hi in self.RANGES:
+            with mock.patch.object(batch_mod, "_USER_BLOCK", user_block), \
+                    mock.patch.object(batch_mod, "_SESSION_CHUNK", chunk), \
+                    mock.patch.object(rng_mod, "_STATE_BLOCK", state_block), \
+                    mock.patch.object(batch_mod, "_WORDS_PER_RUN", words):
+                got = run_user_range(self.CONFIG, lo, hi, self.FIXTURES)
+            want = run_user_range(analytic, lo, hi, self.FIXTURES)
+            assert _lines(got) == _lines(want), (lo, hi)
+
+    def test_testcases_of_other_durations(self):
+        # Figure 8's testcases all last two minutes; these do not, so a
+        # run's start time depends on which cells its user ran before.
+        config = ControlledStudyConfig(
+            n_users=9, seed=41, tasks=("word", "quake"), engine="batch"
+        )
+        testcases = {
+            "word": [
+                Testcase.single("r60", ramp(Resource.CPU, 1.5, 60.0, 4.0)),
+                Testcase.single(
+                    "s90", step(Resource.DISK, 2.0, 90.0, 30.0, 4.0)
+                ),
+                Testcase.single("b30", blank(Resource.CPU, 30.0, 4.0)),
+            ],
+            "quake": [
+                Testcase.single("r45", ramp(Resource.MEMORY, 0.8, 45.0, 2.0)),
+                Testcase.single("r120", ramp(Resource.CPU, 3.0, 120.0, 4.0)),
+            ],
+        }
+        fixtures = dataclasses.replace(
+            study_fixtures(config), testcases_by_task=testcases
+        )
+        analytic = dataclasses.replace(config, engine="analytic")
+        for lo, hi in ((0, 9), (2, 7)):
+            with mock.patch.object(batch_mod, "_USER_BLOCK", 3), \
+                    mock.patch.object(batch_mod, "_SESSION_CHUNK", 2):
+                got = run_user_range(config, lo, hi, fixtures)
+            want = run_user_range(analytic, lo, hi, fixtures)
+            assert _lines(got) == _lines(want), (lo, hi)
+
+
+def _constructor_template(cell, testcase, step, source) -> dict:
+    """A discomfort template through the validating constructor,
+    ``Testcase.levels_at`` and ``Testcase.last_values``: the path every
+    template took before later steps were stamped."""
+    offset = min(step * cell.dt, cell.duration)
+    levels = testcase.levels_at(offset)
+    run = TestcaseRun(
+        run_id="template",
+        testcase_id=testcase.testcase_id,
+        context=RunContext(user_id="template"),
+        outcome=RunOutcome.DISCOMFORT,
+        end_offset=offset,
+        testcase_duration=testcase.duration,
+        shapes={r: fn.shape for r, fn in testcase.functions.items()},
+        levels_at_end=levels,
+        last_values={
+            r: tuple(np.asarray(v).tolist())
+            for r, v in testcase.last_values(offset).items()
+        },
+        feedback=DiscomfortEvent(offset=offset, levels=levels, source=source),
+        load_trace=TraceView(cell.trace_table, step + 1),
+        load_trace_rate=testcase.sample_rate,
+    )
+    template = dict(run.__dict__)
+    del template["run_id"], template["context"]
+    return template
+
+
+class TestStampedTemplates:
+    """Discomfort templates stamped from a cell's first one equal the
+    constructor's, field by field and key order included."""
+
+    @pytest.mark.parametrize("task", TASK_ORDER)
+    def test_every_step_and_source_matches_the_constructor(self, task):
+        table, behavior = paper_calibrated_table(), BehaviorParams()
+        for testcase in task_testcases(task, STUDY_SAMPLE_RATE):
+            cell = batch_mod._CellPlan(
+                task, testcase, CellTraces(testcase), table, behavior
+            )
+            for step in range(cell.n_steps):
+                # Either source may come first at a step.
+                sources = ("simulated", "noise")
+                for source in sources if step % 2 else sources[::-1]:
+                    got = cell._step_template(step, source)
+                    want = _constructor_template(cell, testcase, step, source)
+                    assert list(got) == list(want)
+                    for name, value in want.items():
+                        assert got[name] == value, (step, source, name)
+                    for name in ("shapes", "levels_at_end", "last_values"):
+                        assert list(got[name].items()) == list(
+                            want[name].items()
+                        )
+                    assert all(
+                        type(x) is float
+                        for values in got["last_values"].values()
+                        for x in values
+                    )
+                    event = got["feedback"]
+                    assert list(event.levels.items()) == list(
+                        want["feedback"].levels.items()
+                    )
+                    assert event.levels is got["levels_at_end"]
+                    trace = got["load_trace"]
+                    assert (trace.table, trace.steps) == (
+                        cell.trace_table, step + 1
+                    )
+
+    def test_records_keep_key_sharing_dicts(self):
+        # Every record's __dict__ is as small as a constructor-built
+        # one's: the templates it is filled from are unclean copies, so
+        # dict.update fills the class's key-sharing table instead of
+        # cloning a combined one.  Seed 2004's 300 users include runs
+        # whose step fired from both sources.
+        result = run_controlled_study(
+            ControlledStudyConfig(n_users=300, seed=2004, engine="batch")
+        )
+        sources = {run.feedback.source for run in result.runs
+                   if run.feedback is not None}
+        assert sources == {"simulated", "noise"}
+        for run in result.runs:
+            assert sys.getsizeof(run.__dict__) == sys.getsizeof(
+                dataclasses.replace(run).__dict__
+            )
+
+
 class TestBatchCellPlans:
     """The batch engine serves only the cells a controlled study makes;
     the per-session engines run any testcase."""
@@ -412,6 +566,101 @@ class TestRngIdentities:
             for n in sizes
         ]
         assert got == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        entropy=st.integers(min_value=0, max_value=2**128 - 1),
+        index=st.integers(min_value=0, max_value=2**20),
+        pairs=st.integers(min_value=1, max_value=300),
+    )
+    def test_property_raw_words_are_integers_words_on_a_fresh_seat(
+        self, entropy, index, pairs
+    ):
+        # _session_chunk's draw: random_raw viewed as uint32 pairs is
+        # integers' words on a freshly seated PCG64 ...
+        stream = DerivedStream(entropy, "user-session")
+        (fast,) = stream.reseated(
+            np.random.default_rng(0), index, index + 1
+        )
+        ref = derive_rng(entropy, "user-session", index)
+        assert np.array_equal(
+            fast.bit_generator.random_raw(pairs).view(np.uint32),
+            ref.integers(0, 2**32, size=2 * pairs, dtype=np.uint32),
+        )
+        # ... but not after a half-used word, which integers hands out
+        # first and random_raw skips (so _session_draws keeps integers).
+        fast = derive_rng(entropy, "user-session", index)
+        ref = derive_rng(entropy, "user-session", index)
+        fast.integers(0, 2, dtype=np.uint32)
+        ref.integers(0, 2, dtype=np.uint32)
+        assert not np.array_equal(
+            fast.bit_generator.random_raw(pairs).view(np.uint32),
+            ref.integers(0, 2**32, size=2 * pairs, dtype=np.uint32),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        first_user=st.integers(min_value=0, max_value=2**20),
+        users=st.integers(min_value=1, max_value=40),
+        sizes=st.lists(
+            st.integers(min_value=0, max_value=12), min_size=1, max_size=5
+        ),
+        words_per_run=st.sampled_from([1, 2, 5, 8]),
+    )
+    def test_property_session_chunk_matches_session_draws(
+        self, seed, first_user, users, sizes, words_per_run
+    ):
+        """The lockstep replay over fresh seats gives every user the
+        orders and run-id hex of ``_session_draws``, whether every user
+        (1 or 2 words per run), some (5) or none (8) run short and take
+        the scalar redo."""
+        swaps = [batch_mod._shuffle_swaps(n) for n in sizes]
+        seats = DerivedStream(seed, "user-session").reseated(
+            np.random.default_rng(0), first_user, first_user + users
+        )
+        with mock.patch.object(batch_mod, "_WORDS_PER_RUN", words_per_run):
+            orders, ids = batch_mod._session_chunk(
+                seats, swaps, seed, first_user
+            )
+        assert orders.shape == (users, sum(sizes))
+        assert ids.shape == (users, sum(sizes), 4)
+        firsts = np.cumsum([0, *sizes[:-1]]).tolist()
+        for k in range(users):
+            want = batch_mod._session_draws(
+                derive_rng(seed, "user-session", first_user + k), swaps
+            )
+            got = [
+                (
+                    (orders[k, f : f + n] - f).tolist(),
+                    ids[k, f : f + n].tobytes().hex(),
+                )
+                for f, n in zip(firsts, sizes)
+            ]
+            assert got == want
+
+    def test_session_chunk_redoes_only_the_users_that_ran_short(self):
+        # At 5 words per run some users of the study's four 8-testcase
+        # tasks run short and some do not; each short one is redone on
+        # its own generator, and every user still gets its draws.
+        swaps = [batch_mod._shuffle_swaps(8)] * 4
+        seats = DerivedStream(7, "user-session").reseated(
+            np.random.default_rng(0), 100, 164
+        )
+        with mock.patch.object(batch_mod, "_WORDS_PER_RUN", 5), \
+                mock.patch.object(batch_mod, "_session_draws",
+                                  wraps=batch_mod._session_draws) as redo:
+            orders, ids = batch_mod._session_chunk(seats, swaps, 7, 100)
+        assert 0 < redo.call_count < 64
+        for k in range(64):
+            want = batch_mod._session_draws(
+                derive_rng(7, "user-session", 100 + k), swaps
+            )
+            assert [
+                ((orders[k, f : f + 8] - f).tolist(),
+                 ids[k, f : f + 8].tobytes().hex())
+                for f in (0, 8, 16, 24)
+            ] == want
 
     @settings(max_examples=25, deadline=None)
     @given(
