@@ -213,6 +213,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         or args.watchdog is not None
     )
     # Every option is checked before the store makes its directory.
+    if args.workers is not None and args.workers < 1:
+        raise StudyError(f"max_workers must be >= 1, got {args.workers}")
     supervisor = (
         SupervisorPolicy(
             max_attempts=args.shard_retries, watchdog_s=args.watchdog

@@ -13,8 +13,6 @@ really is using "the cycles in between the cycles the user is using".
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ValidationError
 
 __all__ = ["cpu_share", "cpu_slowdown"]
@@ -65,17 +63,3 @@ def cpu_slowdown(
     effective_demand = min(1.0, demand / cpu_speed)
     return float(max(1.0, effective_demand * (1.0 + contention)))
 
-
-def cpu_slowdown_vector(
-    demand: float, contention: np.ndarray, cpu_speed: float = 1.0
-) -> np.ndarray:
-    """Vectorized :func:`cpu_slowdown` over a contention series."""
-    contention = np.asarray(contention, dtype=float)
-    if np.any(contention < 0):
-        raise ValidationError("contention must be >= 0")
-    if not 0.0 < demand <= 1.0:
-        raise ValidationError(f"demand must be in (0, 1], got {demand}")
-    if cpu_speed <= 0:
-        raise ValidationError(f"cpu_speed must be positive, got {cpu_speed}")
-    effective_demand = min(1.0, demand / cpu_speed)
-    return np.maximum(1.0, effective_demand * (1.0 + contention))

@@ -446,8 +446,8 @@ def run_fleet(
     """Run one fleet simulation; byte-identical for any ``shards``.
 
     ``shards=1`` runs in-process.  Larger counts fan client ranges out
-    to at most ``max_workers`` worker processes under the study's shard
-    supervisor (:func:`repro.study.supervisor.supervised_map`) with its
+    to at most ``max_workers`` (>= 1) worker processes under the study's
+    shard supervisor (:func:`repro.study.supervisor.supervised_map`) with its
     default policy: a shard whose worker dies or raises is relaunched
     after a seeded backoff, and one that fails all
     ``SupervisorPolicy.max_attempts`` attempts raises
@@ -465,6 +465,8 @@ def run_fleet(
         config = FleetConfig()
     if shards < 1:
         raise SchedulerError(f"shards must be >= 1, got {shards}")
+    if max_workers is not None and max_workers < 1:
+        raise SchedulerError(f"max_workers must be >= 1, got {max_workers}")
     telemetry = get_telemetry()
     started = time.perf_counter()
     with telemetry.span(

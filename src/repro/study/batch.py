@@ -12,15 +12,16 @@ block of users:
 
 1. **Draw** — the ``user-session`` streams (testcase orders, run ids)
    a chunk of users at a time, the shuffles replayed in lockstep
-   (``_session_chunk``); the orders give each record its slot and start
-   time.  Only the ``user-behavior`` streams are drawn one value at a
-   time, in exactly the scalar order (at most one threshold per cell,
-   reaction delay, noise gate), into per-cell columns: their draw
-   counts are data-dependent.  Only the *raw* draws are taken here,
-   while every pure transform (the lognormal / truncated-quantile
-   arithmetic of ``ToleranceSpec.sample_threshold``, the skill shift,
-   the tolerance scaling) consumes no RNG and is deferred to a
-   vectorized finalization pass, which applies
+   (``_session_chunk``); a user whose word budget runs short is
+   replayed with a doubled budget.  The orders give each record its
+   slot and start time.  Only the ``user-behavior`` streams are drawn
+   one value at a time, in exactly the scalar order (at most one
+   threshold per cell, reaction delay, noise gate), into per-cell
+   columns: their draw counts are data-dependent.  Only the *raw* draws
+   are taken here, while every pure transform (the lognormal /
+   truncated-quantile arithmetic of ``ToleranceSpec.sample_threshold``,
+   the skill shift, the tolerance scaling) consumes no RNG and is
+   deferred to a vectorized finalization pass, which applies
    :func:`repro.util.normal.ndtri_array` to a whole column where the
    scalar path calls ``ndtri`` once per draw (same bits).
 2. **Decide** — ``_threshold_fire_step``'s last-false scan in closed
@@ -32,17 +33,17 @@ block of users:
    source))``.
 3. **Emit** — build each cell's ``TestcaseRun`` records, each beside
    its ``RunContext``, into their slots.  Every discomfort offset lies on
-   the step grid, so per-(cell, step) caches bound the expensive pieces
-   (level dicts, last-values tuples, trace views of the cell's shared
-   traces) by the number of *steps*, not users; all exhausted runs of a
-   cell share one trace view.  Shared mappings are safe: records are
-   frozen, and equality/JSON never see object identity.  Records are
-   assembled from per-cell template dicts via ``object.__new__``,
-   without re-running dataclass ``__init__``/``__post_init__``.  A
-   cell's exhausted template and its first discomfort template go
-   through the real (validating) constructor; later discomfort
-   templates are stamped from the first, with only the fields their
-   offset decides.
+   the step grid, so one template cache per cell, keyed by step and
+   source, bounds the expensive pieces (level dicts, last-values
+   tuples, trace views of the cell's shared traces) by the number of
+   *steps*, not users; all exhausted runs of a cell share one trace
+   view.  Shared mappings are safe: records are frozen, and
+   equality/JSON never see object identity.  Records are assembled
+   from the cached template dicts via ``object.__new__``, without
+   re-running dataclass ``__init__``/``__post_init__``.  A cell's
+   exhausted template and its first discomfort template go through the
+   real (validating) constructor; later discomfort templates are
+   stamped from the first, with only the fields their offset decides.
 
 Phases 1 and 2 are this simple because a controlled study runs only
 Figure 8's testcases (:func:`repro.study.testcases.task_testcases`):
@@ -75,7 +76,6 @@ from repro.errors import StudyError
 from repro.study.engine import CellTraces
 from repro.telemetry import get_telemetry
 from repro.users.behavior import _SKILL_STEP, BehaviorParams
-from repro.users.profile import RATING_CATEGORIES, SkillLevel
 from repro.util.heap import gc_paused
 from repro.util.normal import ndtri_array
 from repro.util.rng import DerivedStream, derive_rng
@@ -93,9 +93,6 @@ _USER_BLOCK = 32768
 #: Buckets for the ``uucs_study_batch_users_per_call`` histogram: cell
 #: calls are per user-block, so powers of two up to ``_USER_BLOCK``.
 _USERS_PER_CALL_BUCKETS = (1.0, 8.0, 64.0, 512.0, 4096.0, 32768.0)
-
-_RATING_KEYS = tuple((f"rating_{cat}", cat) for cat in RATING_CATEGORIES)
-_TYPICAL = SkillLevel.TYPICAL
 
 
 class _BlockSkill:
@@ -131,60 +128,61 @@ class _BlockSkill:
         self.win = np.array(
             [step[p.rating("windows")] * gen_frac for p in profiles]
         )
-        self.shifts: dict[int, np.ndarray] = {}
+        self.shifts: dict[tuple, np.ndarray] = {}
 
-    def shift(self, draw: _ResourceDraw) -> np.ndarray:
-        """The per-user skill shift column for ``draw``'s (task, scale)."""
-        arr = self.shifts.get(draw.key)
+    def shift(self, task: str, resource, scale: float) -> np.ndarray:
+        """The per-user skill shift column for ``(task, resource)``,
+        whose spec's mean threshold is ``scale``."""
+        arr = self.shifts.get((task, resource))
         if arr is None:
-            scale = draw.mean
             if math.isfinite(scale):
                 # ((0.0 + app) + pc) + win, each term (step*frac)*scale —
                 # SimulatedUser._skill_shift's accumulation order.
                 arr = (
-                    self.app[draw.task] * scale + self.pc * scale
+                    self.app[task] * scale + self.pc * scale
                 ) + self.win * scale
             else:
                 arr = np.zeros(len(self.tolerance))
-            self.shifts[draw.key] = arr
+            self.shifts[task, resource] = arr
         return arr
 
 
-def _finalize_thresholds(
-    draw: _ResourceDraw, col: list, skill: _BlockSkill
-) -> np.ndarray:
-    """Turn a column of raw draws into threshold values, vectorized.
+def _finalize_thresholds(cell: _CellPlan, skill: _BlockSkill) -> np.ndarray:
+    """Turn ``cell.th_col``, raw draws, into thresholds, vectorized.
 
-    ``col`` holds ``inf`` for never-reacting members and the raw second
-    draw otherwise (a standard normal for untruncated specs, a uniform
-    for truncated ones).  Replays ``ToleranceSpec.sample_threshold`` +
-    ``SimulatedUser.threshold_for`` elementwise: same op order, with
+    The column holds ``inf`` for never-reacting members and the raw
+    second draw otherwise (a standard normal for untruncated specs, a
+    uniform for truncated ones).  Replays ``cell.spec.sample_threshold``
+    + ``SimulatedUser.threshold_for`` elementwise: same op order, with
     ``math.exp`` applied per element on the truncated path (the scalar
     calls libm there, and libm and numpy's vectorized exp may differ in
     the last ulp) and ``np.fmax`` for the floor (``fmax(1e-3, nan) ==
     max(1e-3, nan) == 1e-3``, unlike ``np.maximum``).
     """
-    raw = np.asarray(col, dtype=float)
+    spec = cell.spec
+    raw = np.asarray(cell.th_col, dtype=float)
     armed = np.isfinite(raw)
     th = np.full(len(raw), math.inf)
     if not armed.any():
         return th
     r = raw[armed]
-    if draw.is_z:
+    if spec.range_max is None:
         # Scalar: float(np.exp(mu + sigma * z)) — np.exp's array kernel
         # is elementwise-identical to its scalar call (already
         # load-bearing for the reaction delays; property-tested).
-        base = np.exp(draw.mu + draw.sigma * r)
-    elif draw.f_max == 0.0:  # all the mass lies above range_max
+        base = np.exp(spec.mu + spec.sigma * r)
+    elif spec.f_max == 0.0:  # all the mass lies above range_max
         base = np.zeros(r.size)
     else:
-        u = draw.f_max * r
-        arg = draw.mu + draw.sigma * ndtri_array(u)
+        u = spec.f_max * r
+        arg = spec.mu + spec.sigma * ndtri_array(u)
         base = np.array([math.exp(v) for v in arg.tolist()])
     t = base * skill.tolerance[armed]
-    t = t + skill.shift(draw)[armed]
-    if draw.not_ramp:
-        t = t - draw.ramp_bonus
+    t = t + skill.shift(
+        cell.task_name, cell.resource, spec.mean_threshold()
+    )[armed]
+    if not cell.ramp:
+        t = t - spec.ramp_bonus
     t = np.fmax(1e-3, t)
     # Overflowed base: the scalar path takes ``threshold = base``
     # before any of the shift math, so replicate that verbatim rather
@@ -216,67 +214,30 @@ def _shuffle_swaps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 _SESSION_CHUNK = 1024
 
 
-def _session_draws(rng, swaps_by_task) -> list[tuple[list[int], str]]:
-    """A user's ``(testcase order, run-id hex)`` per task, drawn from
-    the ``user-session`` stream exactly as the scalar engine draws them.
+def _session_chunk(
+    rngs, swaps_by_task, seed: int, users: np.ndarray, words_per_run: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``user-session`` draws of ``users``, whose freshly seated
+    streams ``rngs`` yields, replayed in lockstep.
 
     Per task the scalar engine calls ``rng.permutation(n)`` and then
     draws ``n`` 16-byte run ids.  Both consume the stream one 32-bit
     word at a time: the permutation's swaps by rejection sampling, the
-    run ids four bytes to a word, low byte first.  So one
-    ``integers(0, 2**32, dtype=uint32)`` draw yields the same words,
-    and replaying the swaps and cutting the ids from the words gives
-    the same orders and ids (property-tested).  Nothing else reads this
-    stream, so drawing past its end is harmless; running short just
-    draws more and replays.  :func:`_session_chunk` redoes a user here
-    when its word budget runs short.
-    """
-    budget = _WORDS_PER_RUN * sum(n for n, _ in swaps_by_task)
-    words = rng.integers(0, 1 << 32, size=budget, dtype=np.uint32)
-    while True:
-        taken = words.tolist()
-        raw = words.astype("<u4", copy=False).tobytes()
-        out = []
-        pos = 0
-        try:
-            for n, swaps in swaps_by_task:
-                order = list(range(n))
-                for i, mask in swaps:
-                    j = taken[pos] & mask
-                    pos += 1
-                    while j > i:
-                        j = taken[pos] & mask
-                        pos += 1
-                    order[i], order[j] = order[j], order[i]
-                end = pos + 4 * n
-                if end > len(taken):
-                    raise IndexError
-                out.append((order, raw[4 * pos : 4 * end].hex()))
-                pos = end
-            return out
-        except IndexError:
-            words = np.concatenate([
-                words,
-                rng.integers(0, 1 << 32, size=budget, dtype=np.uint32),
-            ])
-
-
-def _session_chunk(
-    rngs, swaps_by_task, seed: int, first_user: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_session_draws` for the chunk of users whose freshly
-    seated ``user-session`` streams ``rngs`` yields, from ``first_user``.
+    run ids four bytes to a word, low byte first.  On a freshly seated
+    PCG64, ``random_raw`` viewed as uint32 pairs gives those words, so
+    each user's ``words_per_run`` words per run are one call.  Each swap
+    is one array pass over the users, its rejection a fixpoint, and the
+    run ids are cut from the words.  Nothing else reads this stream, so
+    drawing past its end is harmless; a user whose words run short is
+    replayed on a fresh seat with twice the words (property-tested
+    against the scalar draws).
 
     Returns each user's cells in emission order, numbered across the
     tasks, as a (users, runs) array, and a (users, runs, 4) array of
-    the ``<u4`` words whose bytes' hex is each run's id.  On a freshly
-    seated PCG64, ``random_raw`` viewed as uint32 pairs gives the words
-    ``integers`` draws.  Each swap is one array pass over the users,
-    its rejection a fixpoint; a user whose word budget runs short is
-    redone by :func:`_session_draws` (both property-tested).
+    the ``<u4`` words whose bytes' hex is each run's id.
     """
     runs = sum(n for n, _ in swaps_by_task)
-    half = (_WORDS_PER_RUN * runs + 1) // 2
+    half = (words_per_run * runs + 1) // 2
     raw = [rng.bit_generator.random_raw(half) for rng in rngs]
     n_users = len(raw)
     width = 2 * half
@@ -292,10 +253,8 @@ def _session_chunk(
     orders = np.tile(np.arange(runs), (n_users, 1))
     cells = orders.ravel()  # a view: the swaps write into orders
     ids = np.empty((n_users, 4 * runs), dtype="<u4")
-    firsts = []
     first = 0
     for n, swaps in swaps_by_task:
-        firsts.append(first)
         at = np.arange(n_users) * runs + first
         for i, mask in swaps:
             j = flat[pos] & mask
@@ -312,41 +271,16 @@ def _session_chunk(
         ]
         pos += 4 * n
         first += n
-    for k in np.flatnonzero(pos - rows > width).tolist():
-        draws = _session_draws(
-            derive_rng(seed, "user-session", first_user + k), swaps_by_task
+    ids = ids.reshape(n_users, runs, 4)
+    short = np.flatnonzero(pos - rows > width)
+    if short.size:
+        again = users[short]
+        # derive_rng hashes repr(key): a plain int, not an np.int64.
+        orders[short], ids[short] = _session_chunk(
+            [derive_rng(seed, "user-session", u) for u in again.tolist()],
+            swaps_by_task, seed, again, 2 * words_per_run,
         )
-        orders[k] = [f + c for f, (order, _) in zip(firsts, draws)
-                     for c in order]
-        ids[k] = np.frombuffer(
-            bytes.fromhex("".join(hexs for _, hexs in draws)), dtype="<u4"
-        )
-    return orders, ids.reshape(n_users, runs, 4)
-
-
-class _ResourceDraw:
-    """Per-(cell, resource) constants for the inlined threshold draw."""
-
-    __slots__ = (
-        "resource", "task", "key", "p_react", "mu", "sigma", "f_max",
-        "is_z", "mean", "not_ramp", "ramp_bonus",
-    )
-
-    def __init__(self, task: str, resource, spec, shape: str):
-        self.resource = resource
-        self.task = task
-        self.key = (task, resource)
-        self.p_react = spec.p_react
-        self.mu = spec.mu
-        self.sigma = spec.sigma
-        self.f_max = None if spec.range_max is None else spec.f_max
-        #: Whether the reactive draw consumes a standard normal (the
-        #: untruncated lognormal path) instead of a uniform (the
-        #: truncated inverse-CDF path).
-        self.is_z = self.f_max is None
-        self.mean = spec.mean_threshold()
-        self.not_ramp = shape != "ramp"
-        self.ramp_bonus = spec.ramp_bonus
+    return orders, ids
 
 
 class _CellPlan:
@@ -359,10 +293,9 @@ class _CellPlan:
 
     __slots__ = (
         "task_name", "testcase", "duration", "sample_rate", "dt", "n_steps",
-        "level_arrays", "shapes", "p_noise", "draw",
+        "level_arrays", "shapes", "p_noise", "spec", "resource", "ramp",
         "delay_mu", "delay_sigma",
-        "trace_table", "exhausted_template", "step_templates",
-        "fast_templates", "discomfort_fields", "samples",
+        "trace_table", "templates", "discomfort_fields", "samples",
         "th_col", "delay_z", "noise",
     )
 
@@ -391,7 +324,11 @@ class _CellPlan:
                 f"testcase {testcase.testcase_id!r} loads {len(loaded)} "
                 "resources; the batch engine runs one at most"
             )
-        self.draw = None
+        #: The loaded resource's tolerance spec, the resource and whether
+        #: it ramps; ``spec`` is None for a blank cell, which draws no
+        #: threshold.
+        self.spec = self.resource = None
+        self.ramp = False
         if loaded:
             ((resource, fn),) = loaded
             if not np.all(np.diff(self.level_arrays[resource]) >= 0.0):
@@ -400,18 +337,18 @@ class _CellPlan:
                     f"{resource.value} level; the batch engine runs "
                     "level series that never decrease"
                 )
-            self.draw = _ResourceDraw(
-                task_name, resource, table.spec(task_name, resource), fn.shape
-            )
+            self.spec = table.spec(task_name, resource)
+            self.resource = resource
+            self.ramp = fn.shape == "ramp"
 
         # Every record's trace is a prefix view of the cell's table.
         self.trace_table = traces.table
 
-        # Record templates: all fields but run_id/context.  Exhausted
-        # runs are the common case and all identical but for identity
-        # fields; discomfort templates are cached per (step, source) in
-        # _step_template, bounded by the step grid.
-        self.exhausted_template = self._template(self._fields(
+        #: Record templates, all fields but run_id/context, by emit key:
+        #: -1 for the exhausted runs (the common case, all identical but
+        #: for identity fields), ``step*2 + is_noise`` for a discomfort,
+        #: which _step_template adds, bounded by the step grid.
+        self.templates: dict[int, dict] = {-1: self._template(self._fields(
             outcome=RunOutcome.EXHAUSTED,
             end_offset=testcase.duration,
             levels_at_end=testcase.levels_at(testcase.duration),
@@ -421,11 +358,7 @@ class _CellPlan:
             },
             feedback=None,
             load_trace=TraceView(self.trace_table, n_steps),
-        ))
-        self.step_templates: dict[tuple[int, str], dict] = {}
-        #: int-key alias of the same templates for the emit loop:
-        #: -1 == exhausted, ``step*2 + is_noise`` otherwise.
-        self.fast_templates: dict[int, dict] = {}
+        ))}
         #: The first discomfort record's fields, through the constructor,
         #: and each function's samples: what later steps stamp from.
         self.discomfort_fields: dict | None = None
@@ -469,45 +402,44 @@ class _CellPlan:
             out[r] = tuple(self.samples[r][max(0, end - 5) : end])
         return out
 
-    def _step_template(self, step: int, source: str) -> dict:
-        """Template for a discomfort record firing at ``step``.
+    def _step_template(self, key: int) -> dict:
+        """Template for emit key ``key``: a discomfort record firing at
+        step ``key >> 1``, from the noise source if ``key & 1``.
 
         The cell's first goes through the real constructor; later ones
         are stamped from it.  :func:`_decide`'s steps lie in ``[0,
         n_steps)``, so every offset lies in ``[0, duration]`` and every
         template carries feedback: the two facts the constructor checks.
         """
-        key = (step, source)
-        template = self.step_templates.get(key)
-        if template is None:
-            other = self.step_templates.get(
-                (step, "noise" if source == "simulated" else "simulated")
+        source = "noise" if key & 1 else "simulated"
+        other = self.templates.get(key ^ 1)
+        if other is not None:
+            # Same step, other source: reuse every offset-derived
+            # mapping, swap only the event.
+            event = other["feedback"]
+            fields = dict(other, feedback=DiscomfortEvent(
+                offset=event.offset, levels=event.levels, source=source
+            ))
+        else:
+            step = key >> 1
+            offset = min(step * self.dt, self.duration)
+            levels = self.testcase.levels_at(offset)
+            fields = dict(
+                end_offset=offset,
+                levels_at_end=levels,
+                last_values=self._last_values(offset),
+                feedback=DiscomfortEvent(
+                    offset=offset, levels=levels, source=source
+                ),
+                load_trace=TraceView(self.trace_table, step + 1),
             )
-            if other is not None:
-                # Same step, other source: reuse every offset-derived
-                # mapping, swap only the event.
-                event = other["feedback"]
-                fields = dict(other, feedback=DiscomfortEvent(
-                    offset=event.offset, levels=event.levels, source=source
-                ))
-            else:
-                offset = min(step * self.dt, self.duration)
-                levels = self.testcase.levels_at(offset)
-                fields = dict(
-                    end_offset=offset,
-                    levels_at_end=levels,
-                    last_values=self._last_values(offset),
-                    feedback=DiscomfortEvent(
-                        offset=offset, levels=levels, source=source
-                    ),
-                    load_trace=TraceView(self.trace_table, step + 1),
+            if self.discomfort_fields is None:
+                self.discomfort_fields = self._fields(
+                    outcome=RunOutcome.DISCOMFORT, **fields
                 )
-                if self.discomfort_fields is None:
-                    self.discomfort_fields = self._fields(
-                        outcome=RunOutcome.DISCOMFORT, **fields
-                    )
-            template = self._template(self.discomfort_fields, **fields)
-            self.step_templates[key] = template
+        template = self.templates[key] = self._template(
+            self.discomfort_fields, **fields
+        )
         return template
 
     def reset(self) -> None:
@@ -519,11 +451,13 @@ class _CellPlan:
 
 def _draw_triple(cell: _CellPlan):
     """The draw loop's per-cell threshold draw (see ``hot``):
-    ``(p_react, is_z, append)``, or None for a blank cell."""
-    draw = cell.draw
-    if draw is None:
+    ``(p_react, is_z, append)``, or None for a blank cell.  ``is_z``:
+    the reactive draw is a standard normal (the untruncated lognormal
+    path), not a uniform (the truncated inverse-CDF path)."""
+    spec = cell.spec
+    if spec is None:
         return None
-    return float(draw.p_react), draw.is_z, cell.th_col.append
+    return float(spec.p_react), spec.range_max is None, cell.th_col.append
 
 
 def _fire_steps_monotone(
@@ -609,8 +543,7 @@ def _decide(
     n_steps = cell.n_steps
     sentinel = n_steps  # past any valid step
     sim_step = np.full(n, sentinel, dtype=np.int64)
-    draw = cell.draw
-    if draw is not None:
+    if cell.spec is not None:
         # One vectorized exp for the whole cell's reaction delays.
         # numpy routes the scalar np.exp the scalar engine calls through
         # the same dispatched ufunc kernel (n == 1), so the array call
@@ -620,10 +553,10 @@ def _decide(
         delays = delay_means * np.exp(
             cell.delay_mu + cell.delay_sigma * np.asarray(cell.delay_z)
         )
-        th = _finalize_thresholds(draw, cell.th_col, skill)
+        th = _finalize_thresholds(cell, skill)
         rows = np.nonzero(np.isfinite(th))[0]
         steps = _fire_steps_monotone(
-            cell.level_arrays[draw.resource], th[rows], delays[rows], cell.dt
+            cell.level_arrays[cell.resource], th[rows], delays[rows], cell.dt
         )
         fired = steps >= 0
         sim_step[rows[fired]] = steps[fired]
@@ -645,15 +578,13 @@ def _emit(
     its user's context fields (one ``extra`` dict per user).
     """
     steps, is_noise = _decide(cell, delay_means, skill)
-    # Pack (step, source) into one int: -1 for exhausted runs,
-    # ``step*2 + noisy`` otherwise — computed vectorized, and int dict
-    # keys hash measurably cheaper than (step, source) tuples in this
-    # per-run loop.
+    # Each member's emit key (see _CellPlan.templates), computed
+    # vectorized: int dict keys hash measurably cheaper than (step,
+    # source) tuples in this per-run loop.
     keys = np.where(
         steps >= cell.n_steps, -1, steps * 2 + is_noise
     ).tolist()
-    cache = cell.fast_templates
-    get = cache.get
+    get = cell.templates.get
     step_template = cell._step_template
     task = cell.task_name
     new = object.__new__
@@ -663,13 +594,7 @@ def _emit(
     ):
         template = get(key)
         if template is None:
-            if key < 0:
-                template = cell.exhausted_template
-            else:
-                template = step_template(
-                    key >> 1, "noise" if key & 1 else "simulated"
-                )
-            cache[key] = template
+            template = step_template(key)
         # Frozen dataclasses block __dict__ *assignment* but not
         # in-place fill of the fresh empty dict.
         context = new(RunContext)
@@ -702,10 +627,13 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
     straight to the oldest generation, which only a full collection
     scans.
     """
-    # Local import: controlled imports the engine registry at module
-    # level and resolves this module lazily, so the constants must be
-    # pulled in here to keep the import graph acyclic.
-    from repro.study.controlled import _INTER_TESTCASE_GAP, _PREAMBLE_MINUTES
+    # Local import: controlled imports this module at module level, so
+    # importing it back there would be circular.
+    from repro.study.controlled import (
+        _INTER_TESTCASE_GAP,
+        _PREAMBLE_MINUTES,
+        _context_extra,
+    )
 
     telemetry = get_telemetry()
     started = time.perf_counter() if telemetry.enabled else 0.0
@@ -732,14 +660,6 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
         for task_name in tasks
         for slot, testcase in enumerate(fixtures.testcases_by_task[task_name])
     ]
-    # Intern each distinct (task, resource) to a small-int key: the
-    # per-user skill-shift cache (the shift is a pure function of
-    # profile, task, and the spec mean) then hashes ints, and draws of
-    # the same pair in different cells share one cache entry.
-    key_ids: dict[tuple, int] = {}
-    for cell in cells:
-        if cell.draw is not None:
-            cell.draw.key = key_ids.setdefault(cell.draw.key, len(key_ids))
     runs_per_user = len(cells)
     swaps_by_task = [
         _shuffle_swaps(len(fixtures.testcases_by_task[t])) for t in tasks
@@ -775,7 +695,8 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
                 rows = slice(lo - block_start, hi - block_start)
                 orders, ids[rows] = _session_chunk(
                     session_stream.reseated(session_rng, lo, hi),
-                    swaps_by_task, config.seed, lo,
+                    swaps_by_task, config.seed, np.arange(lo, hi),
+                    _WORDS_PER_RUN,
                 )
                 # The preamble, then each earlier run's advance, summed
                 # left to right as the scalar ``clock +=`` sums them.
@@ -827,10 +748,7 @@ def run_batch_user_range(config, start, stop, fixtures) -> list[TestcaseRun]:
             bases = [
                 {"user_id": profile.user_id, "task": "", "client_id": "",
                  "machine_id": machine_id, "started_at": 0.0,
-                 "extra": {"study": "controlled", **{
-                     key: profile.ratings.get(cat, _TYPICAL).value
-                     for key, cat in _RATING_KEYS
-                 }}}
+                 "extra": _context_extra(profile)}
                 for profile in block_profiles
             ]
             delay_means = np.array(

@@ -32,7 +32,7 @@ from repro.study.testcases import STUDY_SAMPLE_RATE, task_testcases
 from repro.telemetry import get_telemetry
 from repro.users.behavior import BehaviorParams, SimulatedUser
 from repro.users.population import sample_population
-from repro.users.profile import UserProfile
+from repro.users.profile import RATING_CATEGORIES, UserProfile
 from repro.users.tolerance import ToleranceTable, paper_calibrated_table
 from repro.util.rng import config_seed, derive_rng
 
@@ -56,6 +56,9 @@ _INTER_TESTCASE_GAP = 0.0
 #: Session phases before the tasks begin (questionnaire, handout,
 #: acclimatization), minutes — only advances the session clock.
 _PREAMBLE_MINUTES = 20.0
+#: Each questionnaire category's context key, made once so that every
+#: run's ``extra`` shares the key strings.
+_RATING_KEYS = tuple((f"rating_{cat}", cat) for cat in RATING_CATEGORIES)
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,16 @@ def study_fixtures(config: ControlledStudyConfig) -> StudyFixtures:
     )
 
 
+def _context_extra(profile: UserProfile) -> dict[str, str]:
+    """The ``extra`` context of ``profile``'s runs: the study and each
+    questionnaire answer.  Every run of a session shares the one dict."""
+    answers = profile.questionnaire()
+    return {
+        "study": "controlled",
+        **{key: answers[cat] for key, cat in _RATING_KEYS},
+    }
+
+
 def _run_user_session(
     profile: UserProfile,
     config: ControlledStudyConfig,
@@ -203,6 +216,7 @@ def _run_user_session(
     share_traces = config.engine != "loop"
     machine = fixtures.machine
     testcases_by_task = fixtures.testcases_by_task
+    extra = _context_extra(profile)
     clock = _PREAMBLE_MINUTES * 60.0
     runs: list[TestcaseRun] = []
     for task_name in config.tasks:
@@ -217,13 +231,7 @@ def _run_user_session(
                 task=task_name,
                 machine_id=machine.spec.name,
                 started_at=clock,
-                extra={
-                    "study": "controlled",
-                    **{
-                        f"rating_{cat}": level
-                        for cat, level in profile.questionnaire().items()
-                    },
-                },
+                extra=extra,
             )
             shared = (
                 {"traces": fixtures.cell_traces(task_name, slot)}

@@ -13,9 +13,10 @@ The contract is **byte-identical output**: for every shard count the
 merged records serialize exactly as the single-process engine's would —
 same runs, same order, same JSON bytes.  Workers rebuild fixtures from
 the (picklable) config instead of receiving them over the wire, which
-keeps :func:`_run_shard` spawn-safe: it is a module-level function whose
-arguments survive pickling under any multiprocessing start method.
-``tests/shardcheck.py`` enforces the contract at 1/2/4/8 shards.
+keeps the worker entry :func:`_supervised_shard` spawn-safe: it is a
+module-level function whose arguments survive pickling under any
+multiprocessing start method.  ``tests/shardcheck.py`` enforces the
+contract at 1/2/4/8 shards.
 
 Shards run under :func:`~repro.study.supervisor.supervised_map`, the
 shard supervisor ``uucs harvest`` shares, rather than a bare process
@@ -173,57 +174,14 @@ def resolve_shards(spec: int | str, n_users: int) -> int:
     return spec
 
 
-def _run_shard(
-    config: ControlledStudyConfig,
-    start: int,
-    stop: int,
-    trace: tuple[str, dict | None, int] | None = None,
-    kill_after_runs: int | None = None,
-) -> list[TestcaseRun]:
-    """Worker entry point: users ``[start, stop)`` of ``config``.
-
-    Module-level (hence picklable) and dependent only on its arguments,
-    so it behaves identically under fork and spawn start methods.
-    Shard-level wall-clock metrics are recorded by the parent, which
-    observes the only clock that matters (wall time including IPC).
-
-    ``trace`` is the shard-IPC leg of distributed tracing: a picklable
-    ``(event_log_path, parent_trace_context, shard_index)`` triple.
-    When given, the worker installs its own telemetry hub writing to
-    ``event_log_path`` and wraps the shard in a ``study.shard_worker``
-    root span whose parent is the study driver's ``study.sharded`` span
-    in another process.  The tracer guid is salted with the shard index
-    so a pooled worker process serving several shards still yields
-    distinct per-shard id namespaces.  When ``trace`` is None the
-    worker inherits whatever hub fork gave it (silent under spawn).
-
-    ``kill_after_runs`` (shard chaos) SIGKILLs the worker once it has
-    made that many run records, under the same hub as any attempt.
-    """
-    if trace is None:
-        return _run_users(config, start, stop, kill_after_runs)
-    path, parent_wire, shard_index = trace
-    hub = Telemetry.to_path(path, tracer_guid=f"{process_guid()}.s{shard_index}")
-    with use_telemetry(hub) as telemetry:
-        with telemetry.tracer.span(
-            "study.shard_worker",
-            parent_context=TraceContext.from_wire(parent_wire),
-            shard=shard_index,
-            users_start=start,
-            users_stop=stop,
-            engine=config.engine,
-        ) as span:
-            runs = _run_users(config, start, stop, kill_after_runs)
-            span.annotate(runs=len(runs))
-        return runs
-
-
 def _run_users(
     config: ControlledStudyConfig,
     start: int,
     stop: int,
     kill_after_runs: int | None,
 ) -> list[TestcaseRun]:
+    """Users ``[start, stop)`` of ``config``; the worker SIGKILLs itself
+    after ``kill_after_runs`` run records when that is set."""
     fixtures = study_fixtures(config)
     if kill_after_runs is None:
         return run_user_range(config, start, stop, fixtures)
@@ -271,28 +229,54 @@ def _supervised_shard(
     shard: Shard,
     attempt: int,
 ) -> list:
-    """One supervised attempt at ``shard``, run in a worker process.
+    """Worker entry point: one supervised attempt at ``shard``'s users.
 
-    Module-level, so a :func:`functools.partial` of it pickles under any
-    start method.  ``chaos`` rolls this attempt's injected failures
-    (none for an inactive plan) and the worker acts them out: hang
-    (sleep before computing), kill (SIGKILL self after
-    ``kill_after_runs`` run records), or corrupt (replace the batch tail
-    with a marker the supervisor's ``accept`` check must reject).
+    Module-level and dependent only on its arguments, so a
+    :func:`functools.partial` of it pickles, and it behaves identically,
+    under any start method: the worker rebuilds its fixtures from the
+    (picklable) config.  Shard-level wall-clock metrics are recorded by
+    the parent, which observes the only clock that matters (wall time
+    including IPC).
+
+    ``chaos`` rolls this attempt's injected failures (none for an
+    inactive plan) and the worker acts them out: hang (sleep before
+    computing), kill (SIGKILL self after ``kill_after_runs`` run
+    records), or corrupt (replace the batch tail with a marker the
+    supervisor's ``accept`` check must reject).
+
+    ``worker_telemetry`` and ``parent_wire`` are the shard-IPC leg of
+    distributed tracing.  When ``worker_telemetry`` is set, the worker
+    installs its own telemetry hub writing to
+    ``<worker_telemetry>.shard<i>.jsonl`` and wraps the shard in a
+    ``study.shard_worker`` root span whose parent is the study driver's
+    ``study.sharded`` span (``parent_wire``) in another process.  The
+    tracer guid is salted with the shard index, so a pooled worker
+    process serving several shards still yields distinct per-shard id
+    namespaces.  Otherwise the worker inherits whatever hub fork gave it
+    (silent under spawn).
     """
     faults = chaos.worker_faults(shard.index, attempt)
     if faults.hang_s is not None:
         time.sleep(faults.hang_s)
-    trace = None
-    if worker_telemetry is not None:
-        trace = (
+    kill = faults.kill_after_runs
+    if worker_telemetry is None:
+        runs = _run_users(config, shard.start, shard.stop, kill)
+    else:
+        hub = Telemetry.to_path(
             f"{worker_telemetry}.shard{shard.index}.jsonl",
-            parent_wire,
-            shard.index,
+            tracer_guid=f"{process_guid()}.s{shard.index}",
         )
-    runs = _run_shard(
-        config, shard.start, shard.stop, trace, faults.kill_after_runs
-    )
+        with use_telemetry(hub) as telemetry:
+            with telemetry.tracer.span(
+                "study.shard_worker",
+                parent_context=TraceContext.from_wire(parent_wire),
+                shard=shard.index,
+                users_start=shard.start,
+                users_stop=shard.stop,
+                engine=config.engine,
+            ) as span:
+                runs = _run_users(config, shard.start, shard.stop, kill)
+                span.annotate(runs=len(runs))
     return list(runs[:-1]) + [CORRUPT_MARKER] if faults.corrupt else runs
 
 
@@ -314,8 +298,8 @@ def run_sharded_study(
     per-user RNG streams are derived from ``(config.seed, user_index)``
     alone, and the merge restores user-index order.  ``shards=1`` (with
     no supervision features requested) runs in-process with no workers.
-    ``max_workers`` caps concurrent worker processes (default: one per
-    shard); ``mp_context`` forces a start method
+    ``max_workers`` (at least 1) caps concurrent worker processes
+    (default: one per shard); ``mp_context`` forces a start method
     (``"fork"``/``"spawn"``/``"forkserver"``).
 
     Each shard runs in its own supervised ``Process``: a worker that
@@ -369,6 +353,8 @@ def run_sharded_study(
         config = ControlledStudyConfig()
     if shards < 1:
         raise StudyError(f"shards must be >= 1, got {shards}")
+    if max_workers is not None and max_workers < 1:
+        raise StudyError(f"max_workers must be >= 1, got {max_workers}")
     if resume and checkpoint is None:
         raise StudyError("resume=True requires a checkpoint")
     chaos = chaos if chaos is not None else ShardFaultPlan()

@@ -91,4 +91,8 @@ class UserProfile:
 
     def questionnaire(self) -> dict[str, str]:
         """The questionnaire record stored with results."""
-        return {cat: str(self.rating(cat)) for cat in RATING_CATEGORIES}
+        ratings = self.ratings
+        return {
+            cat: str(ratings.get(cat, SkillLevel.TYPICAL))
+            for cat in RATING_CATEGORIES
+        }

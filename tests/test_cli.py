@@ -210,6 +210,24 @@ class TestStudyPipeline:
         assert line.startswith("error: ")
         assert not results.exists()
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_errors(self, tmp_path, capsys, shards,
+                                      workers):
+        # Refused, not run with one worker: the study before its store
+        # makes a directory (StudyError's 9), the harvest with
+        # SchedulerError's 12.
+        results = tmp_path / "r"
+        assert run_cli("study", "--users", "2", "--shards", shards,
+                       "--workers", workers,
+                       "--results", str(results)) == 9
+        assert run_cli("harvest", "--clients", "10", "--epochs", "2",
+                       "--shards", shards, "--workers", workers) == 12
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: max_workers must be >= 1, got {workers}"
+        ] * 2
+        assert not results.exists()
+
     def test_study_shards_auto(self, tmp_path, capsys, monkeypatch):
         """`--shards auto` sizes the pool from os.cpu_count(), clamped to
         the user count (2 users here, so 2 shards regardless of cores)."""

@@ -1,5 +1,7 @@
 """Tests for the controlled study driver (protocol, determinism)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.study import (
     run_controlled_study,
     run_sharded_study,
 )
+from repro.study.controlled import _RATING_KEYS
+from repro.users.profile import RATING_CATEGORIES, SkillLevel, UserProfile
 
 
 class TestProtocol:
@@ -52,6 +56,39 @@ class TestProtocol:
 
     def test_machine_recorded(self, small_study):
         assert all(r.context.machine_id == "dell-gx270" for r in small_study)
+
+    @pytest.mark.parametrize("engine", ["analytic", "batch"])
+    def test_runs_of_a_user_share_one_extra(self, engine):
+        # One context extra per user, whose rating keys are the shared
+        # key strings: what keeps pickled shard batches small.
+        result = run_controlled_study(
+            ControlledStudyConfig(n_users=3, seed=5, engine=engine)
+        )
+        keys = ["study", *(key for key, _ in _RATING_KEYS)]
+        extras = {}
+        for run in result.runs:
+            extra = extras.setdefault(run.context.user_id, run.context.extra)
+            assert run.context.extra is extra
+        assert len(extras) == 3
+        for extra in extras.values():
+            assert list(extra) == keys
+            assert all(a is b for a, b in zip(extra, keys))
+
+
+class TestQuestionnaire:
+    def test_equals_the_rating_of_every_category(self):
+        # Every combination of the three levels and a missing rating.
+        for levels in itertools.product(
+            (None, *SkillLevel), repeat=len(RATING_CATEGORIES)
+        ):
+            profile = UserProfile("q", ratings={
+                cat: level
+                for cat, level in zip(RATING_CATEGORIES, levels)
+                if level is not None
+            })
+            assert profile.questionnaire() == {
+                cat: str(profile.rating(cat)) for cat in RATING_CATEGORIES
+            }
 
 
 class TestDeterminism:

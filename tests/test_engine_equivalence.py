@@ -11,6 +11,7 @@ down to the serialized bytes the result store would hold.
 import dataclasses
 import math
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -344,7 +345,9 @@ class TestStampedTemplates:
                 # Either source may come first at a step.
                 sources = ("simulated", "noise")
                 for source in sources if step % 2 else sources[::-1]:
-                    got = cell._step_template(step, source)
+                    got = cell._step_template(
+                        step * 2 + (source == "noise")
+                    )
                     want = _constructor_template(cell, testcase, step, source)
                     assert list(got) == list(want)
                     for name, value in want.items():
@@ -424,7 +427,13 @@ def test_property_study_cells_fit_the_batch_plan(rate):
             cell = batch_mod._CellPlan(
                 task, testcase, CellTraces(testcase), table, behavior
             )
-            assert (cell.draw is None) == testcase.is_blank()
+            if testcase.is_blank():
+                assert cell.spec is None
+            else:
+                assert cell.spec == table.spec(task, cell.resource)
+                assert cell.ramp == (
+                    testcase.shape_of(cell.resource) == "ramp"
+                )
 
 
 def _scalar_fire(levels, threshold, delay, dt):
@@ -480,6 +489,52 @@ class TestFireScanEdgeCases:
             levels, np.array([threshold]), np.array([delay]), 1.0 / rate
         )
         assert mono[0] == _scalar_fire(levels, threshold, delay, 1.0 / rate)
+
+
+def _session_draws(
+    rng, swaps_by_task, words_per_run=batch_mod._WORDS_PER_RUN
+) -> list[tuple[list[int], str]]:
+    """A user's ``(testcase order, run-id hex)`` per task, drawn from
+    the ``user-session`` stream exactly as the scalar engine draws them:
+    the oracle for the batch engine's lockstep replay.
+
+    Per task the scalar engine calls ``rng.permutation(n)`` and then
+    draws ``n`` 16-byte run ids.  Both consume the stream one 32-bit
+    word at a time: the permutation's swaps by rejection sampling, the
+    run ids four bytes to a word, low byte first.  So one
+    ``integers(0, 2**32, dtype=uint32)`` draw yields the same words,
+    and replaying the swaps and cutting the ids from the words gives
+    the same orders and ids.  Running short just draws more and
+    replays.
+    """
+    budget = words_per_run * sum(n for n, _ in swaps_by_task)
+    words = rng.integers(0, 1 << 32, size=budget, dtype=np.uint32)
+    while True:
+        taken = words.tolist()
+        raw = words.astype("<u4", copy=False).tobytes()
+        out = []
+        pos = 0
+        try:
+            for n, swaps in swaps_by_task:
+                order = list(range(n))
+                for i, mask in swaps:
+                    j = taken[pos] & mask
+                    pos += 1
+                    while j > i:
+                        j = taken[pos] & mask
+                        pos += 1
+                    order[i], order[j] = order[j], order[i]
+                end = pos + 4 * n
+                if end > len(taken):
+                    raise IndexError
+                out.append((order, raw[4 * pos : 4 * end].hex()))
+                pos = end
+            return out
+        except IndexError:
+            words = np.concatenate([
+                words,
+                rng.integers(0, 1 << 32, size=budget, dtype=np.uint32),
+            ])
 
 
 class TestRngIdentities:
@@ -552,10 +607,9 @@ class TestRngIdentities:
         if odd_start:
             fast.integers(0, 2, dtype=np.uint32)
             ref.integers(0, 2, dtype=np.uint32)
-        with mock.patch.object(batch_mod, "_WORDS_PER_RUN", words_per_run):
-            got = batch_mod._session_draws(
-                fast, [batch_mod._shuffle_swaps(n) for n in sizes]
-            )
+        got = _session_draws(
+            fast, [batch_mod._shuffle_swaps(n) for n in sizes], words_per_run
+        )
         want = [
             (
                 ref.permutation(n).tolist(),
@@ -613,21 +667,22 @@ class TestRngIdentities:
     ):
         """The lockstep replay over fresh seats gives every user the
         orders and run-id hex of ``_session_draws``, whether every user
-        (1 or 2 words per run), some (5) or none (8) run short and take
-        the scalar redo."""
+        (1 or 2 words per run), some (5) or none (8) run short and are
+        replayed with a doubled budget; at 1 and 2 a user may be
+        replayed more than once."""
         swaps = [batch_mod._shuffle_swaps(n) for n in sizes]
         seats = DerivedStream(seed, "user-session").reseated(
             np.random.default_rng(0), first_user, first_user + users
         )
-        with mock.patch.object(batch_mod, "_WORDS_PER_RUN", words_per_run):
-            orders, ids = batch_mod._session_chunk(
-                seats, swaps, seed, first_user
-            )
+        orders, ids = batch_mod._session_chunk(
+            seats, swaps, seed, np.arange(first_user, first_user + users),
+            words_per_run,
+        )
         assert orders.shape == (users, sum(sizes))
         assert ids.shape == (users, sum(sizes), 4)
         firsts = np.cumsum([0, *sizes[:-1]]).tolist()
         for k in range(users):
-            want = batch_mod._session_draws(
+            want = _session_draws(
                 derive_rng(seed, "user-session", first_user + k), swaps
             )
             got = [
@@ -641,19 +696,23 @@ class TestRngIdentities:
 
     def test_session_chunk_redoes_only_the_users_that_ran_short(self):
         # At 5 words per run some users of the study's four 8-testcase
-        # tasks run short and some do not; each short one is redone on
-        # its own generator, and every user still gets its draws.
+        # tasks run short and some do not; each short one is replayed
+        # on its own fresh seat, and every user still gets its draws.
         swaps = [batch_mod._shuffle_swaps(8)] * 4
         seats = DerivedStream(7, "user-session").reseated(
             np.random.default_rng(0), 100, 164
         )
-        with mock.patch.object(batch_mod, "_WORDS_PER_RUN", 5), \
-                mock.patch.object(batch_mod, "_session_draws",
-                                  wraps=batch_mod._session_draws) as redo:
-            orders, ids = batch_mod._session_chunk(seats, swaps, 7, 100)
-        assert 0 < redo.call_count < 64
+        with mock.patch.object(batch_mod, "derive_rng",
+                               wraps=batch_mod.derive_rng) as seat:
+            orders, ids = batch_mod._session_chunk(
+                seats, swaps, 7, np.arange(100, 164), 5
+            )
+        assert 0 < seat.call_count < 64
+        for call in seat.call_args_list:
+            (_, label, user), _ = call
+            assert label == "user-session" and type(user) is int
         for k in range(64):
-            want = batch_mod._session_draws(
+            want = _session_draws(
                 derive_rng(7, "user-session", 100 + k), swaps
             )
             assert [
@@ -718,6 +777,15 @@ def _profiles(prefix, n, seed):
     return [sample_profile(f"{prefix}{i}", seed=seed + i) for i in range(n)]
 
 
+def _cell_fields(spec, ramp, th_col=None):
+    """The fields of a Word/CPU batch ``_CellPlan`` that threshold
+    finalization reads."""
+    return SimpleNamespace(
+        spec=spec, task_name="word", resource=Resource.CPU, ramp=ramp,
+        th_col=[] if th_col is None else th_col,
+    )
+
+
 class TestThresholdFinalization:
     """The deferred threshold math (_BlockSkill + _finalize_thresholds)
     vs the scalar sampling path, element for element on raw draws."""
@@ -734,8 +802,6 @@ class TestThresholdFinalization:
     def test_property_block_skill_matches_simulated_user(
         self, task, scale, n, seed
     ):
-        from types import SimpleNamespace
-
         profiles = _profiles("sk", n, seed)
         params = BehaviorParams()
         table = ToleranceTable(
@@ -746,13 +812,12 @@ class TestThresholdFinalization:
             }
         )
         skill = batch_mod._BlockSkill(profiles, (task,), params)
-        draw = SimpleNamespace(key=(task, Resource.CPU), task=task, mean=scale)
-        got = skill.shift(draw)
+        got = skill.shift(task, Resource.CPU, scale)
         for profile, value in zip(profiles, got.tolist()):
             user = SimulatedUser(profile, table, params, seed=0)
             assert value == user._skill_shift(task, scale)
-        # The column is computed once per (task, scale) and reused.
-        assert skill.shift(draw) is got
+        # The column is computed once per (task, resource) and reused.
+        assert skill.shift(task, Resource.CPU, scale) is got
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -788,8 +853,8 @@ class TestThresholdFinalization:
         profiles = _profiles("ft", n, seed)
         params = BehaviorParams()
         table = ToleranceTable({("word", Resource.CPU): spec})
-        draw = batch_mod._ResourceDraw("word", Resource.CPU, spec, shape)
-        col, expected = [], []
+        cell = _cell_fields(spec, ramp=shape == "ramp")
+        col, expected = cell.th_col, []
         for i, profile in enumerate(profiles):
             r_scalar = np.random.default_rng(seed * 31 + i)
             r_raw = np.random.default_rng(seed * 31 + i)
@@ -806,7 +871,7 @@ class TestThresholdFinalization:
             # The batch engine's phase-1 raw-draw logic.
             if spec.p_react <= 0.0 or r_raw.random() >= spec.p_react:
                 col.append(math.inf)
-            elif draw.is_z:
+            elif spec.range_max is None:
                 col.append(r_raw.standard_normal())
             else:
                 col.append(r_raw.random())
@@ -814,7 +879,7 @@ class TestThresholdFinalization:
                 r_scalar.bit_generator.state == r_raw.bit_generator.state
             )
         skill = batch_mod._BlockSkill(profiles, ("word",), params)
-        got = batch_mod._finalize_thresholds(draw, col, skill)
+        got = batch_mod._finalize_thresholds(cell, skill)
         for g, e in zip(got.tolist(), expected):
             assert g == e or (math.isnan(g) and math.isnan(e))
 
@@ -826,12 +891,10 @@ class TestThresholdFinalization:
             "word", Resource.CPU, p_react=1.0, mu=700.0, sigma=1.0
         )
         profiles = _profiles("ov", 2, 3)
-        draw = batch_mod._ResourceDraw("word", Resource.CPU, spec, "step")
+        cell = _cell_fields(spec, ramp=False, th_col=[20.0, math.inf])
         skill = batch_mod._BlockSkill(profiles, ("word",), BehaviorParams())
         with np.errstate(over="ignore"):
-            got = batch_mod._finalize_thresholds(
-                draw, [20.0, math.inf], skill
-            )
+            got = batch_mod._finalize_thresholds(cell, skill)
         assert got[0] == math.inf  # armed, base overflowed
         assert got[1] == math.inf  # never-reacting marker
 
@@ -840,11 +903,9 @@ class TestThresholdFinalization:
             "word", Resource.CPU, p_react=0.5, mu=0.0, sigma=0.3
         )
         profiles = _profiles("ua", 3, 11)
-        draw = batch_mod._ResourceDraw("word", Resource.CPU, spec, "ramp")
+        cell = _cell_fields(spec, ramp=True, th_col=[math.inf] * 3)
         skill = batch_mod._BlockSkill(profiles, ("word",), BehaviorParams())
-        got = batch_mod._finalize_thresholds(
-            draw, [math.inf, math.inf, math.inf], skill
-        )
+        got = batch_mod._finalize_thresholds(cell, skill)
         assert got.tolist() == [math.inf, math.inf, math.inf]
 
     def test_choice_equals_bisected_cdf(self):

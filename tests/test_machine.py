@@ -1,6 +1,5 @@
 """Tests for the simulated machine substrate."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from repro.machine import (
     disk_slowdown,
     memory_pressure,
 )
-from repro.machine.scheduler import cpu_slowdown_vector
 
 
 class TestSpecs:
@@ -82,12 +80,6 @@ class TestCpuScheduler:
             cpu_slowdown(0.5, -1.0)
         with pytest.raises(ValidationError):
             cpu_share(-0.1)
-
-    def test_vectorized_matches_scalar(self):
-        contention = np.array([0.0, 0.5, 1.5, 5.0])
-        vec = cpu_slowdown_vector(0.7, contention)
-        scalars = [cpu_slowdown(0.7, float(c)) for c in contention]
-        assert np.allclose(vec, scalars)
 
 
 class TestMemoryModel:

@@ -164,6 +164,12 @@ class TestRunFleet:
         with pytest.raises(SchedulerError, match="shards"):
             run_fleet(CONFIG, shards=0)
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_workers_below_one_rejected(self, shards):
+        for workers in (0, -1):
+            with pytest.raises(SchedulerError, match="max_workers"):
+                run_fleet(CONFIG, shards=shards, max_workers=workers)
+
     def test_scoreboard_json_round_trips(self):
         board = run_fleet(CONFIG)
         data = json.loads(board.to_json())

@@ -25,7 +25,6 @@ from repro.study import (
     shard_ranges,
     study_fixtures,
 )
-from repro.study.sharded import _run_shard
 from shardcheck import assert_shard_equivalence, serialized_records, study_digest
 
 
@@ -148,6 +147,16 @@ class TestShardedEquivalence:
         with pytest.raises(StudyError):
             run_sharded_study(ControlledStudyConfig(n_users=2), shards=0)
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_workers_below_one_rejected(self, shards):
+        # Refused before any worker starts, not run with one worker.
+        for workers in (0, -1):
+            with pytest.raises(StudyError, match="max_workers"):
+                run_sharded_study(
+                    ControlledStudyConfig(n_users=2), shards=shards,
+                    max_workers=workers,
+                )
+
 
 @settings(
     max_examples=8,
@@ -170,10 +179,10 @@ def test_property_one_vs_k_shards_identical_store(
         n_users=n_users, seed=seed, engine=engine, tasks=tasks
     )
     single = run_controlled_study(config)
-    # In-process shard execution (the same function pool workers run)
-    # keeps hypothesis fast while still covering partition + merge.
+    # In-process shard execution (run_user_range, which every worker
+    # runs) keeps hypothesis fast while still covering partition + merge.
     shards = shard_ranges(config.n_users, k)
-    batches = [(s, _run_shard(config, s.start, s.stop)) for s in shards]
+    batches = [(s, run_user_range(config, s.start, s.stop)) for s in shards]
     merged = merge_shard_batches(batches)
 
     root = tmp_path_factory.mktemp("shardstore")
