@@ -351,6 +351,13 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         if args.push_gateway
         else None
     )
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        # Made before the fleet runs: a bad path costs no simulation.
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StoreError(f"cannot create {out.parent}: {exc}") from exc
     hub: Telemetry | None = None
     if args.telemetry:
         hub = Telemetry.to_path(args.telemetry)
@@ -381,8 +388,11 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         _print("interrupted", err=True)
         return 130
-    if args.out:
-        Path(args.out).write_text(board.to_json())
+    if out is not None:
+        try:
+            out.write_text(board.to_json())
+        except OSError as exc:
+            raise StoreError(f"cannot write scoreboard {out}: {exc}") from exc
     _print(
         f"harvest[{config.policy}]: {config.clients} clients x "
         f"{config.epochs} epochs, budget {config.budget:g}, "

@@ -30,7 +30,7 @@ read no clocks, so a fleet simulation over them is byte-reproducible.
 
 from __future__ import annotations
 
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from repro.core.resources import CONTENTION_LIMITS, Resource
 from repro.core.session import DISCOMFORT_LEVEL_BUCKETS
@@ -51,6 +51,25 @@ __all__ = [
     "cell_cap",
 ]
 
+
+#: ``static`` borrows this fraction of each cell's cap.
+STATIC_FRACTION = 0.5
+#: ``aimd`` multiplies a cell's ceiling by this on each discomfort.
+AIMD_BACKOFF = 0.5
+#: ``aimd`` recovers this fraction of a cell's cap per comfortable minute.
+AIMD_RECOVERY_FRACTION = 0.05
+#: ``cdf`` starts each cell's ceiling at this fraction of its cap.
+CDF_START_FRACTION = 0.1
+#: ``cdf`` climbs this fraction of a cell's cap per comfortable minute.
+CDF_CLIMB_FRACTION = 0.3
+#: ``cdf`` multiplies a cell's ceiling by at most this on each discomfort.
+CDF_SOFT_BACKOFF = 0.9
+#: ``cdf`` keeps a cell's ceiling at most this fraction of its ``c_a``.
+CDF_SAFETY = 0.75
+#: ``cdf`` admits a cell's first this-many decisions whatever its rate.
+CDF_MIN_OBSERVATIONS = 4
+#: ``aimd`` and ``cdf`` never back a cell off below this fraction of its cap.
+FLOOR_FRACTION = 0.02
 
 #: Each studied cell's cap: its ramp maximum, within its resource's limit.
 _STUDIED_CAPS: dict[tuple[str, Resource], float] = {
@@ -92,17 +111,9 @@ class SchedulerPolicy:
     no randomness, no wall clocks — so seeded fleet runs replay exactly.
     """
 
-    #: Registry key; subclasses override.
-    name: ClassVar[str] = ""
-
-    @classmethod
-    def build(cls, budget: float = 0.05) -> "SchedulerPolicy":
-        """Construct with default tunables; ``budget`` where meaningful.
-
-        ``static`` and ``aimd`` have no discomfort budget to target and
-        ignore the argument; ``cdf`` adopts it.
-        """
-        return cls()
+    def __init__(self, budget: float = 0.05):
+        """``budget`` is the discomfort-event rate ``cdf`` targets;
+        ``static`` and ``aimd`` have none and ignore it."""
 
     def decide(self, task: str, resource: Resource) -> SchedulerDecision:
         """Admission verdict + granted ceiling for one borrow request."""
@@ -119,49 +130,17 @@ class SchedulerPolicy:
         raise NotImplementedError
 
 
-#: name -> policy class; :func:`build_policy` and the CLI look up here.
-SCHEDULER_POLICIES: dict[str, type[SchedulerPolicy]] = {}
-
-
-def _register(cls: type[SchedulerPolicy]) -> type[SchedulerPolicy]:
-    SCHEDULER_POLICIES[cls.name] = cls
-    return cls
-
-
-def build_policy(name: str, budget: float = 0.05) -> SchedulerPolicy:
-    """Instantiate the registered policy ``name`` with default tunables."""
-    if not 0.0 < budget < 1.0:
-        raise SchedulerError(f"budget must be in (0, 1), got {budget}")
-    try:
-        cls = SCHEDULER_POLICIES[name]
-    except KeyError:
-        raise SchedulerError(
-            f"unknown scheduler policy {name!r}; "
-            f"available: {', '.join(sorted(SCHEDULER_POLICIES))}"
-        ) from None
-    return cls.build(budget=budget)
-
-
-@_register
 class StaticPolicy(SchedulerPolicy):
-    """Fixed-ceiling borrowing: ``fraction`` of each cell's cap, always.
+    """Fixed-ceiling borrowing: :data:`STATIC_FRACTION` of each cell's
+    cap, always.
 
     No feedback path and no admission control — the pre-measurement
     baseline the paper argues against.  Its discomfort rate is whatever
     the population's tolerance CDF says it is at that fixed level.
     """
 
-    name: ClassVar[str] = "static"
-
-    def __init__(self, fraction: float = 0.5):
-        if not 0.0 < fraction <= 1.0:
-            raise SchedulerError(
-                f"fraction must be in (0, 1], got {fraction}"
-            )
-        self._fraction = float(fraction)
-
     def decide(self, task: str, resource: Resource) -> SchedulerDecision:
-        return SchedulerDecision(True, self._fraction * cell_cap(task, resource))
+        return SchedulerDecision(True, STATIC_FRACTION * cell_cap(task, resource))
 
     def on_discomfort(self, task: str, resource: Resource, level: float) -> None:
         pass  # deaf by design
@@ -172,34 +151,18 @@ class StaticPolicy(SchedulerPolicy):
         pass
 
 
-@_register
 class AIMDPolicy(SchedulerPolicy):
     """Per-cell AIMD feedback via :class:`FeedbackController`.
 
     Each (task, resource) cell lazily gets its own controller starting
-    at the cell cap (AIMD probes from the top): discomfort halves the
-    ceiling, comfortable time recovers it additively at
-    ``recovery_fraction`` of the cap per minute.  Every request is
-    admitted — AIMD shapes *how much* is borrowed, never *whether*.
+    at the cell cap (AIMD probes from the top): discomfort multiplies
+    the ceiling by :data:`AIMD_BACKOFF`, comfortable time recovers it
+    additively at :data:`AIMD_RECOVERY_FRACTION` of the cap per minute.
+    Every request is admitted — AIMD shapes *how much* is borrowed,
+    never *whether*.
     """
 
-    name: ClassVar[str] = "aimd"
-
-    def __init__(
-        self,
-        backoff: float = 0.5,
-        recovery_fraction: float = 0.05,
-        floor_fraction: float = 0.02,
-    ):
-        if not 0.0 < backoff < 1.0:
-            raise SchedulerError(f"backoff must be in (0,1), got {backoff}")
-        if recovery_fraction < 0:
-            raise SchedulerError("recovery_fraction must be >= 0")
-        if not 0.0 <= floor_fraction < 1.0:
-            raise SchedulerError("floor_fraction must be in [0, 1)")
-        self._backoff = float(backoff)
-        self._recovery_fraction = float(recovery_fraction)
-        self._floor_fraction = float(floor_fraction)
+    def __init__(self, budget: float = 0.05):
         self._controllers: dict[tuple[str, Resource], FeedbackController] = {}
         # One explicitly-disabled hub shared by every controller: policy
         # decisions must never write metrics behind the fleet driver's
@@ -214,9 +177,9 @@ class AIMDPolicy(SchedulerPolicy):
             controller = self._controllers[cell] = FeedbackController(
                 Throttle(resource),
                 max_level=cap,
-                backoff=self._backoff,
-                recovery_per_minute=self._recovery_fraction * cap,
-                floor=self._floor_fraction * cap,
+                backoff=AIMD_BACKOFF,
+                recovery_per_minute=AIMD_RECOVERY_FRACTION * cap,
+                floor=FLOOR_FRACTION * cap,
                 telemetry=self._telemetry,
             )
         return controller
@@ -248,23 +211,23 @@ class _CDFCell:
         self.counts = [0] * len(DISCOMFORT_LEVEL_BUCKETS)
 
 
-@_register
 class CDFPolicy(SchedulerPolicy):
     """CDF-driven admission control + dynamic throttle (the paper's §5).
 
-    Ceiling control: each cell starts probing at ``start_fraction`` of
-    its cap and climbs additively toward the cap while comfortable.
-    Every discomfort level is counted into the cell's cumulative buckets
-    over the client ``uucs_discomfort_level`` histogram's bounds, and
-    its ``c_a`` — the ``budget``-quantile of that measured discomfort
-    CDF — is read with :func:`~repro.util.comfort.quantile_from_buckets`
-    and the 4-place rounding of :func:`repro.telemetry.web.comfort_cells`,
-    so it equals the dashboard's ``c_q`` (a property test pins it).  The
-    level is counted before ``c_a`` is read, so every discomfort has a
-    measured CDF behind it: the ceiling drops straight to ``safety *
-    c_a`` — the measured budget-compliant setpoint — instead of blindly
-    halving, so one event re-seats the cell where the CDF says at most
-    a ``budget`` fraction of reactions lie below.
+    Ceiling control: each cell starts probing at
+    :data:`CDF_START_FRACTION` of its cap and climbs additively toward
+    the cap while comfortable.  Every discomfort level is counted into
+    the cell's cumulative buckets over the client
+    ``uucs_discomfort_level`` histogram's bounds, and its ``c_a`` — the
+    ``budget``-quantile of that measured discomfort CDF — is read with
+    :func:`~repro.util.comfort.quantile_from_buckets` and the 4-place
+    rounding of :func:`repro.telemetry.web.comfort_cells`, so it equals
+    the dashboard's ``c_q`` (a property test pins it).  The level is
+    counted before ``c_a`` is read, so every discomfort has a measured
+    CDF behind it: the ceiling drops straight to :data:`CDF_SAFETY`
+    times ``c_a`` — the measured budget-compliant setpoint — instead of
+    blindly halving, so one event re-seats the cell where the CDF says
+    at most a ``budget`` fraction of reactions lie below.
 
     Admission control: a cell whose realized discomfort-event rate
     (events per decision) exceeds ``budget`` stops admitting requests.
@@ -273,47 +236,11 @@ class CDFPolicy(SchedulerPolicy):
     than a permanent blacklist.
     """
 
-    name: ClassVar[str] = "cdf"
-
-    def __init__(
-        self,
-        budget: float = 0.05,
-        start_fraction: float = 0.1,
-        climb_fraction: float = 0.3,
-        soft_backoff: float = 0.9,
-        safety: float = 0.75,
-        floor_fraction: float = 0.02,
-        min_observations: int = 4,
-    ):
+    def __init__(self, budget: float = 0.05):
         if not 0.0 < budget < 1.0:
             raise SchedulerError(f"budget must be in (0, 1), got {budget}")
-        if not 0.0 < soft_backoff < 1.0:
-            raise SchedulerError(
-                f"soft_backoff must be in (0,1), got {soft_backoff}"
-            )
-        if not 0.0 < safety <= 1.0:
-            raise SchedulerError(f"safety must be in (0, 1], got {safety}")
-        if not 0.0 < start_fraction <= 1.0:
-            raise SchedulerError("start_fraction must be in (0, 1]")
-        if climb_fraction <= 0:
-            raise SchedulerError("climb_fraction must be > 0")
-        if not 0.0 <= floor_fraction < 1.0:
-            raise SchedulerError("floor_fraction must be in [0, 1)")
-        if min_observations < 1:
-            raise SchedulerError("min_observations must be >= 1")
         self._budget = float(budget)
-        self._start = float(start_fraction)
-        self._climb = float(climb_fraction)
-        self._soft_backoff = float(soft_backoff)
-        self._safety = float(safety)
-        self._floor = float(floor_fraction)
-        self._min_observations = int(min_observations)
         self._cells: dict[tuple[str, Resource], _CDFCell] = {}
-
-    @classmethod
-    def build(cls, budget: float = 0.05) -> "CDFPolicy":
-        """Construct targeting ``budget`` discomfort events per decision."""
-        return cls(budget=budget)
 
     @property
     def budget(self) -> float:
@@ -324,7 +251,7 @@ class CDFPolicy(SchedulerPolicy):
         """A new record for a cell this policy has not met yet."""
         cap = cell_cap(task, resource)
         cell = self._cells[task, resource] = _CDFCell(
-            cap, self._floor * cap, self._start * cap
+            cap, FLOOR_FRACTION * cap, CDF_START_FRACTION * cap
         )
         return cell
 
@@ -351,7 +278,7 @@ class CDFPolicy(SchedulerPolicy):
         decisions = cell.decisions
         cell.decisions = decisions + 1
         over_budget = (
-            decisions >= self._min_observations
+            decisions >= CDF_MIN_OBSERVATIONS
             and cell.discomforts > self._budget * decisions
         )
         return SchedulerDecision(not over_budget, cell.ceiling)
@@ -370,8 +297,8 @@ class CDFPolicy(SchedulerPolicy):
         # discomfort a strict decrease even when the ceiling is already
         # at or below the CDF target.
         target = min(
-            cell.ceiling * self._soft_backoff,
-            self._safety * self._c_a(cell),
+            cell.ceiling * CDF_SOFT_BACKOFF,
+            CDF_SAFETY * self._c_a(cell),
         )
         cell.ceiling = max(cell.floor, target)
 
@@ -380,5 +307,25 @@ class CDFPolicy(SchedulerPolicy):
     ) -> None:
         cell = self._cells.get((task, resource)) or self._add(task, resource)
         cap = cell.cap
-        gain = self._climb * cap * elapsed_s / 60.0
+        gain = CDF_CLIMB_FRACTION * cap * elapsed_s / 60.0
         cell.ceiling = max(cell.floor, min(cap, cell.ceiling + gain))
+
+
+#: name -> policy class; :func:`build_policy` and the CLI look up here.
+SCHEDULER_POLICIES: dict[str, type[SchedulerPolicy]] = {
+    "static": StaticPolicy,
+    "aimd": AIMDPolicy,
+    "cdf": CDFPolicy,
+}
+
+
+def build_policy(name: str, budget: float = 0.05) -> SchedulerPolicy:
+    """A new policy ``name``; only ``cdf`` reads ``budget``."""
+    try:
+        cls = SCHEDULER_POLICIES[name]
+    except KeyError:
+        raise SchedulerError(
+            f"unknown scheduler policy {name!r}; "
+            f"available: {', '.join(sorted(SCHEDULER_POLICIES))}"
+        ) from None
+    return cls(budget)

@@ -197,10 +197,6 @@ class MetricsExporter(AsyncioListener):
         return self._rollups
 
     @property
-    def web_enabled(self) -> bool:
-        return self._web
-
-    @property
     def broker(self) -> "_web.StreamBroker | None":
         return self._broker
 

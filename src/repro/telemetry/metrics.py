@@ -130,10 +130,8 @@ class _Metric:
         raise NotImplementedError
 
 
-class Counter(_Metric):
-    """A monotonically increasing sum, optionally split by labels."""
-
-    kind = "counter"
+class _ValueMetric(_Metric):
+    """One float per labelled series: what a counter and a gauge share."""
 
     def __init__(
         self,
@@ -145,16 +143,8 @@ class Counter(_Metric):
         super().__init__(name, description, unit, labelnames)
         self._values: dict[tuple[str, ...], float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise ValidationError(f"counter {self.name!r} cannot decrease")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
-
     def value(self, **labels: object) -> float:
-        """Current value of the labelled series (0 if never incremented)."""
+        """Current value of the labelled series (0 if never written)."""
         with self._lock:
             return self._values.get(self._key(labels), 0.0)
 
@@ -176,20 +166,24 @@ class Counter(_Metric):
             return {",".join(key): value for key, value in sorted(self._values.items())}
 
 
-class Gauge(_Metric):
+class Counter(_ValueMetric):
+    """A monotonically increasing sum, optionally split by labels."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        """Add ``amount`` (must be >= 0) to the labelled series."""
+        if amount < 0:
+            raise ValidationError(f"counter {self.name!r} cannot decrease")
+        key = self._key(labels)
+        with self._lock:
+            self._values[key] = self._values.get(key, 0.0) + float(amount)
+
+
+class Gauge(_ValueMetric):
     """A value that can go up and down (setpoints, ceilings, sizes)."""
 
     kind = "gauge"
-
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        unit: str = "",
-        labelnames: Sequence[str] = (),
-    ):
-        super().__init__(name, description, unit, labelnames)
-        self._values: dict[tuple[str, ...], float] = {}
 
     def set(self, value: float, **labels: object) -> None:
         key = self._key(labels)
@@ -203,27 +197,6 @@ class Gauge(_Metric):
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0.0)
-
-    def render(self) -> str:
-        lines = self._header_lines()
-        with self._lock:
-            items = sorted(self._values.items())
-        if not items and not self.labelnames:
-            items = [((), 0.0)]
-        for labelvalues, value in items:
-            labels = _format_labels(self.labelnames, labelvalues)
-            lines.append(f"{self.name}{labels} {_format_value(value)}")
-        return "\n".join(lines)
-
-    def snapshot_value(self) -> object:
-        with self._lock:
-            if not self.labelnames:
-                return self._values.get((), 0.0)
-            return {",".join(key): value for key, value in sorted(self._values.items())}
 
 
 class _HistogramSeries:

@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.errors import StoreError
 from repro.telemetry.events import Event, read_events_lenient
 from repro.util.comfort import quantile_from_ecdf
 from repro.util.tables import TextTable, format_float
@@ -411,10 +412,17 @@ def to_chrome_trace(traces: Sequence[Trace]) -> dict[str, object]:
 
 
 def write_chrome_trace(traces: Sequence[Trace], path: str | Path) -> None:
-    """Serialize :func:`to_chrome_trace` output to ``path``."""
-    Path(path).write_text(
-        json.dumps(to_chrome_trace(traces), sort_keys=True), encoding="utf-8"
-    )
+    """Serialize :func:`to_chrome_trace` output to ``path``, making its
+    directory; :class:`~repro.errors.StoreError` if it cannot."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps(to_chrome_trace(traces), sort_keys=True),
+            encoding="utf-8",
+        )
+    except OSError as exc:
+        raise StoreError(f"cannot write chrome trace {path}: {exc}") from exc
 
 
 # -- text renderers (uucs trace) -------------------------------------------

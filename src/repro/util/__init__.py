@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG plumbing, statistics, tables, time series."""
 
 from repro.util.comfort import quantile_from_buckets
-from repro.util.rng import derive_rng, ensure_rng, spawn_child
+from repro.util.rng import derive_rng, ensure_rng
 from repro.util.stats import (
     ConfidenceInterval,
     TTestResult,
@@ -28,7 +28,6 @@ __all__ = [
     "paired_t_test",
     "quantile_from_buckets",
     "quantile_from_ecdf",
-    "spawn_child",
     "unpaired_t_test",
     "welch_t_test",
 ]

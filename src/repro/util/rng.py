@@ -68,10 +68,10 @@ def _fnv_words(part: object) -> tuple[int, int]:
 def derive_rng(seed: SeedLike, *key: object) -> np.random.Generator:
     """Derive an independent generator from ``seed`` and a hashable ``key``.
 
-    Unlike :func:`spawn_child`, derivation is *stable*: the same
-    ``(seed, key)`` pair always yields the same stream, independent of how
-    many other streams were derived before it.  ``seed`` must be an ``int``
-    or ``SeedSequence`` (generators cannot be re-derived stably).
+    Derivation is *stable*: the same ``(seed, key)`` pair always yields
+    the same stream, independent of how many other streams were derived
+    before it.  ``seed`` must be an ``int`` or ``SeedSequence``
+    (generators cannot be re-derived stably).
     """
     if isinstance(seed, np.random.Generator):
         raise TypeError(
@@ -97,11 +97,10 @@ class DerivedStream:
     """The generators of one ``derive_rng(seed, label, index)`` family.
 
     ``derive_rng`` costs one SeedSequence construction plus one
-    PCG64/Generator allocation per call.  This class replays numpy's
-    SeedSequence entropy-pool hash and PCG64 seeding in pure ints,
-    amortizing every step that does not depend on the index (the
-    entropy words, the label words, and the full pool cross-mix),
-    hashes the index words of many indices at once in numpy, and
+    PCG64/Generator allocation per call.  This class has numpy mix the
+    entropy and label words into a SeedSequence pool once, replays only
+    the rest of numpy's hash — folding in each index's words — and
+    PCG64's seeding, for many indices at once in numpy arrays, and
     re-seats a caller's Generator per index through the state setter.
     A re-seated Generator is bit- and stream-identical to
     ``derive_rng(seed, label, index)``, which the tests assert.
@@ -113,49 +112,17 @@ class DerivedStream:
     __slots__ = ("pool", "hash_const")
 
     def __init__(self, entropy: int, label: str):
-        words = []
-        v = entropy
-        if v == 0:
-            words.append(0)
-        while v:
-            words.append(v & _M32)
-            v >>= 32
-        if len(words) < 4:
-            # SeedSequence zero-pads run entropy to the pool size
-            # whenever a spawn key is present.
-            words.extend([0] * (4 - len(words)))
-        words.extend(_fnv_words(label))
-
-        # Pool fill (first 4 words), full cross-mix, then fold in the
-        # remaining words — numpy's mix_entropy, verbatim, with the
-        # running hash constant advancing through every hashmix call.
-        hc = _INIT_A
-        pool = []
-        for i in range(4):
-            val = words[i] ^ hc
-            hc = (hc * _MULT_A) & _M32
-            val = (val * hc) & _M32
-            pool.append(val ^ (val >> 16))
-        for i_src in range(4):
-            for i_dst in range(4):
-                if i_src != i_dst:
-                    val = pool[i_src] ^ hc
-                    hc = (hc * _MULT_A) & _M32
-                    val = (val * hc) & _M32
-                    val ^= val >> 16
-                    r = ((pool[i_dst] * _MIX_L) - (val * _MIX_R)) & _M32
-                    pool[i_dst] = r ^ (r >> 16)
-        for i_src in range(4, len(words)):
-            word = words[i_src]
-            for i_dst in range(4):
-                val = word ^ hc
-                hc = (hc * _MULT_A) & _M32
-                val = (val * hc) & _M32
-                val ^= val >> 16
-                r = ((pool[i_dst] * _MIX_L) - (val * _MIX_R)) & _M32
-                pool[i_dst] = r ^ (r >> 16)
-        self.pool = pool
-        self.hash_const = hc
+        self.pool = np.random.SeedSequence(
+            entropy, spawn_key=_fnv_words(label)
+        ).pool
+        # Each hashmix call advanced numpy's hash constant by one
+        # _MULT_A factor: 16 to fill the pool from the first 4 words and
+        # cross-mix it, then 4 per later word.  The words are the
+        # entropy's, zero-padded to 4, then the label's 2.
+        n_words = max(4, (entropy.bit_length() + 31) // 32)
+        self.hash_const = (
+            _INIT_A * pow(_MULT_A, 16 + 4 * (n_words - 2), 1 << 32) & _M32
+        )
 
     def seeds(self, w0, w1) -> list[tuple[int, int]]:
         """PCG64 ``(state, inc)`` for each spawn-key tail ``(w0[k],
@@ -210,12 +177,3 @@ class DerivedStream:
                 inner["state"], inner["inc"] = seeded, inc
                 bit_generator.state = state
                 yield rng
-
-
-def spawn_child(rng: np.random.Generator) -> np.random.Generator:
-    """Spawn an independent child generator from ``rng``.
-
-    Order-dependent but cheap; use when the call order is itself
-    deterministic (e.g. inside a sequential simulation loop).
-    """
-    return np.random.default_rng(rng.integers(0, 2**63 - 1, dtype=np.int64))

@@ -369,6 +369,50 @@ class TestStudyPipeline:
         assert "error" in capsys.readouterr().err
 
 
+class TestOutputFiles:
+    """``harvest --out`` and ``trace --chrome`` make a missing directory;
+    a path under a regular file is one ``error:`` line, StoreError's 5."""
+
+    HARVEST = ("harvest", "--clients", "2", "--epochs", "1")
+
+    @pytest.fixture
+    def span_log(self, tmp_path, capsys):
+        log = tmp_path / "ev.jsonl"
+        assert run_cli("study", "--users", "1", "--seed", "9",
+                       "--results", str(tmp_path / "r"),
+                       "--telemetry", str(log)) == 0
+        capsys.readouterr()
+        return log
+
+    def test_harvest_makes_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "board.json"
+        assert run_cli(*self.HARVEST, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["clients"] == 2
+
+    def test_harvest_under_a_file_errors_before_simulating(self, tmp_path,
+                                                           capsys):
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "board.json"
+        assert run_cli(*self.HARVEST, "--out", str(out)) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no fleet summary: nothing simulated
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_trace_chrome_makes_a_missing_directory(self, tmp_path, span_log):
+        out = tmp_path / "missing" / "c.json"
+        assert run_cli("trace", str(span_log), "--chrome", str(out)) == 0
+        assert json.loads(out.read_text())["traceEvents"]
+
+    def test_trace_chrome_under_a_file_errors(self, tmp_path, span_log,
+                                              capsys):
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "c.json"
+        assert run_cli("trace", str(span_log), "--chrome", str(out)) == 5
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
+
 class TestTestcaseEdit:
     def test_scale_and_rename(self, tmp_path, capsys):
         store = str(tmp_path / "tcs")

@@ -14,6 +14,16 @@ from repro.scheduler import (
     build_policy,
     cell_cap,
 )
+from repro.scheduler.policy import (
+    AIMD_BACKOFF,
+    AIMD_RECOVERY_FRACTION,
+    CDF_CLIMB_FRACTION,
+    CDF_MIN_OBSERVATIONS,
+    CDF_SAFETY,
+    CDF_START_FRACTION,
+    FLOOR_FRACTION,
+    STATIC_FRACTION,
+)
 
 
 class TestRegistry:
@@ -54,24 +64,19 @@ class TestCellCap:
 
 class TestStaticPolicy:
     def test_fixed_fraction_of_cap_always_admitted(self):
-        policy = StaticPolicy(fraction=0.5)
+        policy = StaticPolicy()
         for _ in range(3):
             decision = policy.decide("word", Resource.CPU)
             assert decision == SchedulerDecision(
-                True, 0.5 * cell_cap("word", Resource.CPU)
+                True, STATIC_FRACTION * cell_cap("word", Resource.CPU)
             )
 
     def test_feedback_is_ignored(self):
-        policy = StaticPolicy(fraction=0.25)
+        policy = StaticPolicy()
         before = policy.decide("quake", Resource.DISK).ceiling
         policy.on_discomfort("quake", Resource.DISK, before)
         policy.on_comfortable("quake", Resource.DISK, 600.0)
         assert policy.decide("quake", Resource.DISK).ceiling == before
-
-    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
-    def test_bad_fraction_rejected(self, fraction):
-        with pytest.raises(SchedulerError):
-            StaticPolicy(fraction=fraction)
 
 
 class TestAIMDPolicy:
@@ -82,14 +87,14 @@ class TestAIMDPolicy:
         assert decision.ceiling == cell_cap("word", Resource.CPU)
 
     def test_discomfort_backs_off_and_comfort_recovers(self):
-        policy = AIMDPolicy(backoff=0.5, recovery_fraction=0.05)
+        policy = AIMDPolicy()
         cap = cell_cap("word", Resource.CPU)
         policy.on_discomfort("word", Resource.CPU, cap)
         halved = policy.decide("word", Resource.CPU).ceiling
-        assert halved == pytest.approx(0.5 * cap)
+        assert halved == pytest.approx(AIMD_BACKOFF * cap)
         policy.on_comfortable("word", Resource.CPU, 60.0)
         recovered = policy.decide("word", Resource.CPU).ceiling
-        assert recovered == pytest.approx(halved + 0.05 * cap)
+        assert recovered == pytest.approx(halved + AIMD_RECOVERY_FRACTION * cap)
 
     def test_cells_are_independent(self):
         policy = AIMDPolicy()
@@ -103,17 +108,19 @@ class TestCDFPolicy:
     CELL = ("word", Resource.CPU)
 
     def test_starts_at_start_fraction(self):
-        policy = CDFPolicy(start_fraction=0.1)
+        policy = CDFPolicy()
         cap = cell_cap(*self.CELL)
-        assert policy.decide(*self.CELL).ceiling == pytest.approx(0.1 * cap)
+        assert policy.decide(*self.CELL).ceiling == pytest.approx(
+            CDF_START_FRACTION * cap
+        )
 
     def test_climbs_while_comfortable_capped_at_cell_cap(self):
-        policy = CDFPolicy(start_fraction=0.1, climb_fraction=0.3)
+        policy = CDFPolicy()
         cap = cell_cap(*self.CELL)
         before = policy.decide(*self.CELL).ceiling
         policy.on_comfortable(*self.CELL, 60.0)
         after = policy.decide(*self.CELL).ceiling
-        assert after == pytest.approx(before + 0.3 * cap)
+        assert after == pytest.approx(before + CDF_CLIMB_FRACTION * cap)
         for _ in range(1000):
             policy.on_comfortable(*self.CELL, 60.0)
         assert policy.decide(*self.CELL).ceiling == cap
@@ -121,7 +128,7 @@ class TestCDFPolicy:
     def test_discomfort_strictly_decreases_ceiling(self):
         policy = CDFPolicy()
         cap = cell_cap(*self.CELL)
-        floor = policy._floor * cap
+        floor = FLOOR_FRACTION * cap
         for _ in range(20):
             before = policy.decide(*self.CELL).ceiling
             policy.on_discomfort(*self.CELL, before)
@@ -133,28 +140,29 @@ class TestCDFPolicy:
 
     def test_backoff_tracks_measured_c_a(self):
         """After enough observations the ceiling re-seats below
-        ``safety * c_a`` of the policy's own bucket counts."""
-        policy = CDFPolicy(budget=0.1, safety=0.75)
+        ``CDF_SAFETY * c_a`` of the policy's own bucket counts."""
+        policy = CDFPolicy(budget=0.1)
         cap = cell_cap(*self.CELL)
         for level in (0.6 * cap, 0.5 * cap, 0.7 * cap, 0.4 * cap):
             policy.on_discomfort(*self.CELL, level)
         cell = self.CELL
         c_a = policy._c_a_for(cell)
         assert c_a is not None
-        assert policy.decide(*cell).ceiling <= 0.75 * c_a
+        assert policy.decide(*cell).ceiling <= CDF_SAFETY * c_a
 
     def test_admission_denied_over_budget_then_amortizes(self):
-        policy = CDFPolicy(budget=0.5, min_observations=2)
-        # Two decisions, two discomforts: rate 1.0 > budget 0.5.
-        for _ in range(2):
+        policy = CDFPolicy(budget=0.5)
+        n = CDF_MIN_OBSERVATIONS
+        # n decisions, n discomforts: rate 1.0 > budget 0.5.
+        for _ in range(n):
             decision = policy.decide(*self.CELL)
             assert decision.admitted
             policy.on_discomfort(*self.CELL, decision.ceiling)
-        assert not policy.decide(*self.CELL).admitted
         # Denied epochs still count as decisions, so the realized rate
         # decays back to the budget and admission resumes: after the
-        # 3rd denial, 2 discomforts / 4 decisions == budget.
-        assert not policy.decide(*self.CELL).admitted
+        # n-th denial, n discomforts / 2n decisions == budget.
+        for _ in range(n):
+            assert not policy.decide(*self.CELL).admitted
         assert policy.decide(*self.CELL).admitted
 
     def test_deterministic_replay(self):
@@ -173,16 +181,3 @@ class TestCDFPolicy:
             return out
 
         assert drive(CDFPolicy()) == drive(CDFPolicy())
-
-    def test_bad_tunables_rejected(self):
-        for kwargs in (
-            {"budget": 0.0},
-            {"soft_backoff": 0.0},
-            {"safety": 1.5},
-            {"start_fraction": 0.0},
-            {"climb_fraction": 0.0},
-            {"floor_fraction": 1.0},
-            {"min_observations": 0},
-        ):
-            with pytest.raises(SchedulerError):
-                CDFPolicy(**kwargs)

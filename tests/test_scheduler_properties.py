@@ -21,6 +21,7 @@ from repro.errors import ThrottleError
 from repro.paperdata import STUDY_TASKS
 from repro.scheduler import CDFPolicy, FleetConfig, cell_cap, simulate_clients
 from repro.scheduler.fleet import FLEET_RESOURCES, _merge_aggregates
+from repro.scheduler.policy import FLOOR_FRACTION
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry, check_snapshot
 from repro.telemetry.web import comfort_cells
@@ -87,7 +88,7 @@ class TestCDFPolicyProperties:
     def test_ceiling_always_within_cell_envelope(self, steps, budget):
         policy = CDFPolicy(budget=budget)
         cap = cell_cap(*CELL)
-        floor = policy._floor * cap
+        floor = FLOOR_FRACTION * cap
         for step in steps:
             decision = policy.decide(*CELL)
             assert floor <= decision.ceiling <= cap
@@ -104,7 +105,7 @@ class TestCDFPolicyProperties:
     def test_discomfort_strictly_decreases_above_floor(self, steps):
         policy = CDFPolicy()
         cap = cell_cap(*CELL)
-        floor = policy._floor * cap
+        floor = FLOOR_FRACTION * cap
         for step in steps:
             before = policy.decide(*CELL).ceiling
             if step is None:
